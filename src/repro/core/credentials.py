@@ -201,8 +201,8 @@ class CredentialRecordTable:
         self._magic: list[int] = []
         self._watches: dict[int, list[ChangeCallback]] = {}
         self._global_watch: list[ChangeCallback] = []
-        # (external_service -> set of local indices of its surrogates)
-        self._externals_by_service: dict[str, set[int]] = {}
+        # external_service -> {remote CRR -> local index of its surrogate}
+        self._externals_by_service: dict[str, dict[int, int]] = {}
         self.records_created = 0
         self.records_deleted = 0
         self.propagations = 0          # number of cascades run
@@ -288,15 +288,14 @@ class CredentialRecordTable:
         about the remote fact yet, and sections 4.9/4.10 require failing
         closed, never open.
         """
-        for index in self._externals_by_service.get(service, ()):
-            row = self._rows[index]
-            if row is not None and row.external_ref == remote_ref:
-                return row
+        existing = self.external(service, remote_ref)
+        if existing is not None:
+            return existing
         record = self._alloc(RecordOp.SOURCE)
         record.external_service = service
         record.external_ref = remote_ref
         record.state = RecordState.UNKNOWN
-        self._externals_by_service.setdefault(service, set()).add(record.index)
+        self._externals_by_service.setdefault(service, {})[remote_ref] = record.index
         return record
 
     def _alloc(self, op: RecordOp) -> CredentialRecord:
@@ -330,6 +329,12 @@ class CredentialRecordTable:
         (a deleted record always represented a permanently-false fact)."""
         record = self.get(ref)
         return record.state if record is not None else RecordState.FALSE
+
+    def external(self, service: str, remote_ref: int) -> Optional[CredentialRecord]:
+        """The live local surrogate for ``remote_ref`` at ``service``, if
+        any: one dictionary lookup, however many surrogates exist."""
+        index = self._externals_by_service.get(service, {}).get(remote_ref)
+        return None if index is None else self._rows[index]
 
     def live_count(self) -> int:
         return sum(1 for row in self._rows if row is not None)
@@ -442,18 +447,24 @@ class CredentialRecordTable:
         (the wire layer's last-state-wins coalescing, applied again here
         so a batch is atomic regardless of how it was packed).  Returns
         the metrics of the settling cascade, so callers driving a
-        cross-shard settle can account convergence work per hop."""
+        cross-shard settle can account convergence work per hop.
+
+        Costs O(batch): each ref is one index lookup, and refs with no
+        local surrogate are ignored.  The batch settles in ascending row
+        order, so the cascade order does not depend on how it was packed.
+        """
         latest: dict[int, RecordState] = {}
         for remote_ref, state in updates:
             latest[remote_ref] = state
         if not latest:
             return CascadeStats()
-        batch = [
-            (row.ref, latest[row.external_ref])
-            for index in self._externals_by_service.get(service, ())
-            if (row := self._rows[index]) is not None and row.external_ref in latest
-        ]
-        return self.set_states(batch)
+        surrogates = self._externals_by_service.get(service, {})
+        found = sorted(
+            (index, state)
+            for remote_ref, state in latest.items()
+            if (index := surrogates.get(remote_ref)) is not None
+        )
+        return self.set_states([(self._rows[index].ref, state) for index, state in found])
 
     def mark_service_unknown(self, service: str) -> int:
         """Heartbeat from ``service`` missed: all its surrogates -> UNKNOWN.
@@ -461,21 +472,18 @@ class CredentialRecordTable:
         One cascade regardless of how many surrogates the silent service
         backs; returns how many were marked (cascade metrics are on
         :attr:`last_cascade`)."""
-        updates = []
-        for index in list(self._externals_by_service.get(service, ())):
-            row = self._rows[index]
-            if row is not None and row.state is not RecordState.UNKNOWN and not row.permanent:
-                updates.append((row.ref, RecordState.UNKNOWN))
+        updates = [
+            (row.ref, RecordState.UNKNOWN)
+            for row in self.externals_of(service)
+            if row.state is not RecordState.UNKNOWN and not row.permanent
+        ]
         self.set_states(updates)
         return len(updates)
 
     def externals_of(self, service: str) -> list[CredentialRecord]:
-        out = []
-        for index in self._externals_by_service.get(service, ()):
-            row = self._rows[index]
-            if row is not None:
-                out.append(row)
-        return out
+        """Every live surrogate for ``service``, in creation order."""
+        rows = self._rows
+        return [rows[index] for index in self._externals_by_service.get(service, {}).values()]
 
     def external_services(self) -> list[str]:
         """Issuers this table holds live surrogate records for.
@@ -484,9 +492,8 @@ class CredentialRecordTable:
         after a crash (ours or theirs); sorted for determinism.
         """
         return sorted(
-            service
-            for service, indices in self._externals_by_service.items()
-            if any(self._rows[index] is not None for index in indices)
+            service for service, surrogates in self._externals_by_service.items()
+            if surrogates
         )
 
     # -- watches / subscriptions -------------------------------------------------
@@ -656,14 +663,26 @@ class CredentialRecordTable:
     # -- garbage collection (section 4.8) -------------------------------------------
 
     def sweep(self) -> int:
-        """Periodic sweep: unlink edges from permanent parents, then delete
+        """Periodic sweep: unlink edges that can carry no change, then delete
         permanent or uninteresting records whose absence cannot change any
         validation outcome.  Returns the number of records deleted."""
-        # 1. unlink parent->child edges where the parent is permanent:
-        #    the child's permanence counters already account for them.
-        for row in self._rows:
-            if row is not None and row.permanent and row.children:
+        # 1. unlink dead parent->child edges: every edge out of a permanent
+        #    parent (the child's permanence counters already account for
+        #    it), and every edge into a permanent child (which ignores
+        #    counter updates).  The latter must go before step 2 recycles
+        #    the child's row, or a live parent's later flips would land on
+        #    the row's next, unrelated occupant.
+        rows = self._rows
+        for row in rows:
+            if row is None or not row.children:
+                continue
+            if row.permanent:
                 row.children.clear()
+            else:
+                row.children = [
+                    edge for edge in row.children
+                    if (child := rows[edge[0]]) is not None and not child.permanent
+                ]
         # 2. delete candidates.  A permanently-FALSE record may always go
         #    (a missing record reads as FALSE); a permanently-TRUE record
         #    may only go once nothing refers to it.
@@ -686,7 +705,7 @@ class CredentialRecordTable:
         if row is None:
             return
         if row.external_service is not None:
-            self._externals_by_service.get(row.external_service, set()).discard(index)
+            del self._externals_by_service[row.external_service][row.external_ref]
         self._rows[index] = None
         self._free.append(index)
         self._watches.pop(index, None)

@@ -130,7 +130,13 @@ class ServiceJournal:
     def __init__(self, service_id: str):
         self.service_id = service_id
         self.records: list[JournalRecord] = []
+        # the full durable outbox, never pruned (replay and the
+        # conservation sweep read it) ...
         self.outbox: dict[int, OutboxEntry] = {}
+        # ... and the seq-ordered view of its entries not yet DELIVERED,
+        # so draining and DLQ work cost O(undelivered), not O(history);
+        # an entry leaves it only through mark_delivered()
+        self.undelivered: dict[int, OutboxEntry] = {}
         self.stats = JournalStats()
         # While replaying, mutations re-driven through the table must not
         # journal themselves again: append() is a no-op under this flag.
@@ -196,6 +202,7 @@ class ServiceJournal:
         )
         for entry in entries:
             self.outbox[entry.seq] = entry
+            self.undelivered[entry.seq] = entry
             if entry.stamp > self.last_stamp.get(ref, (0, 0)):
                 self.last_stamp[ref] = entry.stamp
         self.stats.outbox_appended += len(entries)
@@ -265,13 +272,20 @@ class ServiceJournal:
 
     # ------------------------------------------------------------- the DLQ
 
+    def mark_delivered(self, entry: OutboxEntry) -> None:
+        """The one transition to the terminal DELIVERED status."""
+        entry.status = DELIVERED
+        del self.undelivered[entry.seq]
+        self.stats.outbox_delivered += 1
+
     def dead_letters(self) -> list[OutboxEntry]:
         """The dead-letter queue: parked entries awaiting redelivery."""
-        return [e for e in self.outbox.values() if e.status == DEAD]
+        return [e for e in self.undelivered.values() if e.status == DEAD]
 
     def unsettled(self) -> list[OutboxEntry]:
-        """Entries not yet delivered (pending, in flight, or parked)."""
-        return [e for e in self.outbox.values() if e.status != DELIVERED]
+        """Entries not yet delivered (pending, in flight, or parked), in
+        seq order."""
+        return list(self.undelivered.values())
 
 
 class DurableStore:
@@ -429,7 +443,7 @@ class JournalRelay:
         if not self._up():
             return
         batches: dict[str, list[OutboxEntry]] = {}
-        for entry in self.journal.outbox.values():
+        for entry in self.journal.undelivered.values():
             if entry.status == PENDING:
                 batches.setdefault(entry.dest, []).append(entry)
         if not batches:
@@ -466,8 +480,7 @@ class JournalRelay:
             if entry.status != INFLIGHT:
                 continue
             if entry.seq in acked:
-                entry.status = DELIVERED
-                self.journal.stats.outbox_delivered += 1
+                self.journal.mark_delivered(entry)
                 if from_dlq:
                     self.journal.stats.outbox_redelivered += 1
             else:
@@ -505,7 +518,7 @@ class JournalRelay:
             return
         now = self.sim.now
         batches: dict[str, list[OutboxEntry]] = {}
-        for entry in self.journal.outbox.values():
+        for entry in self.journal.undelivered.values():
             if entry.status == DEAD and entry.next_attempt_at <= now + 1e-9:
                 batches.setdefault(entry.dest, []).append(entry)
         for dest, entries in sorted(batches.items()):
@@ -520,7 +533,7 @@ class JournalRelay:
         block a settle: they are accounted work awaiting backoff)."""
         return not any(
             entry.status in (PENDING, INFLIGHT)
-            for entry in self.journal.outbox.values()
+            for entry in self.journal.undelivered.values()
         )
 
     # -------------------------------------------------------------- receiving
@@ -633,7 +646,7 @@ class JournalRelay:
         self._drain_timer.disarm()
         self._redeliver_timer.disarm()
         self._crash_points.clear()
-        for entry in self.journal.outbox.values():
+        for entry in self.journal.undelivered.values():
             if entry.status == INFLIGHT:
                 entry.status = PENDING
 

@@ -406,10 +406,7 @@ class SimLinkage(Linkage):
             return  # acknowledged in the meantime
         subscriber_name, issuer_name, ref = key
         subscriber = self._services.get(subscriber_name)
-        if subscriber is None or not any(
-            record.external_ref == ref
-            for record in subscriber.credentials.externals_of(issuer_name)
-        ):
+        if subscriber is None or subscriber.credentials.external(issuer_name, ref) is None:
             # the surrogate is gone; nobody cares about the answer
             self._sub_pending.pop(key, None)
             return

@@ -315,6 +315,23 @@ class TestGarbageCollection:
         assert table.get(a.ref) is None        # collected
         assert table.state_of(gate.ref) is T   # child unaffected
 
+    def test_live_parent_never_reaches_a_recycled_row(self):
+        """A live parent's edge into a revoked child must not outlive the
+        child: once sweep() recycles the row, the parent's flips would
+        corrupt the counters of the row's next, unrelated occupant."""
+        table = CredentialRecordTable()
+        src = table.create_source(state=F)
+        other = table.create_source(state=F)
+        gate = table.create_and([src.ref])
+        table.revoke(gate.ref)
+        table.sweep()
+        unrelated = table.create_and([other.ref])
+        assert unrelated.index == gate.index   # the row was recycled
+        table.set_state(src.ref, T)
+        assert table.state_of(unrelated.ref) is F   # its only parent is FALSE
+        assert (unrelated.n_true, unrelated.n_false) == (0, 1)
+        assert src.children == []
+
 
 class TestCascadeBatching:
     def test_set_states_batch_is_one_cascade(self):
@@ -479,6 +496,108 @@ def test_sweep_never_resurrects_revoked(ops):
             table.sweep()
         for ref in revoked_refs:
             assert table.state_of(ref) is F
+
+
+@st.composite
+def _surrogate_ops(draw):
+    """Interleaved surrogate creation, Modified batches (duplicate refs,
+    refs never created, mixed states), heartbeat misses, gates over
+    surrogates, revocations and sweeps, over 2-3 issuers."""
+    issuers = ["Login", "Bank", "Files"][: draw(st.integers(min_value=2, max_value=3))]
+    issuer = st.sampled_from(issuers)
+    ref = st.integers(min_value=0, max_value=3)
+    ops = draw(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("create"), issuer, ref),
+                st.tuples(
+                    st.just("update"),
+                    issuer,
+                    st.lists(
+                        st.tuples(st.integers(min_value=0, max_value=5), st.sampled_from([T, F, U])),
+                        max_size=6,
+                    ),
+                ),
+                st.tuples(st.just("unknown"), issuer),
+                st.tuples(st.just("gate"), st.lists(st.tuples(issuer, ref), min_size=1, max_size=3)),
+                st.tuples(st.just("revoke"), issuer, ref),
+                st.tuples(st.just("sweep")),
+            ),
+            max_size=40,
+        )
+    )
+    return issuers, ops
+
+
+@given(_surrogate_ops())
+@settings(max_examples=200, deadline=None)
+def test_surrogate_index_matches_brute_force(case):
+    """INVARIANT: the (issuer, remote CRR) surrogate index always equals
+    a brute-force scan of every row by (external_service, external_ref),
+    and each surrogate's state — and every gate over surrogates — equals
+    a model fed the same operations."""
+    issuers, ops = case
+    table = CredentialRecordTable()
+    live = {}    # (issuer, remote ref) -> model surrogate {"ref", "state", "perm"}
+    gates = []   # (gate ref, [model surrogates it was built over])
+    for op in ops:
+        kind = op[0]
+        if kind == "create":
+            key = op[1:]
+            record = table.create_external(*key)
+            if key in live:
+                assert record.ref == live[key]["ref"]   # reused, not duplicated
+            else:
+                assert record.state is U
+                live[key] = {"ref": record.ref, "state": U, "perm": False}
+        elif kind == "update":
+            _, issuer, batch = op
+            table.update_external_many(issuer, batch)
+            for remote_ref, state in dict(batch).items():   # later entries win
+                entry = live.get((issuer, remote_ref))
+                if entry is not None and not entry["perm"]:
+                    entry["state"] = state
+        elif kind == "unknown":
+            expected = 0
+            for (issuer, _), entry in live.items():
+                if issuer == op[1] and not entry["perm"] and entry["state"] is not U:
+                    entry["state"] = U
+                    expected += 1
+            assert table.mark_service_unknown(op[1]) == expected
+        elif kind == "gate":
+            parents = [live[key] for key in op[1] if key in live]
+            if parents:
+                gate = table.create_and([entry["ref"] for entry in parents])
+                gates.append((gate.ref, parents))
+        elif kind == "revoke":
+            entry = live.get(op[1:])
+            if entry is not None:
+                table.revoke(entry["ref"])
+                entry["state"], entry["perm"] = F, True
+        else:
+            table.sweep()
+            # a revoked surrogate has no subscribers and its edges are
+            # dead, so the sweep collects it
+            live = {key: entry for key, entry in live.items() if not entry["perm"]}
+
+        surrogates = [r for r in table.all_records() if r.is_external]
+        brute = {(r.external_service, r.external_ref): r for r in surrogates}
+        assert len(brute) == len(surrogates)
+        assert brute.keys() == live.keys()
+        for issuer in issuers:
+            assert {r.ref for r in table.externals_of(issuer)} == {
+                r.ref for (i, _), r in brute.items() if i == issuer
+            }
+            for remote_ref in range(6):
+                assert table.external(issuer, remote_ref) is brute.get((issuer, remote_ref))
+        assert table.external_services() == sorted({issuer for issuer, _ in brute})
+        for key, entry in live.items():
+            assert brute[key].ref == entry["ref"]
+            assert brute[key].state is entry["state"]
+        for gate_ref, parents in gates:
+            assert table.state_of(gate_ref) is _model_eval(
+                RecordOp.AND, [entry["state"] for entry in parents], [False] * len(parents)
+            )
 
 
 def _model_perm(op, parent_states, parent_perms, edges, state):

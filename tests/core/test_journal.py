@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core import HostOS, OasisService, ServiceRegistry
 from repro.core.audit import AuditKind, AuditLog
 from repro.core.credentials import CredentialRecordTable, RecordState
-from repro.core.journal import DEAD, DELIVERED, PENDING, ServiceJournal
+from repro.core.journal import DEAD, DELIVERED, INFLIGHT, PENDING, ServiceJournal
 from repro.core.linkage import SimLinkage
 from repro.core.service import PrincipalAdmission
 from repro.core.sharding import ShardCoordinator
@@ -215,6 +215,58 @@ def test_undeliverable_notifications_park_in_dlq_and_redeliver():
     assert not login_journal.dead_letters()
     assert login_journal.stats.outbox_redelivered >= 1
     assert surrogate_states(files)[cert.crr] is RecordState.FALSE
+    assert linkage.durable.conservation_breaches() == []
+
+
+def assert_outbox_view_matches_full_scan(linkage, name):
+    """The undelivered view the relay drains from must equal a scan of
+    the full durable outbox, in seq order, at any instant."""
+    journal = linkage.durable.journal(name)
+    full = [e for e in journal.outbox.values() if e.status != DELIVERED]
+    assert journal.unsettled() == full
+    assert [e.seq for e in full] == sorted(e.seq for e in full)
+    assert journal.dead_letters() == [e for e in full if e.status == DEAD]
+    assert linkage.relay_of(name).quiescent() == all(
+        e.status not in (PENDING, INFLIGHT) for e in journal.outbox.values()
+    )
+
+
+def test_undelivered_view_tracks_crash_and_dlq():
+    """Crash mid-drain, then park entries in the DLQ and redeliver them:
+    at every step the undelivered view equals the full-outbox scan."""
+    sim, net, linkage, login, files = make_world()
+    pairs = populate(login, files, 6)
+    sim.run_until(2.0)
+    assert_outbox_view_matches_full_scan(linkage, "Login")
+
+    linkage.relay_of("Login").arm_crash(
+        "mid-drain",
+        lambda: sim.schedule(0.0, linkage.crash, login, name="test-crash"),
+    )
+    login.exit_role(pairs[0][0])
+    assert_outbox_view_matches_full_scan(linkage, "Login")   # pending
+    sim.run_until(5.0)
+    assert_outbox_view_matches_full_scan(linkage, "Login")   # reverted on crash
+    linkage.restart(login)
+    sim.run_until(15.0)
+    assert_outbox_view_matches_full_scan(linkage, "Login")
+
+    linkage.crash(files)
+    for cert, _reader in pairs[1:4]:
+        login.exit_role(cert)
+    login_journal = linkage.durable.journal("Login")
+    saw_parked = False
+    for step in range(1, 151):   # down for 30 s, then past the backoff
+        if step == 61:
+            linkage.restart(files)
+        sim.run_until(15.0 + 0.5 * step)
+        saw_parked = saw_parked or bool(login_journal.dead_letters())
+        assert_outbox_view_matches_full_scan(linkage, "Login")
+    assert saw_parked, "the dest was down: entries must have parked"
+    assert login_journal.stats.outbox_redelivered >= 1
+    assert login_journal.unsettled() == []
+    assert_outbox_view_matches_full_scan(linkage, "Login")
+    assert_outbox_view_matches_full_scan(linkage, "Files")
     assert linkage.durable.conservation_breaches() == []
 
 

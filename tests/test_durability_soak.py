@@ -218,6 +218,23 @@ def test_cascade_settle_carries_journal_heads(cascade):
 
 # ------------------------------------------------- seeded journal-crash soak
 
+
+def outbox_view_mismatches(linkage):
+    """Journals whose undelivered view, DLQ or quiescence disagrees with
+    a scan of the full durable outbox."""
+    mismatches = []
+    for name, journal in sorted(linkage.durable.journals().items()):
+        full = [e for e in journal.outbox.values() if e.status != "delivered"]
+        if (
+            journal.unsettled() != full
+            or journal.dead_letters() != [e for e in full if e.status == "dead"]
+            or linkage.relay_of(name).quiescent()
+            != all(e.status == "dead" for e in full)
+        ):
+            mismatches.append(name)
+    return mismatches
+
+
 DURATION = 60.0
 SETTLE = 40.0
 OPS_TARGET = 240
@@ -243,6 +260,7 @@ class JournalChaosWorld:
         self.counts = {"enter": 0, "revoke": 0, "skipped_down": 0}
         self.denials = 0
         self.sweep_breaches = []
+        self.view_mismatches = []
 
     def up(self, name):
         return not self.chaos.is_down(name)
@@ -280,6 +298,9 @@ class JournalChaosWorld:
     def sweep(self):
         self.checker.check_fail_closed()
         self.sweep_breaches.extend(self.checker.check_outbox_conservation())
+        self.view_mismatches.extend(
+            (self.sim.now, name) for name in outbox_view_mismatches(self.linkage)
+        )
 
     def run(self):
         base = FaultPlan.random(
@@ -379,6 +400,13 @@ def test_journal_soak_never_violates_fail_closed(chaos_soak):
 def test_journal_soak_converges_after_faults_cease(chaos_soak):
     assert chaos_soak.checker.converged(), chaos_soak.checker.divergences()
     assert chaos_soak.store.journal("Login").unsettled() == []
+
+
+def test_journal_soak_undelivered_view_matches_full_outbox(chaos_soak):
+    """Swept every second and once at the end: draining from the
+    undelivered view loses nothing a full-outbox scan would see."""
+    assert chaos_soak.view_mismatches == []
+    assert outbox_view_mismatches(chaos_soak.linkage) == []
 
 
 def test_journal_soak_recovered_by_replay_not_resubscribe(chaos_soak):
