@@ -12,7 +12,8 @@ An :class:`OasisService` owns:
 Certificate validation follows the six checks of section 4.2 and
 classifies failures as fraud / misuse / revocation.  Signature checks are
 cached once passed ("the integrity of the certificate may be cached, and
-recomputation avoided").
+recomputation avoided"), and a fully validated certificate is cached in
+a :class:`~repro.core.cache.PinnedCache` pinned to its credential record.
 
 Exactly one new credential record is created per role entry (the
 conjunction of the entry's membership rules — fig 4.6) and one per
@@ -26,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Optional
 
 from repro.core.audit import AuditKind, AuditLog
-from repro.core.cache import CacheCounters, LRUCache
+from repro.core.cache import CacheCounters, LRUCache, PinnedCache
 from repro.core.certificates import (
     DelegationCertificate,
     RevocationCertificate,
@@ -83,13 +84,6 @@ def _bump(stats: "ServiceStats", counter: str) -> None:
     setattr(stats, counter, getattr(stats, counter) + 1)
 
 
-def _expiry_bucket(cert: RoleMembershipCertificate) -> float:
-    """The expiry component of a validity-cache key: entries for
-    certificates with different lifetimes never alias, and an expired
-    certificate's entry is dead on arrival."""
-    return -1.0 if cert.expires_at is None else cert.expires_at
-
-
 @dataclass
 class ServiceStats:
     certificates_issued: int = 0
@@ -102,7 +96,7 @@ class ServiceStats:
     # of entries_shed; budget sheds always attribute, backpressure sheds
     # attribute when the caller identified a principal)
     sheds_by_principal: dict = field(default_factory=dict)
-    # the (crr, expiry-bucket) short-circuit cache over full validations
+    # the validity short-circuit over full validations
     validity_cache_hits: int = 0
     validity_cache_evictions: int = 0
     validity_cache_invalidations: int = 0   # dropped by a record cascade
@@ -194,14 +188,20 @@ class OasisService:
             signature_cache_size,
             on_evict=lambda: _bump(self.stats, "signature_cache_evictions"),
         )
-        # validity short-circuit: crr -> (secret_index, signature,
-        # expiry bucket).  A warm certificate skips text encoding and
-        # HMAC recomputation entirely; the credential-record cascade
-        # invalidates entries on state change (see _on_record_change)
-        # so a revocation fails validation on the very next call.
-        self._validity_cache = LRUCache(
-            validity_cache_size,
-            on_evict=lambda: _bump(self.stats, "validity_cache_evictions"),
+        # every PinnedCache pinned to this service's records, ours and
+        # those of custodes and follower replicas built over us
+        self._pinned_caches: list[PinnedCache] = []
+        # validity short-circuit: crr -> the certificate that last passed
+        # full validation.  A warm certificate skips text encoding and
+        # HMAC recomputation entirely; the cache drops the entry as the
+        # cascade turns its record non-TRUE, so a revocation fails
+        # validation on the very next call.  Registered before our own
+        # record watch, so the entry is gone before anything else
+        # observes the new state.
+        self._validity_cache = PinnedCache(
+            self, validity_cache_size, stats=self.stats,
+            evicted="validity_cache_evictions",
+            invalidated="validity_cache_invalidations",
         )
         self._delegation_expiries: list[tuple[float, int]] = []
         # role-based revocation (fig 4.9): (rolefile, role, args) -> entries
@@ -259,12 +259,20 @@ class OasisService:
             self.clear_validation_caches()
 
     def clear_validation_caches(self) -> None:
-        """Drop every cached validation outcome (signature and validity).
-        Correctness never requires calling this — caches are invalidated
-        by the events that stale them — but benchmarks and operational
-        tooling use it to force the cold path."""
+        """Drop every cached validation outcome: the signature cache and
+        every :class:`PinnedCache` pinned to this service's records
+        (custode decisions and follower replicas included).  Record
+        changes invalidate entries on their own; a policy change — a
+        rolefile reloaded or removed — and a restart come through here.
+        Benchmarks also use it to force the cold path."""
         self._signature_cache.clear()
-        self._validity_cache.clear()
+        for cache in self._pinned_caches:
+            cache.clear()
+
+    def track_cache(self, cache: PinnedCache) -> None:
+        """Have :meth:`clear_validation_caches` flush ``cache``; every
+        :class:`PinnedCache` pinned to this service registers here."""
+        self._pinned_caches.append(cache)
 
     def _build_type_table(self, rolefile: Rolefile) -> TypeTable:
         table = TypeTable()
@@ -670,13 +678,25 @@ class OasisService:
                     f"certificate bound to {cert.vci}, which the presenting "
                     f"domain may not use"
                 )
-            if not self._validity_fast_path(cert, now):
-                # 2/3. forged, modified or stolen -> signature recomputation
-                cache_key = (cert.signed_text(), cert.secret_index, cert.signature)
-                if cache_key in self._signature_cache and self._secret_live(cert.secret_index):
+            if self._validity_cache.check(cert.crr, cert, cert):
+                # the very certificate passed full validation before and
+                # its record, expiry and secret still hold: skip text
+                # encoding, HMAC recomputation and argument re-marshalling
+                self.stats.validity_cache_hits += 1
+                self.stats.signature_cache_hits += 1   # recomputation avoided
+            else:
+                # 2/3. forged, modified or stolen -> signature recomputation.
+                # The convenience ``args`` field is not signed (its wire
+                # form is), so it is part of what the cache vouches for.
+                signed = (cert.signed_text(), cert.secret_index, cert.signature)
+                cache_key = signed + (cert.args,)
+                if (
+                    cache_key in self._signature_cache
+                    and self.secrets.get(cert.secret_index) is not None
+                ):
                     self.stats.signature_cache_hits += 1
                 else:
-                    self.signer.require_valid(*cache_key)
+                    self.signer.require_valid(*signed)
                     # the signature covers the marshalled arguments; the
                     # convenience ``args`` field must agree with the wire form
                     primary = sorted(cert.roles)[0]
@@ -699,10 +719,7 @@ class OasisService:
                         "certificate may have been revoked (issuer unreachable)",
                         uncertain=True,
                     )
-                self._validity_cache.put(
-                    cert.crr,
-                    (cert.secret_index, cert.signature, _expiry_bucket(cert)),
-                )
+                self._validity_cache.put(cert.crr, cert.crr, cert)
             # 5. sufficient rights for the operation
             if required_role is not None and required_role not in cert.roles:
                 raise MisuseError(
@@ -719,39 +736,6 @@ class OasisService:
             raise
         self.audit.record(now, AuditKind.VALIDATION_OK, str(cert.client), "ok")
         return cert
-
-    def _validity_fast_path(self, cert: RoleMembershipCertificate, now: float) -> bool:
-        """The short-circuit validity check: a certificate whose previous
-        full validation is still cached (and whose credential record has
-        not changed since — the cascade invalidates on change) skips text
-        encoding, HMAC recomputation and argument re-marshalling.
-
-        Per-call checks (client binding, VCI, required role) always run
-        in :meth:`validate`; this only covers the per-certificate work."""
-        entry = self._validity_cache.get(cert.crr)
-        if entry is None:
-            return False
-        if entry != (cert.secret_index, cert.signature, _expiry_bucket(cert)):
-            return False  # different certificate behind the same record
-        if cert.expires_at is not None and now > cert.expires_at:
-            self._validity_cache.discard(cert.crr)
-            return False
-        if not self._secret_live(cert.secret_index):
-            # the signing secret rolled past its lifetime: the certificate
-            # must fail the recomputation check, not ride the cache
-            self._validity_cache.discard(cert.crr)
-            return False
-        if self.credentials.state_of(cert.crr) is not RecordState.TRUE:
-            # the cascade invalidates on change; this guards the window
-            # where a watch callback validates mid-cascade
-            self._validity_cache.discard(cert.crr)
-            return False
-        self.stats.validity_cache_hits += 1
-        self.stats.signature_cache_hits += 1   # recomputation was avoided
-        return True
-
-    def _secret_live(self, index: int) -> bool:
-        return self.secrets.get(index) is not None
 
     # ------------------------------------------------------------- delegation
 
@@ -964,9 +948,9 @@ class OasisService:
     def on_restart(self, callback: Callable[[], None]) -> None:
         """Register a hook fired after :meth:`restart` bumps the epoch.
 
-        Subsystems holding volatile derived state (storage decision
-        caches, remote-ACL surrogates) register here so a crash-restart
-        flushes them before any post-restart request is served.
+        Subsystems holding volatile derived state other than pinned
+        caches (which :meth:`restart` flushes itself) register here so a
+        crash-restart drops it before any post-restart request is served.
         """
         self._restart_hooks.append(callback)
 
@@ -976,8 +960,9 @@ class OasisService:
         The boot epoch is bumped — the restarted service is a *new*
         party as far as peers are concerned (section 2's
         ``(host, id, boot_time)`` identity) — and every cached
-        validation outcome is dropped: caches are process memory and do
-        not survive a crash.  The credential record table itself models
+        validation outcome is dropped, pinned caches of custodes and
+        replicas included: caches are process memory and do not survive
+        a crash.  The credential record table itself models
         the service's durable database and persists.  Returns the new
         epoch.
         """
@@ -1027,10 +1012,6 @@ class OasisService:
     # ------------------------------------------------------------------ events
 
     def _on_record_change(self, record: CredentialRecord, old: RecordState, new: RecordState) -> None:
-        # Any state change stales a cached validity decision for this
-        # record — drop it before anything else observes the new state.
-        if self._validity_cache.discard(record.ref):
-            self.stats.validity_cache_invalidations += 1
         # A certificate-backing record that goes FALSE is revoked for good:
         # the client must request a replacement (section 5.5.2, "non-fatal
         # revocation").  UNKNOWN does not latch — it recovers when the

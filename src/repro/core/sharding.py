@@ -18,10 +18,11 @@ namespaces horizontally:
 * each shard is one **leader** (issuer: role entry, certificate issue,
   revocation) plus read-only **follower replicas**
   (:class:`ServiceReplica`, :class:`StorageReplica`) serving warm
-  ``validate()`` / ``check_access`` traffic from per-replica bounded
-  caches, kept coherent by the leader table's existing cascade watch
-  hooks — a revocation cascade invalidates every replica's entry in the
-  same settling pass that fires the leader's own invalidation;
+  ``validate()`` / ``check_access`` traffic.  A replica is one
+  :class:`~repro.core.cache.PinnedCache` pinned to the leader's records
+  plus the leader reference: a revocation cascade invalidates every
+  replica's entry in the same settling pass that fires the leader's
+  own invalidation;
 * a :class:`ShardCoordinator` extends the batch-cascade windows
   (``begin_batch``/``end_batch``) and ``update_external_many`` into a
   **cross-shard two-phase settle**: each hop opens a batch window on
@@ -35,8 +36,9 @@ namespaces horizontally:
   the fleet.
 
 Fail-closed invariants carry over unchanged: a follower replica's warm
-hit re-checks expiry, secret liveness and the credential record's TRUE
-state on every use, so a revocation is visible on the very next call on
+hit runs the same :meth:`PinnedCache.check` as the leader's (expiry,
+secret liveness, the credential record's TRUE state) plus every
+per-call check, so a revocation is visible on the very next call on
 every replica, and anything a replica cannot verify falls back to the
 leader's full path.
 """
@@ -48,8 +50,7 @@ from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence
 
-from repro.core.cache import CacheCounters, LRUCache
-from repro.core.credentials import RecordState
+from repro.core.cache import CacheCounters, PinnedCache
 from repro.errors import OasisError
 from repro.runtime.rpc import RetryPolicy, RpcEndpoint
 
@@ -221,26 +222,21 @@ class ShardRouter:
 @dataclass
 class ReplicaStats:
     validations: int = 0       # requests served by this replica
-    warm_hits: int = 0         # served entirely from the replica's caches
+    warm_hits: int = 0         # served entirely from the replica's cache
     leader_fallbacks: int = 0  # cold / unverifiable: leader's full path ran
-    invalidations: int = 0     # cache entries dropped by the cascade hook
-
-
-def _expiry_bucket(cert: "RoleMembershipCertificate") -> float:
-    return -1.0 if cert.expires_at is None else cert.expires_at
+    invalidations: int = 0     # cache entries dropped by a record change
 
 
 class ServiceReplica:
-    """A read-only follower of one credential shard's leader.
+    """A read-only follower of one credential shard's leader: a
+    :class:`PinnedCache` of validated certificates (per-replica process
+    memory) pinned to the leader's records, plus the leader reference.
 
-    Holds its *own* bounded validity cache (per-replica process memory),
-    kept coherent by the leader table's ``watch_all`` hook: the same
-    revocation cascade that invalidates the leader's caches invalidates
-    this replica's, in the same settling pass.  A warm hit still
-    re-checks expiry, secret liveness and the record's TRUE state —
-    the fail-closed contract is identical to the leader's fast path —
-    and anything unverifiable falls back to the leader's full
-    validation (which re-warms this replica).
+    A warm hit runs the per-call checks (issuer, client binding, VCI
+    binding, required role) and the cache's fail-closed re-check, exactly
+    as the leader's own fast path does; anything else falls back to the
+    leader's full validation, which classifies the failure or re-warms
+    this replica.
     """
 
     def __init__(
@@ -252,18 +248,9 @@ class ServiceReplica:
         self.leader = leader
         self.name = name or f"{leader.name}/replica"
         self.stats = ReplicaStats()
-        self._validity = LRUCache(validity_cache_size)
-        leader.credentials.watch_all(self._on_record_change)
-        leader.on_restart(self._on_leader_restart)
-
-    def _on_record_change(self, record, old, new) -> None:
-        if self._validity.discard(record.ref):
-            self.stats.invalidations += 1
-
-    def _on_leader_restart(self) -> None:
-        # replica caches are process memory of the replica group: a boot
-        # epoch change means nothing cached before it can be trusted
-        self._validity.clear()
+        self._validity = PinnedCache(
+            leader, validity_cache_size, stats=self.stats, invalidated="invalidations"
+        )
 
     def cache_counters(self) -> dict[str, CacheCounters]:
         return {"validity": self._validity.counters()}
@@ -273,50 +260,37 @@ class ServiceReplica:
         cert: "RoleMembershipCertificate",
         claimed_client=None,
         required_role: Optional[str] = None,
+        domain=None,
     ) -> "RoleMembershipCertificate":
         self.stats.validations += 1
-        leader = self.leader
-        # per-call checks never ride any cache (same split as the
-        # leader's fast path)
-        if cert.issuer != leader.name:
-            self.stats.leader_fallbacks += 1
-            return leader.validate(
-                cert, claimed_client=claimed_client, required_role=required_role
-            )
-        entry = self._validity.get(cert.crr)
-        if entry == (cert.secret_index, cert.signature, _expiry_bucket(cert)):
-            now = leader.clock.now()
-            verifiable = (
-                (cert.expires_at is None or now <= cert.expires_at)
-                and leader._secret_live(cert.secret_index)
-                and leader.credentials.state_of(cert.crr) is RecordState.TRUE
-                and (claimed_client is None or cert.client == claimed_client)
-                and (required_role is None or required_role in cert.roles)
-            )
-            if verifiable:
-                self.stats.warm_hits += 1
-                return cert
-            self._validity.discard(cert.crr)
-        # cold or unverifiable: authoritative full path at the leader
+        if (
+            cert.issuer == self.leader.name
+            and (claimed_client is None or cert.client == claimed_client)
+            and (cert.vci is None or domain is None or domain.may_use(cert.vci))
+            and (required_role is None or required_role in cert.roles)
+            and self._validity.check(cert.crr, cert, cert)
+        ):
+            self.stats.warm_hits += 1
+            return cert
+        # cold, unverifiable or refused: the leader's full path decides
         self.stats.leader_fallbacks += 1
-        leader.validate(
-            cert, claimed_client=claimed_client, required_role=required_role
+        self.leader.validate(
+            cert, claimed_client=claimed_client, required_role=required_role,
+            domain=domain,
         )
-        self._validity.put(
-            cert.crr, (cert.secret_index, cert.signature, _expiry_bucket(cert))
-        )
+        self._validity.put(cert.crr, cert.crr, cert)
         return cert
 
 
 class StorageReplica:
-    """A read-only follower of one storage shard's custode.
+    """A read-only follower of one storage shard's custode: a
+    :class:`PinnedCache` of access decisions pinned to the custode
+    service's records, plus the custode reference.
 
-    Per-replica access-decision cache with the same pin discipline as
-    the custode's own (PR-4): a decision is pinned to the governing
-    ACL's version token and re-checked against the certificate's
-    credential-record state, expiry and secret liveness on every hit.
-    The leader service's cascade watch hook drops entries whose backing
-    record changed, and a leader restart flushes everything.
+    Each decision is pinned to the certificate's credential record and
+    stores the governing ACL's id and version record, compared against
+    the file's current ACL on every hit — so ``modify_acl``,
+    ``set_acl_of`` and deletion all miss on the next lookup.
     """
 
     def __init__(
@@ -328,32 +302,10 @@ class StorageReplica:
         self.custode = custode
         self.name = name or f"{custode.name}/replica"
         self.stats = ReplicaStats()
-        self._decisions = LRUCache(
-            decision_cache_size, on_evict_entry=self._on_evicted
+        self._decisions = PinnedCache(
+            custode.service, decision_cache_size, stats=self.stats,
+            invalidated="invalidations",
         )
-        self._by_crr: dict[int, set] = {}
-        custode.service.credentials.watch_all(self._on_record_change)
-        custode.service.on_restart(self._on_leader_restart)
-
-    def _on_evicted(self, key, _value) -> None:
-        keys = self._by_crr.get(key[0])
-        if keys is not None:
-            keys.discard(key)
-            if not keys:
-                del self._by_crr[key[0]]
-
-    def _on_record_change(self, record, old, new) -> None:
-        if new is RecordState.TRUE:
-            return
-        keys = self._by_crr.pop(record.ref, None)
-        if keys:
-            for key in list(keys):
-                if self._decisions.discard(key):
-                    self.stats.invalidations += 1
-
-    def _on_leader_restart(self) -> None:
-        self._decisions.clear()
-        self._by_crr.clear()
 
     def cache_counters(self) -> dict[str, CacheCounters]:
         return {"decisions": self._decisions.counters()}
@@ -363,37 +315,24 @@ class StorageReplica:
     ) -> "FileRecord":
         self.stats.validations += 1
         custode = self.custode
+        record = custode._record(fid)
+        acl_id = acl_override or record.acl_id
         key = (cert.crr, cert.secret_index, cert.signature, fid.number, right,
                acl_override)
-        pinned = self._decisions.get(key)
-        if pinned is not None:
-            acl_id, token = pinned
-            now = custode.service.clock.now()
-            verifiable = (
-                token is not None
-                and token == custode._acl_version_token(acl_id)
-                and (cert.expires_at is None or now <= cert.expires_at)
-                and custode.service._secret_live(cert.secret_index)
-                and custode.service.credentials.state_of(cert.crr)
-                is RecordState.TRUE
-            )
-            if verifiable:
-                self.stats.warm_hits += 1
-                record = custode._record(fid)
-                custode._charge(record)
-                return record
-            self._decisions.discard(key)
-            self._on_evicted(key, pinned)
+        if acl_id is not None and self._decisions.check(
+            key, cert, (acl_id, custode._acl_version_token(acl_id))
+        ):
+            self.stats.warm_hits += 1
+            custode._charge(record)
+            return record
         # cold or unverifiable: the custode's full path (which re-checks
         # everything, charges, and warms its own cache); then pin a copy
         # in this replica's cache
         self.stats.leader_fallbacks += 1
         record = custode.check_access(cert, fid, right, acl_override=acl_override)
-        acl_id = acl_override or record.acl_id
         token = custode._acl_version_token(acl_id)
         if token is not None:
-            self._decisions.put(key, (acl_id, token))
-            self._by_crr.setdefault(cert.crr, set()).add(key)
+            self._decisions.put(key, cert.crr, (acl_id, token))
         return record
 
     def read_segment(

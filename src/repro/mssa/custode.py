@@ -26,24 +26,26 @@ group ``custodes``.
 Storage fast path (see docs/architecture.md, "Storage fast path"):
 
 * every authorised ``check_access`` outcome is cached per
-  ``(certificate, file, right)``, pinned to the governing ACL's version
-  record and the certificate's credential-record state — a revocation
-  cascade, ``modify_acl`` version bump, ``set_acl_of`` regroup or group
-  membership change invalidates exactly the affected decisions, and any
-  state the cache cannot verify is a miss (fail closed);
-* remote ACL contents live in a per-peer surrogate store kept coherent
-  by the same external-record event notifications that keep credential
-  surrogates coherent, so ``remote_acl_reads`` is a cold-path counter.
+  ``(certificate, file, right)`` in a :class:`PinnedCache` pinned to the
+  certificate's credential record, storing the governing ACL's id and
+  version record — a revocation cascade or group-membership change drops
+  the decision as the record leaves TRUE, and a ``modify_acl`` version
+  bump, ``set_acl_of`` regroup or deletion makes the next lookup miss;
+  any state the cache cannot verify is a miss (fail closed);
+* remote ACL contents live in a second :class:`PinnedCache`, each image
+  pinned to the local surrogate of its remote version record, so the
+  external-record event notifications that keep credential surrogates
+  coherent flush it too and ``remote_acl_reads`` is a cold-path counter.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
-from repro.core.cache import CacheCounters, LRUCache
-from repro.core.credentials import CredentialRecord, RecordState
+from repro.core.cache import CacheCounters, DegradationPolicy, PinnedCache
+from repro.core.credentials import RecordState
 from repro.core.groups import GroupService
 from repro.core.identifiers import ClientId, HostOS
 from repro.core.linkage import Linkage, LocalLinkage
@@ -81,35 +83,18 @@ class FileRecord:
     version_ref: Optional[int] = None    # credential record behind the ACL
 
 
-@dataclass(frozen=True)
-class DegradationPolicy:
-    """Graceful degradation for access checks during an issuer partition.
-
-    With a policy attached, a cached *positive* decision whose backing
-    credential record has gone UNKNOWN (fail-closed suspicion — the
-    issuer is unreachable, not known to have revoked) keeps being served
-    for at most ``max_staleness`` virtual seconds after the record left
-    TRUE.  Beyond the bound — or whenever the window cannot be dated —
-    the check falls back to the full path and fails closed.  FALSE is
-    always authoritative (a known revocation is never served), and
-    denials are never cached, so degradation can only ever extend a
-    previously-proven grant, never invent one.
-    """
-
-    max_staleness: float
-
-
 @dataclass
 class StorageStats:
     """Counters for the storage-layer fast path: the access-decision
     cache, the remote-ACL surrogate store, and why entries died.
 
     ``invalidated_by_record`` covers every cause that arrives as a
-    credential-record state change — a PR-1 revocation cascade, a
+    credential-record state change — a revocation cascade, a
     ``modify_acl`` version bump killing outstanding UseAcl certificates,
-    a group-membership flip — while the structural counters record the
-    custode-level events that stale decisions without necessarily
-    touching a certificate's own record."""
+    a group-membership flip.  Decisions staled without touching a
+    certificate's record (a regroup, a delete, a version bump under a
+    UseFile delegation) are not dropped eagerly: they miss on their next
+    lookup and count in ``decision_misses``."""
 
     decision_hits: int = 0
     decision_misses: int = 0
@@ -117,34 +102,14 @@ class StorageStats:
     surrogate_hits: int = 0          # remote ACL served from the store
     surrogate_misses: int = 0        # remote ACL fetched from the peer
     surrogate_flushes: int = 0       # store entries dropped (notification
-                                     # or link suspect/restore)
+                                     # or link suspect)
     invalidated_by_record: int = 0   # credential-record state change
-    invalidated_by_acl_modify: int = 0
-    invalidated_by_regroup: int = 0  # set_acl_of moved the file
-    invalidated_by_delete: int = 0
     bypass_checks: int = 0           # rights checked on a bypass route
     epoch_flushes: int = 0           # full flushes forced by crash-restart
     degraded_hits: int = 0           # decisions served on an UNKNOWN record
     degraded_expired: int = 0        # degraded serves refused: bound exceeded
                                      # or the UNKNOWN window could not be dated
     degraded_max_staleness: float = 0.0   # worst staleness actually served
-
-    def as_dict(self) -> dict[str, int]:
-        return dict(self.__dict__)
-
-    def decision_cache_counters(self, size: int = 0, maxsize: Optional[int] = None) -> CacheCounters:
-        """The decision cache's *verified* outcomes in the uniform
-        :class:`CacheCounters` shape (a hit here means the pinned
-        decision passed every re-check, not merely that the key was
-        present — compare :meth:`Custode.cache_counters` for the raw
-        LRU numbers)."""
-        return CacheCounters(
-            hits=self.decision_hits,
-            misses=self.decision_misses,
-            evictions=self.decision_evictions,
-            size=size,
-            maxsize=maxsize,
-        )
 
 
 class Custode:
@@ -191,26 +156,24 @@ class Custode:
         self._by_acl: dict[FileId, dict[int, FileId]] = {}
         # --- storage fast path -------------------------------------------
         self.storage = StorageStats()
-        # positive access decisions: (crr, secret_index, signature,
-        # file number, right, acl_override) -> (acl_id, version token)
-        self._decisions = LRUCache(
-            decision_cache_size, on_evict_entry=self._on_decision_evicted
-        )
-        self._decisions_by_crr: dict[int, set] = {}
-        self._decisions_by_fid: dict[int, set] = {}
-        # remote-ACL surrogate store: fid -> (acl, owner, remote version
-        # ref, local surrogate ref); kept coherent by Modified events on
-        # the surrogate and flushed whenever the surrogate leaves TRUE
-        self._remote_acls: dict[FileId, tuple[Acl, str, int, int]] = {}
-        self._remote_by_surrogate: dict[int, FileId] = {}
-        # graceful degradation: record ref -> virtual time it went UNKNOWN
-        # (only maintained while a policy is attached)
         self.degradation = degradation
-        self._unknown_since: dict[int, float] = {}
-        self.service.credentials.watch_all(self._on_storage_record_change)
-        # The decision cache and remote-ACL store are process memory: a
-        # crash-restart of the embedded service must not let a pre-crash
-        # authorisation (or ACL image) survive into the new boot epoch.
+        # positive access decisions: (crr, secret_index, signature,
+        # file number, right, acl_override) -> (acl_id, version token),
+        # pinned to the certificate's record
+        self._decisions = PinnedCache(
+            self.service, decision_cache_size, degradation=degradation,
+            stats=self.storage, evicted="decision_evictions",
+            invalidated="invalidated_by_record",
+        )
+        # remote-ACL surrogate store: fid -> (acl, owner, remote version
+        # ref, local surrogate ref), pinned to the surrogate: flushed by
+        # the Modified event (or link suspicion) that takes it off TRUE
+        self._remote_acls = PinnedCache(
+            self.service, decision_cache_size, stats=self.storage,
+            invalidated="surrogate_flushes",
+        )
+        # both caches are process memory, flushed by a restart of the
+        # embedded service; the ACL evaluation memos go with them
         self.service.on_restart(self._on_service_restart)
         # accounting (sections 5.3.1 / 4.13): quotas and charging per
         # container; unknown containers are auto-created on the default
@@ -329,8 +292,10 @@ UseFile(f, r) <- {login}* <|* UseAcl(r2) : r <= r2
         )
         # revoke the old version; new certificates use a fresh record.
         # The cascade revokes outstanding UseAcl certificates (their entry
-        # records depend on the version record), and the record-change
-        # watch drops their cached decisions as it settles.
+        # records depend on the version record), and the decision cache
+        # drops their entries as it settles.  Decisions that don't ride
+        # the version record (UseFile delegations) stored it instead, so
+        # their next lookup misses.
         if record.version_ref is not None:
             self.service.credentials.revoke(record.version_ref)
         record.version_ref = self.service.credentials.create_source(
@@ -338,11 +303,6 @@ UseFile(f, r) <- {login}* <|* UseAcl(r2) : r <= r2
         ).ref
         record.acl = new_acl
         record.content = new_acl.render()
-        # decisions that don't ride the version record (UseFile
-        # delegations) are pinned to it instead: kill them explicitly
-        self.storage.invalidated_by_acl_modify += self._drop_decisions_for_files(
-            list(self._by_acl.get(acl_id, {}))
-        )
 
     def read_acl(self, cert, acl_id: FileId) -> Acl:
         """Read an ACL's contents (requires 'r' under the protecting ACL)."""
@@ -411,13 +371,10 @@ UseFile(f, r) <- {login}* <|* UseAcl(r2) : r <= r2
             "regroup", str(fid),
             old_acl=str(record.acl_id or ""), new_acl=str(acl_id),
         )
+        # decisions for this file stored the old ACL: their next lookup misses
         self._unindex_under_acl(record)
         record.acl_id = acl_id
         self._index_under_acl(record)
-        # decisions for this file were made against the old group
-        self.storage.invalidated_by_regroup += self._drop_decisions_for_files(
-            [fid.number]
-        )
 
     def _require_acl_exists(self, acl_id: FileId) -> None:
         if acl_id.custode == self.name:
@@ -456,7 +413,8 @@ UseFile(f, r) <- {login}* <|* UseAcl(r2) : r <= r2
 
     def _forget_file(self, record: FileRecord) -> None:
         """Remove a file's bookkeeping on deletion: container listing and
-        accounting, the per-ACL index, and any cached access decisions."""
+        accounting and the per-ACL index.  File numbers are never reused,
+        so cached decisions for the file can only age out of the LRU."""
         self._files.pop(record.fid.number, None)
         container = self._containers.get(record.container)
         if container is not None and record.fid in container:
@@ -464,9 +422,6 @@ UseFile(f, r) <- {login}* <|* UseAcl(r2) : r <= r2
         if record.container in self.accounting.containers():
             self.accounting.remove_file(record.container, record.fid)
         self._unindex_under_acl(record)
-        self.storage.invalidated_by_delete += self._drop_decisions_for_files(
-            [record.fid.number]
-        )
 
     # ---------------------------------------------------------- role entry
 
@@ -511,9 +466,10 @@ UseFile(f, r) <- {login}* <|* UseAcl(r2) : r <= r2
         don't re-resolve the file.
 
         Authorised outcomes are cached per (certificate, file, right),
-        pinned to the governing ACL's version record and re-checked
-        against the certificate's credential-record state on every hit —
-        any state the cache cannot verify is a miss (fail closed)."""
+        pinned to the certificate's credential record and to the governing
+        ACL's version record; :meth:`PinnedCache.check` re-checks them on
+        every hit — any state the cache cannot verify is a miss (fail
+        closed)."""
         self.access_checks += 1
         record = self._record(fid)
         acl_id = acl_override or record.acl_id
@@ -521,39 +477,10 @@ UseFile(f, r) <- {login}* <|* UseAcl(r2) : r <= r2
             raise AccessDenied(f"{fid} has no governing ACL")
         key = (cert.crr, cert.secret_index, cert.signature, fid.number, right,
                acl_override)
-        pinned = self._decisions.get(key)
-        if pinned is not None:
-            verifiable = (
-                pinned == (acl_id, self._acl_version_token(acl_id))
-                and (cert.expires_at is None
-                     or self.service.clock.now() <= cert.expires_at)
-                and self.service._secret_live(cert.secret_index)
-            )
-            if verifiable:
-                state = self.service.credentials.state_of(cert.crr)
-                if state is RecordState.TRUE:
-                    self.storage.decision_hits += 1
-                    self._charge(record)
-                    return record
-                if state is RecordState.UNKNOWN and self.degradation is not None:
-                    # Degradation tier: the issuer is suspected (not known
-                    # to have revoked) — keep serving this previously-
-                    # proven grant within the staleness bound, never past
-                    # it.  FALSE never reaches here: a known revocation
-                    # drops the decision and denies on the full path.
-                    since = self._unknown_since.get(cert.crr)
-                    if since is not None:
-                        staleness = self.service.clock.now() - since
-                        if staleness <= self.degradation.max_staleness:
-                            self.storage.decision_hits += 1
-                            self.storage.degraded_hits += 1
-                            if staleness > self.storage.degraded_max_staleness:
-                                self.storage.degraded_max_staleness = staleness
-                            self._charge(record)
-                            return record
-                    self.storage.degraded_expired += 1
-            # pinned state is stale or unverifiable: take the full path
-            self._drop_decision(key)
+        if self._decisions.check(key, cert, (acl_id, self._acl_version_token(acl_id))):
+            self.storage.decision_hits += 1
+            self._charge(record)
+            return record
         self.storage.decision_misses += 1
         self.service.validate(cert)
         if cert.rolefile_id != str(acl_id):
@@ -570,15 +497,15 @@ UseFile(f, r) <- {login}* <|* UseAcl(r2) : r <= r2
             raise AccessDenied(f"certificate roles {sorted(cert.roles)} grant no file access")
         if right not in granted:
             raise AccessDenied(f"certificate grants {sorted(granted)}, {right!r} required")
-        self._remember_decision(key, acl_id)
+        token = self._acl_version_token(acl_id)
+        if token is not None:   # unpinnable to an ACL version: don't cache
+            self._decisions.put(key, cert.crr, (acl_id, token))
         self._charge(record)
         return record
 
     def _charge(self, record: FileRecord) -> None:
         if self.accounting.has_container(record.container):
             self.accounting.charge_operation(record.container)
-
-    # ------------------------------------------------- decision cache plumbing
 
     def _acl_version_token(self, acl_id: FileId) -> Optional[int]:
         """The version-record ref currently governing ``acl_id``, or None
@@ -592,85 +519,6 @@ UseFile(f, r) <- {login}* <|* UseAcl(r2) : r <= r2
         cached = self._remote_acls.get(acl_id)
         return cached[2] if cached is not None else None
 
-    def _remember_decision(self, key: tuple, acl_id: FileId) -> None:
-        token = self._acl_version_token(acl_id)
-        if token is None:
-            return   # cannot pin the decision to an ACL version: don't cache
-        self._decisions.put(key, (acl_id, token))
-        self._decisions_by_crr.setdefault(key[0], set()).add(key)
-        self._decisions_by_fid.setdefault(key[3], set()).add(key)
-
-    def _unindex_decision(self, key: tuple) -> None:
-        for index, field_ in ((self._decisions_by_crr, key[0]),
-                              (self._decisions_by_fid, key[3])):
-            keys = index.get(field_)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del index[field_]
-
-    def _on_decision_evicted(self, key: tuple, _value) -> None:
-        self.storage.decision_evictions += 1
-        self._unindex_decision(key)
-
-    def _drop_decision(self, key: tuple) -> None:
-        if self._decisions.discard(key):
-            self._unindex_decision(key)
-
-    def _drop_decisions_for_record(self, ref: int) -> int:
-        keys = self._decisions_by_crr.pop(ref, None)
-        if not keys:
-            return 0
-        dropped = 0
-        for key in list(keys):
-            if self._decisions.discard(key):
-                dropped += 1
-            self._unindex_decision(key)
-        return dropped
-
-    def _drop_decisions_for_files(self, numbers) -> int:
-        dropped = 0
-        for number in numbers:
-            keys = self._decisions_by_fid.pop(number, None)
-            if not keys:
-                continue
-            for key in list(keys):
-                if self._decisions.discard(key):
-                    dropped += 1
-                self._unindex_decision(key)
-        return dropped
-
-    def _on_storage_record_change(
-        self, record: CredentialRecord, old: RecordState, new: RecordState
-    ) -> None:
-        """Watch on the service's credential table: any state change
-        stales decisions backed by that record (revocation cascade, ACL
-        version bump, group-membership flip — they all arrive here), and
-        an external surrogate leaving TRUE flushes the remote ACL it
-        vouches for (Modified notification or link suspect).
-
-        With a degradation policy attached, a transition *to* UNKNOWN
-        keeps the decisions and stamps the window start instead: the hit
-        path re-checks the staleness bound on every use.  FALSE and TRUE
-        transitions behave exactly as without a policy."""
-        if self.degradation is not None and new is RecordState.UNKNOWN:
-            self._unknown_since.setdefault(record.ref, self.service.clock.now())
-        else:
-            self._unknown_since.pop(record.ref, None)
-            self.storage.invalidated_by_record += self._drop_decisions_for_record(
-                record.ref
-            )
-        if record.is_external and new is not RecordState.TRUE:
-            fid = self._remote_by_surrogate.get(record.ref)
-            if fid is not None:
-                self._flush_remote_acl(fid)
-
-    def _flush_remote_acl(self, fid: FileId) -> None:
-        cached = self._remote_acls.pop(fid, None)
-        if cached is not None:
-            self._remote_by_surrogate.pop(cached[3], None)
-            self.storage.surrogate_flushes += 1
-
     def _on_service_restart(self) -> None:
         self.storage.epoch_flushes += 1
         self.clear_storage_caches()
@@ -680,11 +528,7 @@ UseFile(f, r) <- {login}* <|* UseAcl(r2) : r <= r2
         ACL store and per-ACL evaluation memos.  Correctness never needs
         this — benchmarks and operational tooling only."""
         self._decisions.clear()
-        self._decisions_by_crr.clear()
-        self._decisions_by_fid.clear()
         self._remote_acls.clear()
-        self._remote_by_surrogate.clear()
-        self._unknown_since.clear()
         for record in self._files.values():
             if record.acl is not None:
                 record.acl.clear_cache()
@@ -699,13 +543,9 @@ UseFile(f, r) <- {login}* <|* UseAcl(r2) : r <= r2
         rights = acl.evaluate(user_name, self.user_groups(user_name))
         rights = rights & frozenset(self.ALPHABET)
         if owner != self.name:
-            # surrogate record kept coherent by event notification; the
-            # store already holds the surrogate ref for a warm fetch
-            cached = self._remote_acls.get(fid)
-            if cached is not None and cached[2] == version_ref:
-                version_ref = cached[3]
-            else:
-                version_ref = self.service.external_record_for(owner, version_ref)
+            # depend on the local surrogate _fetch_acl pinned the image
+            # to, kept coherent by event notification
+            version_ref = self._remote_acls.get(fid)[3]
         return rights, version_ref
 
     def _fetch_acl(self, fid: FileId) -> tuple[Acl, str, int]:
@@ -730,8 +570,9 @@ UseFile(f, r) <- {login}* <|* UseAcl(r2) : r <= r2
         # remote modify_acl (or link suspicion) flushes this entry; until
         # flushed, repeated checks never leave this custode
         surrogate_ref = self.service.external_record_for(peer.name, version_ref)
-        self._remote_acls[fid] = (acl, peer.name, version_ref, surrogate_ref)
-        self._remote_by_surrogate[surrogate_ref] = fid
+        self._remote_acls.put(
+            fid, surrogate_ref, (acl, peer.name, version_ref, surrogate_ref)
+        )
         return acl, peer.name, version_ref
 
     def read_acl_for_peer(self, fid: FileId, reader: str, _depth: int = 0) -> tuple[Acl, int]:
@@ -782,15 +623,11 @@ UseFile(f, r) <- {login}* <|* UseAcl(r2) : r <= r2
 
     def cache_counters(self) -> dict[str, CacheCounters]:
         """Uniform efficacy snapshots of the storage-layer caches: the
-        raw decision-cache LRU, its verified view, and the embedded
-        service's validation caches.  This is what the shard bench reads
-        per replica to show where warm traffic is actually served."""
-        counters = {
-            "decisions": self._decisions.counters(),
-            "decisions_verified": self.storage.decision_cache_counters(
-                size=len(self._decisions), maxsize=self._decisions.maxsize
-            ),
-        }
+        decision cache (its verified hits are ``storage.decision_hits``)
+        and the embedded service's validation caches.  This is what the
+        shard bench reads per replica to show where warm traffic is
+        actually served."""
+        counters = {"decisions": self._decisions.counters()}
         for name, snapshot in self.service.cache_counters().items():
             counters[f"service:{name}"] = snapshot
         return counters

@@ -97,7 +97,8 @@ class FlatFileCustode(Custode):
     def delete(self, cert, fid: FileId) -> None:
         record = self.check_access(cert, fid, "d")
         self.ops += 1
-        # drops the per-ACL index entry, accounting and cached decisions
+        # drops the per-ACL index entry and accounting; cached decisions
+        # for the file miss from now on
         self._forget_file(record)
 
     def size(self, cert, fid: FileId) -> int:

@@ -208,39 +208,15 @@ class Encoded:
     """An already-encoded frame, ready for :meth:`Network.send`.
 
     Carries the accounting the network needs: the honest encoded size
-    (``len(data)``), the repr-baseline length of the original payload
-    (what the pre-codec estimate would have charged), and the intern
-    hit/miss deltas of the encoding pass.
+    (``len(data)``) and the intern hit/miss deltas of the encoding pass.
     """
 
-    __slots__ = ("data", "repr_len", "intern_hits", "intern_misses")
+    __slots__ = ("data", "intern_hits", "intern_misses")
 
-    def __init__(
-        self,
-        data: bytes,
-        repr_len: int = 0,
-        intern_hits: int = 0,
-        intern_misses: int = 0,
-    ):
+    def __init__(self, data: bytes, intern_hits: int = 0, intern_misses: int = 0):
         self.data = data
-        self.repr_len = repr_len
         self.intern_hits = intern_hits
         self.intern_misses = intern_misses
-
-    def __len__(self) -> int:
-        return len(self.data)
-
-    def __repr__(self) -> str:  # keeps repr baselines of wrappers honest
-        return f"Encoded({len(self.data)}B)"
-
-
-class Unencoded:
-    """A payload carried without encoding (lenient mode only)."""
-
-    __slots__ = ("payload",)
-
-    def __init__(self, payload: Any):
-        self.payload = payload
 
 
 # -- per-link state -----------------------------------------------------------
@@ -755,18 +731,10 @@ class ItemsSection:
 class WireCodec:
     """Per-network codec state: one intern table pair per directed link.
 
-    ``strict`` (the default) makes un-encodable payloads a loud
-    :class:`CodecError` at send time; ``strict=False`` lets them travel
-    unencoded (counted, charged their repr length) for exploratory use.
+    Un-encodable payloads are a loud :class:`CodecError` at send time.
     """
 
-    def __init__(
-        self,
-        strict: bool = True,
-        max_symbols: int = 4096,
-        intern_max_len: int = 64,
-    ):
-        self.strict = strict
+    def __init__(self, max_symbols: int = 4096, intern_max_len: int = 64):
         self.max_symbols = max_symbols
         self.intern_max_len = intern_max_len
         self.stats = CodecStats()
@@ -827,12 +795,7 @@ class WireCodec:
             self.stats.generic_frames += 1
         self.stats.intern_hits += fe.hits
         self.stats.intern_misses += fe.misses
-        return Encoded(
-            data,
-            repr_len=len(repr(payload)),
-            intern_hits=fe.hits,
-            intern_misses=fe.misses,
-        )
+        return Encoded(data, intern_hits=fe.hits, intern_misses=fe.misses)
 
     def _write_typed(self, fe: _FrameEncoder, kind: str, payload: Any) -> bool:
         """Write ``payload`` under the best-matching frame type; returns
@@ -958,7 +921,7 @@ class WireCodec:
         header_len = 2 + len(_uvarint_bytes(link.epoch))
         return ItemsSection(
             section=data[header_len:],
-            frame=Encoded(data, repr_len=len(repr({"items": items}))),
+            frame=Encoded(data),
             count=count,
             hits=fe.hits,
             misses=fe.misses,
@@ -970,7 +933,6 @@ class WireCodec:
         dest: str,
         section: ItemsSection,
         hb: Optional[dict],
-        repr_len: int,
     ) -> Encoded:
         """Wrap an encoded items section into the on-wire BATCH envelope.
 
@@ -991,7 +953,6 @@ class WireCodec:
         self.stats.typed_frames += 1
         return Encoded(
             bytes(out),
-            repr_len=repr_len,
             intern_hits=section.intern_hits,
             intern_misses=section.intern_misses,
         )

@@ -21,9 +21,7 @@ Every payload is marshalled through the wire codec
 (:mod:`repro.runtime.codec`) at :meth:`Network.send` and unmarshalled at
 delivery, so what travels (and what ``bytes_sent`` counts) is real
 encoded frames: an encode bug shows up as a changed or failed delivery,
-never as a silently-wrong byte count.  The pre-codec repr-based estimate
-survives only as the ``repr_bytes`` baseline that
-:meth:`NetworkStats.bytes_ratio` compares against.
+never as a silently-wrong byte count.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional
 
 from repro.errors import CodecError, NetworkError
-from repro.runtime.codec import Encoded, Unencoded, WireCodec
+from repro.runtime.codec import Encoded, WireCodec
 from repro.runtime.simulator import Simulator
 
 MessageHandler = Callable[["Message"], None]
@@ -52,30 +50,6 @@ FaultInjector = Callable[["Message", float], Optional[list[float]]]
 MESSAGE_HEADER_BYTES = 24
 
 
-def approx_size(payload: Any) -> int:
-    """Bytes-in-spirit of a payload: what a compact encoding would cost.
-
-    Historical estimator, kept only as a reference point for tests that
-    compare it against the codec's real output; ``bytes_sent`` accounting
-    now uses the encoded frame length from :mod:`repro.runtime.codec`,
-    and un-encodable payloads raise :class:`~repro.errors.CodecError`
-    instead of falling back to ``len(repr(payload))``.
-    """
-    if payload is None or isinstance(payload, bool):
-        return 1
-    if isinstance(payload, (int, float)):
-        return 8
-    if isinstance(payload, str):
-        return len(payload)
-    if isinstance(payload, (bytes, bytearray)):
-        return len(payload)
-    if isinstance(payload, dict):
-        return 2 + sum(approx_size(k) + approx_size(v) for k, v in payload.items())
-    if isinstance(payload, (list, tuple, set, frozenset)):
-        return 2 + sum(approx_size(item) for item in payload)
-    return len(repr(payload))
-
-
 @dataclass
 class NetworkStats:
     """Counter surface for wire-efficiency experiments.
@@ -92,7 +66,6 @@ class NetworkStats:
     payloads_carried: int = 0
     bytes_sent: int = 0
     encoded_bytes: int = 0           # codec frame bytes (bytes_sent minus headers)
-    repr_bytes: int = 0              # what the old repr-based estimate would charge
     intern_hits: int = 0             # symbols sent as bare varint refs
     intern_misses: int = 0           # symbols sent with their definition
     coalesced: int = 0
@@ -106,15 +79,6 @@ class NetworkStats:
     spilled_overflow: int = 0        # payloads shed by a bounded wire queue
     subscribes_batched: int = 0      # resubscribes carried by subscribe-many
                                      # items instead of one message each
-
-    def bytes_ratio(self) -> float:
-        """Encoded bytes as a fraction of the repr baseline.
-
-        0.2 means the codec sends one fifth of what the old
-        ``len(repr(payload))`` accounting would have charged (a 5x
-        reduction); 0.0 when nothing has been sent yet.
-        """
-        return self.encoded_bytes / self.repr_bytes if self.repr_bytes else 0.0
 
     def offered(self) -> int:
         """Delivery attempts this side of the fabric created: every send
@@ -247,20 +211,6 @@ class Network:
         # batch list keeps arrival (= send seq) order, so delivery order
         # is identical to one kernel event per message.
         self._arrivals: dict[tuple[Node, float], list[Message]] = {}
-
-    # -- legacy counter aliases ---------------------------------------------
-
-    @property
-    def messages_sent(self) -> int:
-        return self.stats.messages_sent
-
-    @property
-    def messages_lost(self) -> int:
-        return self.stats.dropped_by_loss + self.stats.dropped_while_down
-
-    @property
-    def bytes_sent(self) -> int:
-        return self.stats.bytes_sent
 
     # -- topology -----------------------------------------------------------
 
@@ -471,39 +421,26 @@ class Network:
         if isinstance(payload, Encoded):
             encoded = payload
         else:
-            try:
-                encoded = self.codec.encode(source, dest, kind, payload)
-            except CodecError:
-                if self.codec.strict:
-                    raise
-                encoded = None
+            encoded = self.codec.encode(source, dest, kind, payload)
         self._seq += 1
         message = Message(
             source=source,
             dest=dest,
             kind=kind,
-            payload=encoded.data if encoded is not None else Unencoded(payload),
+            payload=encoded.data,
             sent_at=self.simulator.now,
             seq=self._seq,
         )
         per_link = self.link_stats(source, dest)
-        if encoded is not None:
-            body_len = len(encoded.data)
-            repr_len = encoded.repr_len
-        else:
-            # lenient mode only: the payload travels unencoded and is
-            # charged its repr length on both sides of the ratio
-            body_len = repr_len = len(repr(payload))
+        body_len = len(encoded.data)
         size = MESSAGE_HEADER_BYTES + body_len
         for stats in (self.stats, per_link):
             stats.messages_sent += 1
             stats.payloads_carried += payload_count
             stats.bytes_sent += size
             stats.encoded_bytes += body_len
-            stats.repr_bytes += repr_len
-            if encoded is not None:
-                stats.intern_hits += encoded.intern_hits
-                stats.intern_misses += encoded.intern_misses
+            stats.intern_hits += encoded.intern_hits
+            stats.intern_misses += encoded.intern_misses
         src_node = self._nodes.get(source)
         if src_node is not None and not src_node.up:
             # A crashed host neither receives nor transmits.
@@ -578,17 +515,13 @@ class Network:
 
     def _deliver(self, node: Node, message: Message) -> None:
         self.in_flight -= 1
-        payload = message.payload
-        if isinstance(payload, Unencoded):
-            node.deliver(replace(message, payload=payload.payload))
-            return
         if not node.up:
             # A crashed host must neither process the frame nor learn its
             # symbol definitions; deliver() records the drop.
             node.deliver(message)
             return
         try:
-            decoded = self.codec.decode(message.source, node.address, payload)
+            decoded = self.codec.decode(message.source, node.address, message.payload)
         except CodecError:
             # An unverifiable frame (stale boot epoch, dangling symbol
             # ref, truncation) is dropped with accounting; the layers

@@ -258,12 +258,7 @@ class BatchedChannel:
             # retransmits the items instead of an empty filler
             hb = self._heartbeat.piggyback(section.frame)
             self.stats.piggybacked_heartbeats += 1
-        body: dict[str, Any] = {"items": items}
-        if hb is not None:
-            body["hb"] = hb
-        batch = codec.wrap_batch(
-            self.source, self.dest, section, hb, repr_len=len(repr(body))
-        )
+        batch = codec.wrap_batch(self.source, self.dest, section, hb)
         self.stats.batches += 1
         self.network.send(
             self.source, self.dest, BATCH_KIND, batch, payload_count=len(items)

@@ -23,7 +23,7 @@ from repro.core.sharding import (
     stable_digest,
 )
 from repro.core.types import ObjectType
-from repro.errors import OasisError, RevokedError
+from repro.errors import FraudError, MisuseError, OasisError, RevokedError
 from repro.mssa.acl import Acl
 from repro.mssa.byte_segment import ByteSegmentCustode
 from repro.runtime.clock import ManualClock, SimClock
@@ -186,6 +186,41 @@ def test_leader_restart_clears_replica_caches():
     assert shard.replicas[0].cache_counters()["validity"].size == 0
 
 
+def test_removed_rolefile_stops_granting_at_followers():
+    """Withdrawing a policy changes no credential record, so no cascade
+    reaches the replica: the leader's cache flush must cover it."""
+    _, login, shard, host = build_shard(followers=1)
+    login.add_rolefile("guests", "def Guest(u)  u: string\nGuest(u) <-\n")
+    domain = host.create_domain()
+    cert = shard.enter_role(domain.client_id, "Guest", ("g",), rolefile_id="guests")
+    shard.validate(cert)
+    shard.validate(cert)                    # warm on the replica
+    assert shard.replicas[0].stats.warm_hits == 1
+    login.remove_rolefile("guests")
+    with pytest.raises(MisuseError, match="unknown rolefile"):
+        login.validate(cert)
+    with pytest.raises(MisuseError, match="unknown rolefile"):
+        shard.validate(cert)
+
+
+@pytest.mark.parametrize("followers", [0, 1])
+def test_vci_binding_checked_through_followers(followers):
+    """Section 2.8.1 through the fleet facade: the VCI holder is granted
+    (warm hits included) and a forked child without the VCI is refused,
+    with or without follower replicas."""
+    fleet, host = build_fleet(n_shards=1, followers=followers)
+    parent = host.create_domain()
+    vci = parent.new_vci()
+    cert = fleet.enter_role("p", parent.client_id, "LoggedOn", ("u1", "h"), vci=vci)
+    child = parent.fork(pass_vcis=set())
+    for _ in range(3):
+        assert fleet.validate(cert, domain=parent) is cert
+        with pytest.raises(FraudError, match="may not use"):
+            fleet.validate(cert, domain=child)
+    if followers:
+        assert fleet.shard_of(cert).replicas[0].stats.warm_hits >= 2
+
+
 def test_foreign_issuer_certificates_fall_back_to_leader_path():
     _, login, shard, host = build_shard(followers=1)
     clock2 = ManualClock()
@@ -316,6 +351,21 @@ def test_storage_replica_repins_after_acl_change():
     # the version record moved: outstanding UseAcl certificates are
     # revoked and the replica's pin is stale — the warm path must not
     # serve this read
+    with pytest.raises(OasisError):
+        fleet.read_segment(cert, fid)
+    assert replica.stats.warm_hits == warm_before
+
+
+def test_storage_replica_denies_after_regroup():
+    """A regrouped file is governed by its new ACL on the replica too:
+    the pinned decision stored the old ACL, so the next read misses."""
+    login, custode, fleet, fid, cert = build_storage_world()
+    fleet.read_segment(cert, fid)
+    fleet.read_segment(cert, fid)           # warm on the replica
+    replica = fleet.shards["ffc"].replicas[0]
+    other = custode.create_acl(Acl.parse("nobody=+r", alphabet="rwad"))
+    custode.set_acl_of(cert, fid, other)
+    warm_before = replica.stats.warm_hits
     with pytest.raises(OasisError):
         fleet.read_segment(cert, fid)
     assert replica.stats.warm_hits == warm_before

@@ -66,6 +66,36 @@ Member(u) <- Login(u)*
             svc.validate(member)
 
 
+class TestModifiedCertificates:
+    """A warm cache vouches for one certificate, not for anything that
+    shares its record reference and signature."""
+
+    def test_stolen_certificate_renamed_to_thief_is_fraud_when_warm(self):
+        import dataclasses
+
+        clock, svc, owner = make_service()
+        thief = HostOS("h2").create_domain().client_id
+        cert = svc.enter_role(owner, "Anon", (1,))
+        warm(svc, cert)
+        stolen = dataclasses.replace(cert, client=thief)
+        with pytest.raises(FraudError):
+            svc.validate(stolen, claimed_client=thief)
+        assert svc.validate(cert, claimed_client=owner) is cert
+
+    def test_tampered_args_are_fraud_when_warm(self):
+        """``args`` is the unsigned convenience form of the signed wire
+        arguments: neither cache may let a tampered copy skip the check."""
+        import dataclasses
+
+        clock, svc, client = make_service()
+        cert = svc.enter_role(client, "Anon", (1,))
+        warm(svc, cert)
+        for _ in range(2):
+            with pytest.raises(FraudError):
+                svc.validate(dataclasses.replace(cert, args=(99,)))
+        assert svc.validate(cert) is cert
+
+
 class TestSecretRoll:
     def test_secret_death_defeats_warm_caches(self):
         """Rolling past a secret's lifetime must fail validation even

@@ -13,7 +13,7 @@ the very next access, with no stale-grant window beyond one delivery.
 import pytest
 
 from repro.core.credentials import RecordState
-from repro.errors import AccessDenied, RevokedError
+from repro.errors import AccessDenied, MisuseError, RevokedError
 from repro.mssa.acl import Acl, AclEntry
 from repro.mssa.bypass import BypassRoute
 from repro.mssa.byte_segment import ByteSegmentCustode
@@ -62,7 +62,7 @@ class TestDecisionCache:
 
     def test_modify_acl_invalidates_use_file_decisions(self, mssa):
         """A delegated UseFile certificate does not depend on the ACL
-        version record, so its cached decision is pinned to the version
+        version record, so its cached decision stores the version
         instead — modify_acl must force it back onto the full path."""
         meta = mssa.ffc.create_acl(Acl.parse("dm=+rw", alphabet="rwad"))
         acl = mssa.ffc.create_acl(Acl.parse("dm=+rwad", alphabet="rwad"),
@@ -78,7 +78,6 @@ class TestDecisionCache:
         assert mssa.ffc.storage.decision_hits >= 1
         dmeta = mssa.ffc.enter_use_acl(dclient, meta, dlogin)
         mssa.ffc.modify_acl(dmeta, acl, Acl.parse("dm=+rwad", alphabet="rwad"))
-        assert mssa.ffc.storage.invalidated_by_acl_modify >= 1
         misses_before = mssa.ffc.storage.decision_misses
         mssa.ffc.read(scert, fid)                      # re-derived, not served stale
         assert mssa.ffc.storage.decision_misses == misses_before + 1
@@ -91,9 +90,11 @@ class TestDecisionCache:
         cert = mssa.ffc.enter_use_acl(client, acl_a, login)
         mssa.ffc.read(cert, fid)                       # warm
         mssa.ffc.set_acl_of(cert, fid, acl_b)
-        assert mssa.ffc.storage.invalidated_by_regroup >= 1
+        misses_before = mssa.ffc.storage.decision_misses
         with pytest.raises(AccessDenied):
             mssa.ffc.read(cert, fid)
+        # the decision stored the old ACL: a miss, not a stale hit
+        assert mssa.ffc.storage.decision_misses == misses_before + 1
 
     def test_group_membership_change_kills_cached_decision(self, mssa):
         root = mssa.login.parsename("userid", "root")
@@ -108,6 +109,19 @@ class TestDecisionCache:
         mssa.ffc.service.groups.remove_member("admins", root)
         with pytest.raises(RevokedError):
             mssa.ffc.write(cert, fid, b"stale")
+
+    def test_removed_rolefile_stops_granting(self, mssa):
+        """Withdrawing an ACL's policy (its rolefile) must deny the next
+        read, even though no credential record changed."""
+        acl = mssa.bsc.create_acl(Acl.parse("dm=+rw", alphabet="rw"))
+        fid = mssa.bsc.create_segment(acl, b"payload")
+        client, login = mssa.login_user("dm")
+        cert = mssa.bsc.enter_use_acl(client, acl, login)
+        assert mssa.bsc.read_segment(cert, fid) == b"payload"   # warm
+        assert mssa.bsc.read_segment(cert, fid) == b"payload"
+        mssa.bsc.service.remove_rolefile(str(acl))
+        with pytest.raises(MisuseError, match="unknown rolefile"):
+            mssa.bsc.read_segment(cert, fid)
 
     def test_revocation_kills_cached_decision(self, mssa):
         acl = mssa.ffc.create_acl(Acl.parse("dm=+rwad", alphabet="rwad"))
@@ -129,8 +143,9 @@ class TestDecisionCache:
         for fid in fids:
             custode.read_segment(cert, fid)
         assert custode.storage.decision_evictions >= 4
-        # evicted keys must have left the secondary indexes too
-        indexed = sum(len(keys) for keys in custode._decisions_by_fid.values())
+        # evicted keys must have left the record index too
+        decisions = custode._decisions
+        indexed = sum(len(decisions._keys_of(pin)) for pin in decisions._pinned)
         assert indexed == len(custode._decisions) <= 2
         # and the survivors still invalidate correctly
         custode.service.exit_role(cert)
@@ -329,7 +344,6 @@ class TestEpochFlush:
         assert len(mssa.ffc._remote_acls) == 1
         mssa.ffc.service.restart()
         assert len(mssa.ffc._remote_acls) == 0
-        assert len(mssa.ffc._remote_by_surrogate) == 0
         # next entry goes back to the peer for a fresh copy
         mssa.ffc.enter_use_acl(client, remote_acl, login)
         assert mssa.ffc.remote_acl_reads == 2
@@ -446,9 +460,9 @@ class TestGracefulDegradation:
         custode, cert, fid, _login = self._world(mssa, max_staleness=1e9)
         custode.service.credentials.mark_service_unknown("Login")
         assert custode.read_segment(cert, fid) == b"payload"
-        assert custode._unknown_since
+        assert custode._decisions._unknown_since
         custode.service.restart()
-        assert not custode._unknown_since
+        assert not custode._decisions._unknown_since
         # post-restart the window cannot be dated: fail closed, not serve
         with pytest.raises(RevokedError):
             custode.read_segment(cert, fid)

@@ -58,7 +58,8 @@ def test_loss_probability_drops_messages():
     assert net.send("a", "b", "ping", None) is None
     sim.run()
     assert got == []
-    assert net.messages_lost == 1
+    assert net.stats.dropped_by_loss == 1
+    assert net.stats.dropped_while_down == 0
 
 
 def test_partition_and_heal():

@@ -143,7 +143,7 @@ class TestNetworkStats:
         net.send("a", "b", "ping", None)
         assert net.stats.dropped_by_loss == 1
         assert net.link_stats("a", "b").dropped_by_loss == 1
-        assert net.messages_lost == 1  # legacy alias covers loss drops
+        assert net.stats.dropped_while_down == 0  # loss is not a link-down drop
 
     def test_partition_drops_count_as_down(self):
         sim, net, got = make_world()
