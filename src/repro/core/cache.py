@@ -19,7 +19,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Hashable, Optional
 
-from repro.core.credentials import CredentialRecord, RecordState
+from repro.core.credentials import Change, RecordState
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.service import OasisService
@@ -345,28 +345,36 @@ class PinnedCache:
         stats.degraded_expired += 1
         return False
 
-    def _on_record_change(
-        self, record: CredentialRecord, old: RecordState, new: RecordState
-    ) -> None:
-        if new is RecordState.TRUE:
-            if self._unknown_since:
-                self._unknown_since.pop(record.ref, None)
-            return
-        if not self._pinned:
-            return
-        ref = record.ref
-        if ref not in self._pinned:
-            return
-        if new is RecordState.UNKNOWN and self.degradation is not None:
-            self._unknown_since.setdefault(ref, self.service.clock.now())
-            return
-        keys = self._keys_of(ref)
-        del self._pinned[ref]
-        self._unknown_since.pop(ref, None)
-        for key in keys:
-            del self._data[key]
-            del self._pin_of[key]
-        self.invalidations += len(keys)
-        if self.invalidated is not None:
-            stats = self.stats
-            setattr(stats, self.invalidated, getattr(stats, self.invalidated) + len(keys))
+    def _on_record_change(self, changes: list[Change]) -> None:
+        pinned = self._pinned
+        if not pinned:
+            return  # stamps exist only for pinned records
+        unknown_since = self._unknown_since
+        degrade = self.degradation is not None
+        now = None
+        dropped = 0
+        for record, _old, new in changes:
+            ref = record.ref
+            if ref not in pinned:
+                continue
+            if new is RecordState.TRUE:
+                unknown_since.pop(ref, None)
+                continue
+            if new is RecordState.UNKNOWN and degrade:
+                if ref not in unknown_since:
+                    if now is None:
+                        now = self.service.clock.now()
+                    unknown_since[ref] = now
+                continue
+            keys = self._keys_of(ref)
+            del pinned[ref]
+            unknown_since.pop(ref, None)
+            for key in keys:
+                del self._data[key]
+                del self._pin_of[key]
+            dropped += len(keys)
+        if dropped:
+            self.invalidations += dropped
+            if self.invalidated is not None:
+                stats = self.stats
+                setattr(stats, self.invalidated, getattr(stats, self.invalidated) + dropped)

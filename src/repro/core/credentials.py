@@ -64,7 +64,7 @@ def unpack_ref(ref: int) -> tuple[int, int]:
     return ref >> _MAGIC_BITS, ref & _MAGIC_MASK
 
 
-@dataclass
+@dataclass(slots=True)
 class CredentialRecord:
     """One row of the credential record table (format of fig 4.7)."""
 
@@ -88,10 +88,11 @@ class CredentialRecord:
     external_ref: Optional[int] = None
     # remote services that asked to be notified of changes (Notify flag)
     subscribers: set[str] = field(default_factory=set)
+    # the CRR: a row's index and magic never change, so it is packed once
+    ref: int = field(init=False)
 
-    @property
-    def ref(self) -> int:
-        return pack_ref(self.index, self.magic)
+    def __post_init__(self) -> None:
+        self.ref = pack_ref(self.index, self.magic)
 
     @property
     def is_external(self) -> bool:
@@ -149,6 +150,9 @@ class CredentialRecord:
 
 
 ChangeCallback = Callable[[CredentialRecord, RecordState, RecordState], None]
+# one settle round's net changes, as (record, old, new) in firing order
+Change = tuple[CredentialRecord, RecordState, RecordState]
+BatchCallback = Callable[[list[Change]], None]
 
 
 @dataclass
@@ -165,7 +169,7 @@ class CascadeStats:
     records_visited: int = 0      # worklist items processed
     records_changed: int = 0      # records whose state net-changed
     max_depth: int = 0            # longest seed -> descendant chain settled
-    callbacks_fired: int = 0      # watch / watch_all invocations
+    callbacks_fired: int = 0      # watch calls, plus one per watch_all batch
     permanence_unlinks: int = 0   # records newly permanent (edges now dead)
 
     def accumulate(self, other: "CascadeStats") -> None:
@@ -181,12 +185,14 @@ class CredentialRecordTable:
 
     Propagation is an iterative, deque-based worklist ("the cascade"):
     it never grows the Python stack, so delegation chains are bounded by
-    memory, not the interpreter recursion limit.  ``on_change`` callbacks
-    (and per-record watches) fire once per net-changed record, *after*
-    the whole cascade has settled, in deterministic cascade order —
-    deeper (descendant) records before the records that caused them to
-    change — so a service can revoke certificates and emit Modified
-    events to remote subscribers knowing no state is still in flux.
+    memory, not the interpreter recursion limit.  Callbacks fire only
+    after a settle round, in deterministic cascade order — deeper
+    (descendant) records before the records that caused them to change —
+    so a service can revoke certificates and emit Modified events to
+    remote subscribers knowing no state is still in flux.  A per-record
+    :meth:`watch` fires once per net change of its record; a
+    :meth:`watch_all` callback is called once per round with the round's
+    whole ordered batch, so its cost is per round, not per record.
 
     Batched mutations (:meth:`set_states`, :meth:`revoke_many`,
     :meth:`mark_service_unknown`) settle all their seeds in one cascade;
@@ -200,7 +206,7 @@ class CredentialRecordTable:
         self._free: list[int] = []
         self._magic: list[int] = []
         self._watches: dict[int, list[ChangeCallback]] = {}
-        self._global_watch: list[ChangeCallback] = []
+        self._global_watch: list[BatchCallback] = []
         # external_service -> {remote CRR -> local index of its surrogate}
         self._externals_by_service: dict[str, dict[int, int]] = {}
         self.records_created = 0
@@ -316,11 +322,11 @@ class CredentialRecordTable:
 
     def get(self, ref: int) -> Optional[CredentialRecord]:
         """Resolve a CRR; stale magic (deleted/reused row) returns None."""
-        index, magic = unpack_ref(ref)
+        index = ref >> _MAGIC_BITS
         if not 0 <= index < len(self._rows):
             return None
         row = self._rows[index]
-        if row is None or row.magic != magic:
+        if row is None or row.ref != ref:
             return None
         return row
 
@@ -502,7 +508,12 @@ class CredentialRecordTable:
         index, _ = unpack_ref(ref)
         self._watches.setdefault(index, []).append(callback)
 
-    def watch_all(self, callback: ChangeCallback) -> None:
+    def watch_all(self, callback: BatchCallback) -> None:
+        """Call ``callback(changes)`` once per settle round that changed
+        anything.  ``changes`` lists the round's net-changed records as
+        ``(record, old, new)``, in the order their per-record watches
+        fired; it is only valid during the call.  Mutations the callback
+        issues join the running cascade and settle in a later round."""
         self._global_watch.append(callback)
 
     def subscribe(self, ref: int, subscriber: str) -> bool:
@@ -595,24 +606,26 @@ class CredentialRecordTable:
 
     def _settle(self, work: deque, stats: CascadeStats) -> dict:
         """Drain the worklist until no record's state or permanence can
-        change.  Returns ``{index: [record, first_old_state, depth, seq]}``
-        for every record touched, in settling order."""
+        change.  Returns ``{index: [record, first_old_state, depth]}`` for
+        every record touched, in settling order."""
         rows = self._rows
+        TRUE, FALSE = RecordState.TRUE, RecordState.FALSE
+        negated = _NEGATED
         changed: dict[int, list] = {}
-        seq = 0
+        visited = unlinks = 0
+        max_depth = stats.max_depth
         while work:
             record, old_state, new_state, perm_gained, depth = work.popleft()
-            stats.records_visited += 1
-            if depth > stats.max_depth:
-                stats.max_depth = depth
+            visited += 1
+            if depth > max_depth:
+                max_depth = depth
             entry = changed.get(record.index)
             if entry is None:
-                changed[record.index] = [record, old_state, depth, seq]
-                seq += 1
+                changed[record.index] = [record, old_state, depth]
             elif depth > entry[2]:
                 entry[2] = depth  # fire after its deepest settling
             if perm_gained:
-                stats.permanence_unlinks += 1
+                unlinks += 1
             state_delta = old_state is not new_state
             if not state_delta and not perm_gained:
                 continue
@@ -620,14 +633,29 @@ class CredentialRecordTable:
                 child = rows[child_index]
                 if child is None:
                     continue
+                # the edge's effective old and new states, pushed into the
+                # child's parent counters
+                if negate:
+                    old_eff, new_eff = negated[old_state], negated[new_state]
+                else:
+                    old_eff, new_eff = old_state, new_state
                 if state_delta:
-                    _count(child, _effective(old_state, negate), -1)
-                    _count(child, _effective(new_state, negate), +1)
+                    if old_eff is TRUE:
+                        child.n_true -= 1
+                    elif old_eff is FALSE:
+                        child.n_false -= 1
+                    else:
+                        child.n_unknown -= 1
+                    if new_eff is TRUE:
+                        child.n_true += 1
+                    elif new_eff is FALSE:
+                        child.n_false += 1
+                    else:
+                        child.n_unknown += 1
                 if perm_gained:
-                    effective = _effective(new_state, negate)
-                    if effective is RecordState.TRUE:
+                    if new_eff is TRUE:
                         child.n_perm_true += 1
-                    elif effective is RecordState.FALSE:
+                    elif new_eff is FALSE:
                         child.n_perm_false += 1
                 if child.permanent:
                     continue
@@ -638,27 +666,49 @@ class CredentialRecordTable:
                     child.state = child_new
                     child.permanent = child_perm
                     work.append((child, child_old, child_new, child_perm, depth + 1))
+        stats.records_visited += visited
+        stats.max_depth = max_depth
+        stats.permanence_unlinks += unlinks
         return changed
 
     def _fire_settled(self, settled: dict, stats: CascadeStats) -> None:
-        """Fire watches for net-changed records, children before the
-        records that changed them (deepest settling first, then settling
-        order) — the deterministic cascade order the class promises."""
+        """Fire the callbacks of one settle round for its net-changed
+        records, children before the records that changed them (deepest
+        settling first, then settling order) — the deterministic cascade
+        order the class promises.  Per-record watches fire record by
+        record; then each ``watch_all`` callback gets the whole batch."""
         if not settled:
             return
-        entries = sorted(settled.values(), key=lambda e: (-e[2], e[3]))
-        for record, first_old, _depth, _seq in entries:
-            if record.state is first_old:
-                continue  # flip-flopped back: no net change to report
-            if self._rows[record.index] is not record:
-                continue  # deleted by an earlier callback in this round
-            stats.records_changed += 1
-            for callback in self._watches.get(record.index, ()):
-                stats.callbacks_fired += 1
-                callback(record, first_old, record.state)
+        by_depth: dict[int, list] = {}
+        for entry in settled.values():
+            bucket = by_depth.get(entry[2])
+            if bucket is None:
+                by_depth[entry[2]] = [entry]
+            else:
+                bucket.append(entry)
+        rows = self._rows
+        watches = self._watches
+        changes: list[Change] = []
+        fired = 0
+        for depth in sorted(by_depth, reverse=True):
+            for record, first_old, _depth in by_depth[depth]:
+                new = record.state
+                if new is first_old:
+                    continue  # flip-flopped back: no net change to report
+                if rows[record.index] is not record:
+                    continue  # deleted by an earlier callback in this round
+                changes.append((record, first_old, new))
+                callbacks = watches.get(record.index)
+                if callbacks:
+                    for callback in callbacks:
+                        fired += 1
+                        callback(record, first_old, new)
+        stats.records_changed += len(changes)
+        if changes:
             for callback in self._global_watch:
-                stats.callbacks_fired += 1
-                callback(record, first_old, record.state)
+                fired += 1
+                callback(changes)
+        stats.callbacks_fired += fired
 
     # -- garbage collection (section 4.8) -------------------------------------------
 
@@ -712,10 +762,15 @@ class CredentialRecordTable:
         self.records_deleted += 1
 
 
+_NEGATED = {
+    RecordState.TRUE: RecordState.FALSE,
+    RecordState.FALSE: RecordState.TRUE,
+    RecordState.UNKNOWN: RecordState.UNKNOWN,
+}
+
+
 def _effective(state: RecordState, negate: bool) -> RecordState:
-    if not negate or state is RecordState.UNKNOWN:
-        return state
-    return RecordState.FALSE if state is RecordState.TRUE else RecordState.TRUE
+    return _NEGATED[state] if negate else state
 
 
 def _count(record: CredentialRecord, state: RecordState, delta: int) -> None:

@@ -59,6 +59,9 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.linkage import SimLinkage
     from repro.core.service import OasisService
 
+# One outbound notification: (ref, state, destination service names).
+Notice = tuple[int, RecordState, list[str]]
+
 # Outbox entry lifecycle.  DELIVERED is terminal; DEAD entries are
 # *parked* (the dead-letter queue), not forgotten — redelivery moves
 # them back through INFLIGHT until they land.
@@ -111,7 +114,7 @@ class JournalStats:
     parked: int = 0               # entries that entered the DLQ (cumulative)
     applied: int = 0              # inbound entries applied to the table
     duplicates_dropped: int = 0   # inbound entries deduped by (issuer, seq)
-    superseded: int = 0           # inbound entries stale under the stamp
+    superseded: int = 0           # inbound entries or tail items stale under the stamp
     tail_syncs_served: int = 0
     tail_syncs_pulled: int = 0
     drains: int = 0
@@ -170,41 +173,37 @@ class ServiceJournal:
         self._fire_append(record)
         return record
 
-    def append_notify(
-        self, ref: int, state_value: str, dests: list[str]
-    ) -> list[OutboxEntry]:
-        """Transactional outbox: append the notification event and one
-        outbox entry per destination as ONE transaction — a crash sees
-        either none of it or all of it, so an applied state change can
-        never exist without its undelivered notifications on record."""
+    def append_notify(self, notices: list[Notice]) -> list[OutboxEntry]:
+        """Transactional outbox: append one settle round's notifications
+        — one ``notify`` record, and one outbox entry per notice and
+        destination, in the order given — as ONE transaction.  A crash
+        sees either none of it or all of it, so an applied state change
+        can never exist without its undelivered notifications on record."""
         if self.replaying:
             return []
+        epoch = self.epoch()
+        record_seq = self._seq + 1
+        outbox = self.outbox
+        undelivered = self.undelivered
+        last_stamp = self.last_stamp
+        seq = self._outbox_seq
         entries = []
-        for dest in sorted(dests):
-            self._outbox_seq += 1
-            entries.append(
-                OutboxEntry(
-                    seq=self._outbox_seq,
-                    record_seq=self._seq + 1,
-                    dest=dest,
-                    ref=ref,
-                    state=state_value,
-                    stamp=(self.epoch(), self._outbox_seq),
-                )
-            )
+        for ref, state, dests in notices:
+            state_value = state.value
+            for dest in dests:
+                seq += 1
+                stamp = (epoch, seq)
+                entry = OutboxEntry(seq, record_seq, dest, ref, state_value, stamp)
+                entries.append(entry)
+                outbox[seq] = entry
+                undelivered[seq] = entry
+                if stamp > last_stamp.get(ref, (0, 0)):
+                    last_stamp[ref] = stamp
+        self._outbox_seq = seq
         record = self._append(
             "notify",
-            {
-                "ref": ref,
-                "state": state_value,
-                "outbox": [[e.seq, e.dest] for e in entries],
-            },
+            {"outbox": [[e.seq, e.dest, e.ref, e.state] for e in entries]},
         )
-        for entry in entries:
-            self.outbox[entry.seq] = entry
-            self.undelivered[entry.seq] = entry
-            if entry.stamp > self.last_stamp.get(ref, (0, 0)):
-                self.last_stamp[ref] = entry.stamp
         self.stats.outbox_appended += len(entries)
         # the fault point fires only once the whole transaction is durable
         self._fire_append(record)
@@ -425,12 +424,13 @@ class JournalRelay:
 
     # ----------------------------------------------------------------- outbox
 
-    def enqueue(self, ref: int, state: RecordState, dests: list[str]) -> None:
-        """Journal a notification transactionally and schedule its drain.
+    def enqueue(self, notices: list[Notice]) -> None:
+        """Journal one settle round's notifications as one transaction and
+        schedule their drain.
 
         The drain runs as a zero-delay event, so a whole cascade's
-        enqueues coalesce into one delivery RPC per destination."""
-        entries = self.journal.append_notify(ref, state.value, dests)
+        rounds coalesce into one delivery RPC per destination."""
+        entries = self.journal.append_notify(notices)
         if entries and self._up() and not self._drain_timer.armed:
             self._drain_timer.arm(0.0)
 
@@ -619,22 +619,28 @@ class JournalRelay:
             )
             return
         reply = future.result()
-        self.journal.stats.tail_syncs_pulled += 1
-        items = reply.get("items", ())
+        journal = self.journal
+        journal.stats.tail_syncs_pulled += 1
+        applied_stamps = journal.applied_stamps
         logged = []
         updates = []
-        for ref, state, stamp in items:
+        for ref, state, stamp in reply.get("items", ()):
             ref = int(ref)
             stamp = tuple(stamp) if stamp is not None else None
             self.linkage.note_subscribed(self.service.name, issuer, ref)
+            skey = (issuer, ref)
+            applied = applied_stamps.get(skey)
+            if applied is not None and (stamp is None or stamp < applied):
+                # a delivery sent after this snapshot was served has
+                # already landed: the snapshot's state is the older one
+                journal.stats.superseded += 1
+                continue
             if stamp is not None:
-                skey = (issuer, ref)
-                if stamp > self.journal.applied_stamps.get(skey, (0, 0)):
-                    self.journal.applied_stamps[skey] = stamp
+                applied_stamps[skey] = stamp
             logged.append([ref, state, list(stamp) if stamp else None])
             updates.append((ref, RecordState(state)))
-        self.journal.append("tail", {"issuer": issuer, "items": logged})
-        if updates:
+        if logged:
+            journal.append("tail", {"issuer": issuer, "items": logged})
             self.service.credentials.update_external_many(issuer, updates)
 
     # ------------------------------------------------------- crash / recovery

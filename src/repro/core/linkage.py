@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.credentials import RecordState
-from repro.core.journal import DurableStore, JournalRelay
+from repro.core.journal import DurableStore, JournalRelay, Notice
 from repro.errors import OasisError
 from repro.runtime import wire
 from repro.runtime.heartbeat import HeartbeatMonitor, HeartbeatSender
@@ -52,8 +52,10 @@ class Linkage:
         """Register interest in a remote record; returns its current state."""
         raise NotImplementedError
 
-    def publish(self, issuer: "OasisService", ref: int, state: RecordState, subscribers: set[str]) -> None:
-        """Deliver a Modified(CRR, newstate) event to each subscriber."""
+    def publish(self, issuer: "OasisService", notices: list[Notice]) -> None:
+        """Deliver one settle round's Modified(CRR, newstate) events:
+        each notice is ``(ref, state, subscribers)``, the subscriber
+        names sorted."""
         raise NotImplementedError
 
     def backpressured_of(self, service_name: str) -> list:
@@ -89,12 +91,13 @@ class LocalLinkage(Linkage):
             return RecordState.FALSE
         return issuer.credentials.state_of(remote_ref)
 
-    def publish(self, issuer: "OasisService", ref: int, state: RecordState, subscribers: set[str]) -> None:
-        for name in subscribers:
-            target = self._services.get(name)
-            if target is not None:
-                self.notifications += 1
-                target.credentials.update_external(issuer.name, ref, state)
+    def publish(self, issuer: "OasisService", notices: list[Notice]) -> None:
+        for ref, state, subscribers in notices:
+            for name in subscribers:
+                target = self._services.get(name)
+                if target is not None:
+                    self.notifications += 1
+                    target.credentials.update_external(issuer.name, ref, state)
 
 
 class SimLinkage(Linkage):
@@ -279,10 +282,8 @@ class SimLinkage(Linkage):
         subscriber's channel."""
         relay = self._relays.get(service.name)
         if relay is not None and subscriber_name in self._relays:
-            for ref in refs:
-                relay.enqueue(
-                    ref, service.credentials.state_of(ref), [subscriber_name]
-                )
+            state_of = service.credentials.state_of
+            relay.enqueue([(ref, state_of(ref), [subscriber_name]) for ref in refs])
             return
         channel = self._pools[service.name].to(source)
         for ref in refs:
@@ -424,26 +425,33 @@ class SimLinkage(Linkage):
             name="subscribe-retry",
         )
 
-    def publish(self, issuer: "OasisService", ref: int, state: RecordState, subscribers: set[str]) -> None:
+    def publish(self, issuer: "OasisService", notices: list[Notice]) -> None:
         pool = self._pools[issuer.name]
-        relay = self._relays.get(issuer.name)
-        outboxed: list[str] = []
-        for name in sorted(subscribers):
-            if name not in self._services:
-                continue
-            self.notifications += 1
-            if relay is not None and name in self._relays:
-                # journaled pair: through the transactional outbox, so a
-                # crash between apply and notify cannot lose this event
-                outboxed.append(name)
-                continue
-            pool.to(self.address_of(name)).send(
-                "modified",
-                self._modified_body(issuer.name, ref, state),
-                coalesce_key=("modified", issuer.name, ref),
-            )
+        services = self._services
+        relays = self._relays
+        relay = relays.get(issuer.name)
+        outboxed: list[Notice] = []
+        for ref, state, subscribers in notices:
+            dests = []
+            for name in subscribers:
+                if name not in services:
+                    continue
+                self.notifications += 1
+                if relay is not None and name in relays:
+                    # journaled pair: through the transactional outbox, so
+                    # a crash between apply and notify cannot lose it
+                    dests.append(name)
+                    continue
+                pool.to(self.address_of(name)).send(
+                    "modified",
+                    self._modified_body(issuer.name, ref, state),
+                    coalesce_key=("modified", issuer.name, ref),
+                )
+            if dests:
+                outboxed.append((ref, state, dests))
         if outboxed:
-            relay.enqueue(ref, state, outboxed)
+            # the whole round is one outbox transaction
+            relay.enqueue(outboxed)
 
     def monitor(
         self,

@@ -37,6 +37,7 @@ from repro.core.certificates import (
 )
 from repro.core.credentials import (
     CascadeStats,
+    Change,
     CredentialRecord,
     CredentialRecordTable,
     RecordOp,
@@ -1011,15 +1012,24 @@ class OasisService:
 
     # ------------------------------------------------------------------ events
 
-    def _on_record_change(self, record: CredentialRecord, old: RecordState, new: RecordState) -> None:
+    def _on_record_change(self, changes: list[Change]) -> None:
         # A certificate-backing record that goes FALSE is revoked for good:
         # the client must request a replacement (section 5.5.2, "non-fatal
         # revocation").  UNKNOWN does not latch — it recovers when the
-        # heartbeat is restored.
-        if record.direct_use and new is RecordState.FALSE and not record.permanent:
-            self.credentials.revoke(record.ref)
-        if record.subscribers:
-            self.linkage.publish(self, record.ref, new, set(record.subscribers))
+        # heartbeat is restored.  The round's latches are one revocation
+        # (one WAL record) and its notifications one publish.
+        latch = [
+            record.ref for record, _old, new in changes
+            if new is RecordState.FALSE and record.direct_use and not record.permanent
+        ]
+        if latch:
+            self.credentials.revoke_many(latch)
+        notices = [
+            (record.ref, new, sorted(record.subscribers))
+            for record, _old, new in changes if record.subscribers
+        ]
+        if notices:
+            self.linkage.publish(self, notices)
 
     # ------------------------------------------------------------------ helpers
 

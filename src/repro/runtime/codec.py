@@ -121,6 +121,9 @@ _STATE_NAMES = {code: name for name, code in _STATE_CODES.items()}
 
 _DOUBLE = struct.Struct(">d")
 
+# zigzag as (n << 1) ^ (n >> 63) holds strictly inside +-2**62
+_ZIGZAG_LIMIT = 2**62
+
 
 # -- extension registry -------------------------------------------------------
 
@@ -175,7 +178,7 @@ def _read_uvarint(data: bytes, pos: int) -> tuple[int, int]:
 
 
 def _zigzag(n: int) -> int:
-    return (n << 1) ^ (n >> 63) if -(2**62) < n < 2**62 else (
+    return (n << 1) ^ (n >> 63) if -_ZIGZAG_LIMIT < n < _ZIGZAG_LIMIT else (
         (n << 1) if n >= 0 else ((-n << 1) - 1)
     )
 
@@ -341,14 +344,66 @@ class _FrameEncoder:
             self._utf8(s)
 
     def value(self, v: Any) -> None:
+        # Exact types first, with the zigzag/varint work inline: these are
+        # nearly every value a frame carries.  Subclasses and rarer types
+        # take _value_other; the bytes are the same either way.
         out = self.out
-        if v is None:
+        t = type(v)
+        if t is int:
+            out.append(_T_INT)
+            if -_ZIGZAG_LIMIT < v < _ZIGZAG_LIMIT:
+                z = (v << 1) ^ (v >> 63)
+                while z >= 0x80:
+                    out.append((z & 0x7F) | 0x80)
+                    z >>= 7
+                out.append(z)
+            else:
+                _write_uvarint(out, _zigzag(v))
+        elif t is str:
+            link = self.link
+            sid = link.ids.get(v)
+            if sid is not None and sid < 0x80 and (
+                sid in link.established or sid in self.frame_defs
+            ):
+                self.hits += 1
+                out.append(_T_SYMREF)
+                out.append(sid)
+            else:
+                self.string(v)
+        elif t is list or t is tuple:
+            out.append(_T_LIST if t is list else _T_TUPLE)
+            n = len(v)
+            if n < 0x80:
+                out.append(n)
+            else:
+                _write_uvarint(out, n)
+            value = self.value
+            for item in v:
+                value(item)
+        elif t is dict:
+            out.append(_T_DICT)
+            n = len(v)
+            if n < 0x80:
+                out.append(n)
+            else:
+                _write_uvarint(out, n)
+            value = self.value
+            for key, val in v.items():
+                value(key)
+                value(val)
+        elif v is None:
             out.append(_T_NONE)
-        elif v is True:
-            out.append(_T_TRUE)
-        elif v is False:
-            out.append(_T_FALSE)
-        elif isinstance(v, int):
+        elif t is bool:
+            out.append(_T_TRUE if v else _T_FALSE)
+        elif t is float:
+            out.append(_T_FLOAT)
+            out += _DOUBLE.pack(v)
+        else:
+            self._value_other(v)
+
+    def _value_other(self, v: Any) -> None:
+        out = self.out
+        if isinstance(v, int):
             out.append(_T_INT)
             self.z(v)
         elif isinstance(v, float):
@@ -365,21 +420,11 @@ class _FrameEncoder:
             self.u(len(v.data))
             out += v.data
         elif isinstance(v, list):
-            out.append(_T_LIST)
-            self.u(len(v))
-            for item in v:
-                self.value(item)
+            self.value(list(v))
         elif isinstance(v, tuple):
-            out.append(_T_TUPLE)
-            self.u(len(v))
-            for item in v:
-                self.value(item)
+            self.value(tuple(v))
         elif isinstance(v, dict):
-            out.append(_T_DICT)
-            self.u(len(v))
-            for key, val in v.items():
-                self.value(key)
-                self.value(val)
+            self.value(dict(v))
         else:
             name = _EXT_BY_TYPE.get(type(v))
             if name is None:
@@ -437,18 +482,65 @@ class _FrameDecoder:
         return value
 
     def value(self) -> Any:
-        if self.pos >= len(self.data):
+        # The common tags first, with single-byte lengths and symbol refs
+        # and every int's varint read inline; the rest take _value_other.
+        data = self.data
+        pos = self.pos
+        end = len(data)
+        if pos >= end:
             raise CodecError("truncated frame")
-        tag = self.data[self.pos]
-        self.pos += 1
+        tag = data[pos]
+        pos += 1
+        if tag == _T_INT:
+            result = shift = 0
+            while True:
+                if pos >= end:
+                    raise CodecError("truncated varint")
+                byte = data[pos]
+                pos += 1
+                result |= (byte & 0x7F) << shift
+                if byte < 0x80:
+                    break
+                shift += 7
+            self.pos = pos
+            return (result >> 1) ^ -(result & 1)
+        if tag == _T_SYMREF:
+            if pos < end and data[pos] < 0x80:
+                sid = data[pos]
+                self.pos = pos + 1
+            else:
+                self.pos = pos
+                sid = self.u()
+            try:
+                return self.link.symbols[sid]
+            except KeyError:
+                raise UnknownSymbolError(
+                    f"symbol id {sid} referenced before its definition arrived "
+                    f"(epoch {self.link.epoch})"
+                ) from None
+        if tag == _T_LIST or tag == _T_TUPLE or tag == _T_DICT:
+            if pos < end and data[pos] < 0x80:
+                n = data[pos]
+                self.pos = pos + 1
+            else:
+                self.pos = pos
+                n = self.u()
+            value = self.value
+            if tag == _T_LIST:
+                return [value() for _ in range(n)]
+            if tag == _T_TUPLE:
+                return tuple([value() for _ in range(n)])
+            return {value(): value() for _ in range(n)}
+        self.pos = pos
+        return self._value_other(tag)
+
+    def _value_other(self, tag: int) -> Any:
         if tag == _T_NONE:
             return None
         if tag == _T_TRUE:
             return True
         if tag == _T_FALSE:
             return False
-        if tag == _T_INT:
-            return self.z()
         if tag == _T_FLOAT:
             return self.f64()
         if tag == _T_STR:
@@ -460,23 +552,8 @@ class _FrameDecoder:
             s = self._utf8()
             self.link.symbols[sid] = s
             return s
-        if tag == _T_SYMREF:
-            sid = self.u()
-            try:
-                return self.link.symbols[sid]
-            except KeyError:
-                raise UnknownSymbolError(
-                    f"symbol id {sid} referenced before its definition arrived "
-                    f"(epoch {self.link.epoch})"
-                ) from None
         if tag == _T_FRAME:
             return _decode_frame(self.raw(self.u()), self.link)
-        if tag == _T_LIST:
-            return [self.value() for _ in range(self.u())]
-        if tag == _T_TUPLE:
-            return tuple(self.value() for _ in range(self.u()))
-        if tag == _T_DICT:
-            return {self.value(): self.value() for _ in range(self.u())}
         if tag == _T_EXT:
             name = self.string()
             entry = _EXTENSIONS.get(name)

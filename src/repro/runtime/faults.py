@@ -540,12 +540,16 @@ class InvariantChecker:
         name = service.name
         table = service.credentials
 
-        def on_change(record, old, new, _name=name):
-            key = (_name, record.ref)
-            if new is RecordState.TRUE:
-                self._not_true_since.pop(key, None)
-            elif old is RecordState.TRUE:
-                self._not_true_since[key] = self._now(_name)
+        def on_change(changes, _name=name):
+            not_true_since = self._not_true_since
+            now = None
+            for record, old, new in changes:
+                if new is RecordState.TRUE:
+                    not_true_since.pop((_name, record.ref), None)
+                elif old is RecordState.TRUE:
+                    if now is None:
+                        now = self._now(_name)
+                    not_true_since[(_name, record.ref)] = now
         table.watch_all(on_change)
         self._clocks[name] = service.clock.now
         # records already non-TRUE when the checker attaches have been so

@@ -232,7 +232,7 @@ def test_check_fails_closed_mid_cascade():
     record = service.credentials.create_source(state=RecordState.TRUE)
     seen = []
     service.credentials.watch_all(
-        lambda changed, old, new: seen.append(cache.check("k", cert, "v"))
+        lambda changes: seen.append(cache.check("k", cert, "v"))
     )
     cache = PinnedCache(service, 4)
     secret_index, _ = service.signer.sign(b"live secret")

@@ -218,7 +218,7 @@ class TestWatches:
         table = CredentialRecordTable()
         a = table.create_source(state=T)
         changes = []
-        table.watch_all(lambda r, o, n: changes.append(r.ref))
+        table.watch_all(lambda batch: changes.extend(r.ref for r, o, n in batch))
         table.set_state(a.ref, F)
         assert changes == [a.ref]
 
@@ -356,7 +356,7 @@ class TestCascadeBatching:
         b = table.create_gate(RecordOp.AND, [(a.ref, True), (c.ref, False)])
         assert b.state is F
         fired = []
-        table.watch_all(lambda r, old, new: fired.append(r.index))
+        table.watch_all(lambda batch: fired.extend(r.index for r, old, new in batch))
         table.revoke(a.ref)
         assert b.state is F and b.permanent      # settled back, absorbed
         assert fired == [c.index, a.index]       # b never reported
@@ -679,7 +679,7 @@ def test_cascade_matches_brute_force_with_revokes(ops):
         nodes.append(table.create_gate(op, [(nodes[i].ref, neg) for i, neg in parents]))
 
     fired = []
-    table.watch_all(lambda r, old, new: fired.append((r.index, old, new)))
+    table.watch_all(lambda batch: fired.extend((r.index, old, new) for r, old, new in batch))
 
     source_state = [T] * n_sources
     revoked = [False] * len(nodes)
@@ -709,7 +709,16 @@ def test_cascade_matches_brute_force_with_revokes(ops):
         assert set(fired) == expected
         assert len(fired) == len(expected)  # and each fires exactly once
 
-    # from-scratch recompute in creation order (a DAG by construction)
+    states, perms = _model_states(n_sources, gate_specs, source_state, revoked)
+    for node, state, perm in zip(nodes, states, perms):
+        assert node.state is state
+        assert node.permanent is perm
+
+
+def _model_states(n_sources, gate_specs, source_state, revoked):
+    """From-scratch (state, permanent) of every node, recomputed in
+    creation order (a DAG by construction), revoked nodes pinned
+    permanently FALSE."""
     states, perms = [], []
     for i in range(n_sources):
         states.append(F if revoked[i] else source_state[i])
@@ -724,7 +733,95 @@ def test_cascade_matches_brute_force_with_revokes(ops):
         state = _model_eval(op, parent_states, edges)
         states.append(state)
         perms.append(_model_perm(op, parent_states, [perms[i] for i, _ in parents], edges, state))
+    return states, perms
 
+
+@given(
+    _dag_with_revokes(),
+    st.lists(st.tuples(st.integers(0, 11), st.integers(0, 11)), max_size=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_watch_all_gets_one_batch_per_settle_round(ops, latch_pairs):
+    """INVARIANT (the batch contract): a ``watch_all`` callback is called
+    once per settle round that changed anything, with exactly that
+    round's net changes against the end of the previous round, in the
+    order the per-record watches fired.  Revocations it issues (here: a
+    drawn "when i falls, revoke j" latch map) join the running cascade
+    and arrive in the next round; ``records_changed`` counts exactly the
+    records delivered, and the end state matches a from-scratch model
+    with the latched records revoked."""
+    n_sources, gate_specs, actions = ops
+    table = CredentialRecordTable()
+    sources = [table.create_source(state=T) for _ in range(n_sources)]
+    nodes = list(sources)
+    for op, parents in gate_specs:
+        nodes.append(table.create_gate(op, [(nodes[i].ref, neg) for i, neg in parents]))
+    latches = [(i % len(nodes), j % len(nodes)) for i, j in latch_pairs]
+    source_state = [T] * n_sources
+    revoked = [False] * len(nodes)
+
+    per_record = []
+    for node in nodes:
+        table.watch(node.ref, lambda r, old, new: per_record.append((r.index, old, new)))
+    delivered = []      # the first callback's batches, in call order
+    mirrored = []       # the second callback's batches
+    snapshot = {node.index: node.state for node in nodes}
+    expect_next: set = set()   # latched changes the next round must carry
+
+    def latching(changes):
+        batch = [(r.index, old, new) for r, old, new in changes]
+        assert batch   # a round with no net change calls nothing
+        # this round's per-record watches fired first, in batch order
+        assert per_record[sum(len(b) for b in delivered):] == batch
+        # exactly the net changes since the previous round ended
+        states = {node.index: node.state for node in nodes}
+        assert set(batch) == {
+            (index, snapshot[index], state)
+            for index, state in states.items() if state is not snapshot[index]
+        }
+        assert len(set(batch)) == len(batch)
+        assert expect_next <= set(batch)
+        expect_next.clear()
+        snapshot.update(states)
+        delivered.append(batch)
+        fell = {index for index, _old, new in batch if new is F}
+        targets = [j for i, j in latches if nodes[i].index in fell]
+        for j in targets:
+            if not nodes[j].permanent and nodes[j].state is not F:
+                expect_next.add((nodes[j].index, nodes[j].state, F))
+            revoked[j] = True
+        if targets:
+            table.revoke_many([nodes[j].ref for j in targets])
+
+    table.watch_all(latching)
+    table.watch_all(lambda changes: mirrored.append([(r.index, o, n) for r, o, n in changes]))
+
+    for action in actions:
+        before = table.cascade_totals.records_changed
+        cascades = table.propagations
+        rounds = len(delivered)
+        if action[0] == "flip":
+            _, idx, new_state = action
+            if not revoked[idx]:
+                source_state[idx] = new_state
+            table.set_state(sources[idx].ref, new_state)
+        elif action[0] == "revoke":
+            revoked[action[1]] = True
+            table.revoke(nodes[action[1]].ref)
+        else:
+            for i in action[1]:
+                revoked[i] = True
+            table.revoke_many([nodes[i].ref for i in action[1]])
+        assert not expect_next   # every latched change arrived
+        assert table.propagations - cascades <= 1   # latches joined it
+        assert table.cascade_totals.records_changed - before == sum(
+            len(batch) for batch in delivered[rounds:]
+        )
+        assert mirrored == delivered
+        # nothing changed without being reported
+        assert all(node.state is snapshot[node.index] for node in nodes)
+
+    states, perms = _model_states(n_sources, gate_specs, source_state, revoked)
     for node, state, perm in zip(nodes, states, perms):
         assert node.state is state
         assert node.permanent is perm
@@ -760,7 +857,7 @@ def test_tree_cascade_fires_descendants_before_ancestors(ops):
         nodes.append(gate)
 
     fired = []
-    table.watch_all(lambda r, old, new: fired.append(r.index))
+    table.watch_all(lambda batch: fired.extend(r.index for r, old, new in batch))
     table.revoke(nodes[target].ref)
 
     index_to_pos = {nodes[i].index: i for i in range(len(nodes))}

@@ -24,6 +24,7 @@ from repro.core.sharding import ShardCoordinator
 from repro.core.types import ObjectType
 from repro.errors import OverloadError
 from repro.runtime.clock import SimClock
+from repro.runtime.faults import InvariantChecker
 from repro.runtime.network import Network
 from repro.runtime.simulator import Simulator
 
@@ -293,6 +294,94 @@ def test_subscriber_recovers_by_tail_sync_not_resubscribe_storm():
         expected = RecordState.FALSE if index < 7 else RecordState.TRUE
         assert states[cert.crr] is expected
     assert linkage.durable.conservation_breaches() == []
+
+
+def test_stale_tail_reply_never_reopens_a_newer_revocation():
+    """The issuer serves the restarted subscriber's tail-sync snapshot,
+    then revokes a session; that revocation's delivery overtakes the
+    held snapshot reply.  The snapshot's older TRUE must not land last:
+    the item is skipped because a newer stamp was already applied."""
+    sim, net, linkage, login, files = make_world(delay=0.01)
+    pairs = populate(login, files, 3)
+    sim.run_until(2.0)
+    checker = InvariantChecker([login, files], stale_bound=1.0)
+    linkage.crash(files)
+    sim.run_until(3.0)
+    held = []
+
+    def hold_first_tail_reply(message, delay):
+        if (
+            not held
+            and message.kind == "rpc-reply"
+            and (message.source, message.dest) == ("journal:Login", "journal:Files")
+        ):
+            held.append(sim.now)
+            return [delay + 0.05]
+        return [delay]
+
+    net.set_fault_injector(hold_first_tail_reply)
+    linkage.restart(files)          # the snapshot is served at T+0.01
+    revoked = pairs[0][0]
+    sim.schedule(0.011, login.exit_role, revoked, name="test-logoff")
+    sim.run_until(8.0)
+
+    assert held == [pytest.approx(3.01)]   # the tail-sync reply was the one held
+    assert linkage.durable.journal("Login").stats.tail_syncs_served == 1
+    assert surrogate_states(files)[revoked.crr] is RecordState.FALSE
+    assert checker.divergences() == []
+    assert checker.check_fail_closed() == []
+    assert linkage.durable.journal("Files").stats.superseded >= 1
+    assert linkage.durable.conservation_breaches() == []
+
+
+def test_one_round_is_one_outbox_transaction_across_a_crash():
+    """A logoff of N sessions, each subscribed by two services, settles
+    in one round: one ``notify`` record carrying all 2N outbox entries.
+    A crash armed at the append point lands before the drain; after the
+    restart every entry is delivered and applied exactly once."""
+    sim, net, linkage, login, files = make_world()
+    mirror = OasisService(
+        "Mirror", registry=login.registry, linkage=linkage, clock=login.clock
+    )
+    mirror.add_rolefile("main", FILES_RDL)
+    linkage.enable_journal(mirror)
+    pairs = populate(login, files, 5)
+    for cert, _reader in pairs:
+        mirror.enter_role(cert.client, "Reader", credentials=(cert,))
+    sim.run_until(2.0)
+    journal = linkage.durable.journal("Login")
+    records_before = len(journal.records)
+
+    linkage.relay_of("Login").arm_crash(
+        "mid-append",
+        lambda: sim.schedule(0.0, linkage.crash, login, name="test-crash"),
+    )
+    certs = [cert for cert, _reader in pairs]
+    login.exit_roles(certs)
+    notify = [r for r in journal.records[records_before:] if r.kind == "notify"]
+    assert len(notify) == 1
+    entries = [journal.outbox[seq] for seq, *_rest in notify[0].data["outbox"]]
+    assert len(entries) == 2 * len(certs)
+    assert {(e.ref, e.dest) for e in entries} == {
+        (cert.crr, dest) for cert in certs for dest in ("Files", "Mirror")
+    }
+    sim.run_until(5.0)
+    # the crash outran the drain: the whole transaction is still pending
+    assert all(e.status == PENDING for e in entries)
+
+    linkage.restart(login)
+    sim.run_until(10.0)
+    assert all(e.status == DELIVERED for e in entries)
+    for dest in ("Files", "Mirror"):
+        applied = linkage.durable.journal(dest).applied_counts
+        assert all(applied[("Login", e.seq)] == 1 for e in entries if e.dest == dest)
+    assert linkage.durable.conservation_breaches() == []
+    for service in (files, mirror):
+        states = {
+            record.external_ref: record.state
+            for record in service.credentials.externals_of("Login")
+        }
+        assert all(states[cert.crr] is RecordState.FALSE for cert in certs)
 
 
 # ------------------------------------------------------------------ replay

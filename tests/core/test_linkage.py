@@ -204,8 +204,8 @@ class TestWireEfficiency:
         record = login.credentials.get(login_cert.crr)
         subscribers = set(record.subscribers)
         assert subscribers  # Files subscribed to the issuer's CRR
-        linkage.publish(login, login_cert.crr, RecordState.UNKNOWN, subscribers)
-        linkage.publish(login, login_cert.crr, RecordState.FALSE, subscribers)
+        linkage.publish(login, [(login_cert.crr, RecordState.UNKNOWN, sorted(subscribers))])
+        linkage.publish(login, [(login_cert.crr, RecordState.FALSE, sorted(subscribers))])
         sim.run()
         assert net.stats.messages_sent - before == 1
         assert net.stats.coalesced >= 1

@@ -13,11 +13,14 @@ Three layers under test:
   Hypothesis property ``decode(coalesce(encode(xs))) == coalesce(xs)``).
 """
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import CodecError
+from repro.runtime import codec as codec_module
 from repro.events.model import Event
 from repro.runtime.codec import (
     Encoded,
@@ -143,6 +146,258 @@ class TestValueRoundTrip:
     def test_generic_values_roundtrip(self, payload):
         decoded, _ = roundtrip(payload)
         assert decoded == payload
+
+
+# -- the generic value path against its pre-fast-path reference ----------------
+#
+# ReferenceEncoder/ReferenceDecoder carry the recursive value writer and
+# reader (and the helpers they called) as they stood before the codec
+# grew its exact-type dispatch with inline varints.  Swapped in for the
+# real frame classes, they must produce and read exactly the same bytes.
+
+
+class ReferenceEncoder(codec_module._FrameEncoder):
+    __slots__ = ()
+
+    def u(self, value):
+        _write_uvarint(self.out, value)
+
+    def z(self, value):
+        _write_uvarint(self.out, _zigzag(value))
+
+    def string(self, s):
+        link = self.link
+        sid = link.ids.get(s)
+        if sid is None:
+            if len(link.ids) >= link.max_symbols or len(s) > self.intern_max_len:
+                self.misses += 1
+                self.out.append(codec_module._T_STR)
+                self._utf8(s)
+                return
+            sid = link.next_id
+            link.next_id += 1
+            link.ids[s] = sid
+            self.frame_defs.add(sid)
+            self.misses += 1
+            self.out.append(codec_module._T_SYMDEF)
+            self.u(sid)
+            self._utf8(s)
+        elif sid in link.established or sid in self.frame_defs:
+            self.hits += 1
+            self.out.append(codec_module._T_SYMREF)
+            self.u(sid)
+        else:
+            self.frame_defs.add(sid)
+            self.misses += 1
+            self.out.append(codec_module._T_SYMDEF)
+            self.u(sid)
+            self._utf8(s)
+
+    def value(self, v):
+        m = codec_module
+        out = self.out
+        if v is None:
+            out.append(m._T_NONE)
+        elif v is True:
+            out.append(m._T_TRUE)
+        elif v is False:
+            out.append(m._T_FALSE)
+        elif isinstance(v, int):
+            out.append(m._T_INT)
+            self.z(v)
+        elif isinstance(v, float):
+            out.append(m._T_FLOAT)
+            self.f64(v)
+        elif isinstance(v, str):
+            self.string(v)
+        elif isinstance(v, (bytes, bytearray)):
+            out.append(m._T_BYTES)
+            self.u(len(v))
+            out += v
+        elif isinstance(v, Encoded):
+            out.append(m._T_FRAME)
+            self.u(len(v.data))
+            out += v.data
+        elif isinstance(v, list):
+            out.append(m._T_LIST)
+            self.u(len(v))
+            for item in v:
+                self.value(item)
+        elif isinstance(v, tuple):
+            out.append(m._T_TUPLE)
+            self.u(len(v))
+            for item in v:
+                self.value(item)
+        elif isinstance(v, dict):
+            out.append(m._T_DICT)
+            self.u(len(v))
+            for key, val in v.items():
+                self.value(key)
+                self.value(val)
+        else:
+            name = m._EXT_BY_TYPE.get(type(v))
+            if name is None:
+                raise CodecError(f"cannot encode {type(v).__name__!r}")
+            _cls, pack, _unpack = m._EXTENSIONS[name]
+            out.append(m._T_EXT)
+            self.string(name)
+            self.value(pack(v))
+
+
+class ReferenceDecoder(codec_module._FrameDecoder):
+    __slots__ = ()
+
+    def u(self):
+        value, self.pos = _read_uvarint(self.data, self.pos)
+        return value
+
+    def z(self):
+        return _unzigzag(self.u())
+
+    def string(self):
+        value = self.value()
+        if not isinstance(value, str):
+            raise CodecError(f"expected a string, decoded {type(value).__name__}")
+        return value
+
+    def value(self):
+        m = codec_module
+        if self.pos >= len(self.data):
+            raise CodecError("truncated frame")
+        tag = self.data[self.pos]
+        self.pos += 1
+        if tag == m._T_NONE:
+            return None
+        if tag == m._T_TRUE:
+            return True
+        if tag == m._T_FALSE:
+            return False
+        if tag == m._T_INT:
+            return self.z()
+        if tag == m._T_FLOAT:
+            return self.f64()
+        if tag == m._T_STR:
+            return self._utf8()
+        if tag == m._T_BYTES:
+            return self.raw(self.u())
+        if tag == m._T_SYMDEF:
+            sid = self.u()
+            s = self._utf8()
+            self.link.symbols[sid] = s
+            return s
+        if tag == m._T_SYMREF:
+            sid = self.u()
+            try:
+                return self.link.symbols[sid]
+            except KeyError:
+                raise UnknownSymbolError(f"symbol id {sid}") from None
+        if tag == m._T_FRAME:
+            return m._decode_frame(self.raw(self.u()), self.link)
+        if tag == m._T_LIST:
+            return [self.value() for _ in range(self.u())]
+        if tag == m._T_TUPLE:
+            return tuple(self.value() for _ in range(self.u()))
+        if tag == m._T_DICT:
+            return {self.value(): self.value() for _ in range(self.u())}
+        if tag == m._T_EXT:
+            name = self.string()
+            _cls, _pack, unpack = m._EXTENSIONS[name]
+            return unpack(self.value())
+        raise CodecError(f"unknown value tag 0x{tag:02x}")
+
+
+def reference_encode(codec, kind, payload):
+    with mock.patch.object(codec_module, "_FrameEncoder", ReferenceEncoder):
+        return codec.encode("a", "b", kind, payload)
+
+
+def reference_decode(codec, data):
+    with mock.patch.object(codec_module, "_FrameDecoder", ReferenceDecoder):
+        return codec.decode("a", "b", data)
+
+
+# ints either side of every varint and zigzag edge, and both 64-bit ends
+EDGE_INTS = [-65, -64, 63, 64, 127, 128, 2**62, -(2**62), -(2**63)]
+REFERENCE_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.sampled_from(EDGE_INTS)
+    | st.integers()
+    | st.floats(allow_nan=False)
+    | st.sampled_from(["Login", "bsc0", "false", "outbox-deliver"])   # repeated symbols
+    | st.text(max_size=70)   # past intern_max_len too: plain text
+    | st.binary(max_size=20)
+    | st.builds(
+        Event,
+        st.sampled_from(["Seen", "Left"]),
+        st.lists(st.integers() | st.text(max_size=4), max_size=3).map(tuple),
+        st.floats(allow_nan=False),
+        st.text(max_size=6),
+    )
+)
+SYMBOLS = st.sampled_from(["Login", "bsc0", "false", "outbox-deliver"])
+
+
+def reference_values(max_leaves, long_leaves):
+    nested = st.recursive(
+        REFERENCE_LEAVES,
+        lambda children: st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(SYMBOLS | st.integers(), children, max_size=4),
+        max_leaves=max_leaves,
+    )
+    # 128 items and more: two-byte lengths
+    return (
+        nested
+        | st.lists(long_leaves, min_size=128, max_size=140)
+        | st.dictionaries(st.integers(-300, 300), long_leaves, min_size=128, max_size=130)
+    )
+
+
+def _frames(payload):
+    return [
+        ("generic", payload),
+        ("rpc-request", {"id": 300, "method": "outbox-deliver", "args": ("Login", payload),
+                         "kwargs": {}}),
+        ("rpc-reply", {"id": 5, "value": {"acked": payload}}),
+    ]
+
+
+@given(payload=reference_values(25, REFERENCE_LEAVES), reliable=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_value_path_writes_and_reads_the_reference_bytes(payload, reliable):
+    """The fast value path is a re-implementation, not a format change:
+    frame for frame (symbols interned across them on reliable links), it
+    writes the reference writer's bytes and both readers agree."""
+    real, ref = WireCodec(), WireCodec()
+    for codec in (real, ref):
+        codec.set_reliable("a", "b", reliable)
+    for kind, body in _frames(payload) * 2:
+        encoded = real.encode("a", "b", kind, body)
+        expected = reference_encode(ref, kind, body)
+        assert encoded.data == expected.data
+        assert (encoded.intern_hits, encoded.intern_misses) == (
+            expected.intern_hits, expected.intern_misses
+        )
+        decoded = real.decode("a", "b", encoded.data)
+        assert decoded == reference_decode(ref, expected.data)
+        assert decoded == body
+
+
+@given(payload=reference_values(12, st.sampled_from(EDGE_INTS) | SYMBOLS | st.booleans()))
+@settings(max_examples=40, deadline=None)
+def test_every_truncated_frame_is_a_codec_error(payload):
+    """A strict prefix of a frame never decodes and never escapes as an
+    IndexError: the reader fails with CodecError, which the network
+    counts as a decode drop."""
+    for kind, body in _frames(payload)[:2]:
+        data = WireCodec().encode("a", "b", kind, body).data
+        for end in range(len(data)):
+            try:
+                codec_module._decode_frame(data[:end], codec_module._LinkDecoder())
+            except CodecError:
+                continue
+            pytest.fail(f"a {end}-byte prefix of a {len(data)}-byte frame decoded")
 
 
 # -- typed frames -------------------------------------------------------------
