@@ -8,6 +8,7 @@ and printed for eyeballing against EXPERIMENTS.md.
 
 import json
 import os
+import time
 
 import pytest
 
@@ -50,6 +51,31 @@ def record(benchmark, **series):
         benchmark.extra_info[key] = value
     line = ", ".join(f"{k}={v}" for k, v in series.items())
     print(f"\n  [{benchmark.name}] {line}")
+
+
+class Counted:
+    """``fn`` with a count of its calls and their total wall time.
+
+    ``benchmark.stats`` is None under ``--benchmark-disable``, so a test
+    that reports a per-call figure benchmarks a ``Counted`` and divides by
+    its ``calls``: the same in both modes, warm-up calls included."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+        self.seconds = 0.0
+
+    def __call__(self, *args, **kwargs):
+        started = time.perf_counter()
+        try:
+            return self.fn(*args, **kwargs)
+        finally:
+            self.seconds += time.perf_counter() - started
+            self.calls += 1
+
+    @property
+    def mean(self):
+        return self.seconds / self.calls
 
 
 # --------------------------------------------- hot-path results (BENCH_hotpath)

@@ -6,7 +6,8 @@ The acceptance gates for the compact binary codec:
   >= 5x fewer *bytes* on the wire than the repr-of-payload baseline the
   accounting used before (encoded / :class:`ReprStrawman` bytes <= 0.2);
 * a STREAM-sighting badge stream (generic events through the extension
-  path) still compresses well once the per-link symbol tables warm up;
+  path) still compresses well, each batch frame defining its badge and
+  room names once;
 * encode/decode stay cheap enough that marshalling never becomes the
   cascade bottleneck (throughput recorded, not gated).
 
@@ -20,7 +21,7 @@ from contextlib import contextmanager
 from benchmarks.conftest import bench_quick, record_codec
 from benchmarks.test_bench_wire import BATCHED, build_linked_world
 from repro.events.model import Event
-from repro.runtime.codec import WireCodec, coalesce_encoded
+from repro.runtime.codec import WireCodec
 from repro.runtime.heartbeat import HeartbeatMonitor, HeartbeatSender
 from repro.runtime.network import Network
 from repro.runtime.simulator import Simulator
@@ -51,20 +52,20 @@ class ReprStrawman:
             WireCodec.encode, WireCodec.encode_items, WireCodec.wrap_batch
         )
 
-        def counted_encode(codec, source, dest, kind, payload):
+        def counted_encode(codec, kind, payload):
             self.bytes += len(repr(payload))
-            return encode(codec, source, dest, kind, payload)
+            return encode(codec, kind, payload)
 
-        def counted_encode_items(codec, source, dest, items, coalesce=True):
+        def counted_encode_items(codec, items):
             self._items = items
-            return encode_items(codec, source, dest, items, coalesce)
+            return encode_items(codec, items)
 
-        def counted_wrap_batch(codec, source, dest, section, hb):
+        def counted_wrap_batch(codec, section, hb):
             body = {"items": self._items}
             if hb is not None:
                 body["hb"] = hb
             self.bytes += len(repr(body))
-            return wrap_batch(codec, source, dest, section, hb)
+            return wrap_batch(codec, section, hb)
 
         WireCodec.encode = counted_encode
         WireCodec.encode_items = counted_encode_items
@@ -98,8 +99,7 @@ def _cascade_bytes(strawman):
     sim, net, linkage, login, files, certs, readers = build_linked_world(
         BATCHED, CASCADE
     )
-    # a production deployment monitors the link, which marks it reliable
-    # and lets symbols graduate to cross-frame references
+    # a production deployment monitors the link: batches carry heartbeats
     linkage.monitor(login, files, period=1.0, grace=2.0)
     sim.run_until(sim.now + 3.0)
     # warm the validation caches so their hit ratios mean something
@@ -110,6 +110,8 @@ def _cascade_bytes(strawman):
     mark_repr = strawman.bytes
     mark_hits = net.stats.intern_hits
     mark_misses = net.stats.intern_misses
+    channel = linkage.channel("Login", "Files")
+    mark_batches = channel.stats.batches
     start = time.perf_counter()
     login.credentials.revoke_many([cert.crr for cert in certs])
     sim.run_until(sim.now + 10.0)  # heartbeats run forever; bounded drain
@@ -128,11 +130,14 @@ def _cascade_bytes(strawman):
     assert run_ratio < 1.0
     assert net.stats.dropped_decode == 0
     assert net.unaccounted() == 0
-    # within the cascade window the issuer symbol rides as a bare
-    # reference on the warm reliable link: more hits than (re)definitions
+    # frames are self-contained and every other word of a cascade batch
+    # is a vocabulary ref or an enum: each batch frame in the window
+    # defines exactly one symbol, the issuer
     hits = net.stats.intern_hits - mark_hits
     misses = net.stats.intern_misses - mark_misses
-    assert hits > misses
+    batches = channel.stats.batches - mark_batches
+    assert batches > 0
+    assert misses == batches
     record_codec(
         "codec_cascade",
         cascade_records=CASCADE,
@@ -143,6 +148,7 @@ def _cascade_bytes(strawman):
         run_bytes_ratio=round(run_ratio, 4),
         intern_hits=hits,
         intern_misses=misses,
+        batches=batches,
         seconds=elapsed,
         **_hit_rates(files.cache_counters()),
     )
@@ -150,8 +156,8 @@ def _cascade_bytes(strawman):
 
 def test_badge_stream_bytes_reduced():
     """STREAM badge sightings (generic events, the extension path) over
-    a heartbeat-attached link: once the names and rooms are interned the
-    stream compresses well below the repr baseline."""
+    a heartbeat-attached link: with names and rooms defined once per
+    batch frame, the stream compresses well below the repr baseline."""
     sim = Simulator()
     net = Network(sim, seed=23, default_delay=0.001)
     sender = HeartbeatSender(net, "sensornet", "sink", period=1.0)
@@ -217,11 +223,9 @@ def test_badge_stream_bytes_reduced():
 
 
 def test_encode_decode_throughput():
-    """Raw marshalling speed on the cascade item shape, plus the
-    encoded-form coalescer: recorded so a codec regression shows up as a
-    number, not a vibe."""
+    """Raw marshalling speed on the cascade item shape: recorded so a
+    codec regression shows up as a number, not a vibe."""
     codec = WireCodec()
-    codec.set_reliable("a", "b")  # a warm retained link, as in production
     items = [
         {
             "kind": "modified",
@@ -229,28 +233,18 @@ def test_encode_decode_throughput():
         }
         for i in range(CASCADE)
     ]
-    # warm the symbol table with one small frame first
-    codec.decode("a", "b", codec.encode_items("a", "b", items[:1], coalesce=False).frame.data)
-
     rounds = 3 if bench_quick() else 10
     start = time.perf_counter()
     for _ in range(rounds):
-        section = codec.encode_items("a", "b", items, coalesce=False)
+        section = codec.encode_items(items)
     encode_seconds = time.perf_counter() - start
 
     data = section.frame.data
     start = time.perf_counter()
     for _ in range(rounds):
-        decoded = codec.decode("a", "b", data)
+        decoded = codec.decode(data)
     decode_seconds = time.perf_counter() - start
     assert len(decoded["items"]) == CASCADE
-
-    doubled = codec.encode_items("a", "b", items + items, coalesce=False).frame.data
-    start = time.perf_counter()
-    for _ in range(rounds):
-        coalesced = coalesce_encoded(doubled)
-    coalesce_seconds = time.perf_counter() - start
-    assert len(codec.decode("a", "b", coalesced)["items"]) == CASCADE
 
     encode_rate = rounds * CASCADE / encode_seconds
     decode_rate = rounds * CASCADE / decode_seconds
@@ -261,7 +255,6 @@ def test_encode_decode_throughput():
         rounds=rounds,
         encode_items_per_second=int(encode_rate),
         decode_items_per_second=int(decode_rate),
-        coalesce_items_per_second=int(rounds * 2 * CASCADE / coalesce_seconds),
         frame_bytes=len(data),
         bytes_per_item=round(len(data) / CASCADE, 2),
     )

@@ -125,6 +125,11 @@ class SimLinkage(Linkage):
         # surrogate that a newer notification already closed.
         self._mod_seq: dict[str, int] = {}
         self._last_applied: dict[tuple[str, str, int], tuple[int, int]] = {}
+        # The newest issuer boot epoch each subscriber has seen, per
+        # (subscriber, issuer): raised by every applied stamp and by the
+        # heartbeat monitor's epoch change.  A Modified stamped with an
+        # older epoch was sent by a boot that has since died.
+        self._epoch_floor: dict[tuple[str, str], int] = {}
         self.stale_modified_dropped = 0
         # (issuer_addr, subscriber_addr) pairs whose next restore must
         # not short-circuit with a direct truth re-read: the issuer came
@@ -154,10 +159,6 @@ class SimLinkage(Linkage):
         self._services[service.name] = service
         address = self.address_of(service.name)
         self.network.add_node(address, self._make_handler(service))
-        # Version the codec's outbound intern tables by the service's boot
-        # epoch: a crash-restart renegotiates every symbol instead of
-        # letting receivers decode stale ids from the dead boot.
-        self.network.codec.set_epoch_source(address, lambda: service.boot_epoch)
         self._pools[service.name] = ChannelPool(self.network, address, policy=self.policy)
 
     def channel(self, source_name: str, dest_name: str) -> BatchedChannel:
@@ -311,13 +312,20 @@ class SimLinkage(Linkage):
         modified: dict[str, list[tuple[int, RecordState]]] = {}
         for kind, body in pairs:
             if kind == "modified":
+                stamp = body.get("stamp")
+                floor_key = (service.name, body["issuer"])
+                floor = self._epoch_floor.get(floor_key, 0)
+                if stamp is not None and stamp[0] < floor:
+                    # a delayed frame from a dead boot of the issuer: it
+                    # could unmask a surrogate the restart masked
+                    self.stale_modified_dropped += 1
+                    continue
                 self.notifications += 1
                 # any Modified for this ref proves the issuer knows
                 # about us: the subscribe no longer needs retrying
                 self._sub_pending.pop(
                     (service.name, body["issuer"], body["ref"]), None
                 )
-                stamp = body.get("stamp")
                 if stamp is not None:
                     stamp = tuple(stamp)
                     key = (service.name, body["issuer"], body["ref"])
@@ -328,6 +336,8 @@ class SimLinkage(Linkage):
                         self.stale_modified_dropped += 1
                         continue
                     self._last_applied[key] = stamp
+                    if stamp[0] > floor:
+                        self._epoch_floor[floor_key] = stamp[0]
                 modified.setdefault(body["issuer"], []).append(
                     (body["ref"], RecordState(body["state"]))
                 )
@@ -517,6 +527,8 @@ class SimLinkage(Linkage):
             # surrogate and resubscribe over the network.  The epoch check
             # runs before liveness, so ``monitor.suspect`` still reflects
             # whether a restore callback is about to fire.
+            floor_key = (subscriber.name, issuer.name)
+            self._epoch_floor[floor_key] = max(self._epoch_floor.get(floor_key, 0), new)
             if monitor.suspect:
                 self._resync_pending.add((issuer_addr, subscriber_addr))
             subscriber.credentials.mark_service_unknown(issuer.name)

@@ -1,13 +1,13 @@
-"""Compact binary wire codec with per-link symbol interning and
-delta-encoded cascade batches.
+"""Compact binary wire codec: self-contained frames over one published
+vocabulary, with delta-encoded cascade batches.
 
 Until this layer existed, every payload on the simulated wire was a live
 Python object and byte accounting fell back to ``len(repr(payload))`` —
 an estimate that drifted with dataclass repr churn.  This module is the
-published language's substrate (ROADMAP item 1): a versioned,
-self-describing binary encoding that every :meth:`Network.send` routes
-through, so ``bytes_sent`` is the length of real encoded frames and the
-wire-volume numbers behind the batching/sharding PRs are measurements.
+published language's substrate: a versioned, self-describing binary
+encoding that every :meth:`Network.send` routes through, so
+``bytes_sent`` is the length of real encoded frames and the wire-volume
+numbers behind the batching/sharding work are measurements.
 
 Three layers:
 
@@ -26,64 +26,67 @@ Three layers:
   issuer symbol once, then (zigzag ref-delta, state-enum, stamp-delta)
   tuples — about five bytes per revoked record instead of a repr'd dict.
 
-* **per-link symbol interning** — principal names, role names, issuer
-  names, kinds, fids and custode ids are sent once per directed link
-  (``SYMDEF id "Login"``) and referenced by small varint ids thereafter
-  (``SYMREF id``).  A symbol only graduates from *pending* to
-  *established* (eligible for bare refs in later frames) on links whose
-  frames are **retained for retransmission** (a heartbeat-attached
-  batch channel): there a lost definition frame is re-delivered in
-  sequence order by the nack machinery, so a dangling ref is always
-  transient.  On fire-and-forget links every frame re-defines the
-  symbols it uses — self-contained, loss-proof, and still cheap because
-  repeats *within* a frame use refs.
+* **symbols** — every word the protocol itself sends (item kinds,
+  payload field names, RPC methods, record states, extension names) is
+  in :data:`VOCABULARY`, a fixed table versioned with the frame format,
+  and travels as a two-byte ``SYMREF``.  Any other string is defined on
+  its first use in a frame (``SYMDEF``) and referenced by id for the
+  rest of that frame only.
 
-Epoch discipline (the renegotiation rule): every frame header carries
-the sender's **boot epoch** (via :meth:`WireCodec.set_epoch_source`).
-The sender's intern table resets when its epoch changes, so a restarted
-process re-defines symbols from scratch; the receiver's table resets
-when a *newer* epoch arrives, and frames stamped with an *older* epoch
-are rejected with :class:`StaleEpochError` — stale symbol ids from a
-dead boot are never decoded against the new table, even when the
-heartbeat layer retransmits pre-crash batches.
-
-A frame that fails to decode (stale epoch, dangling ref, truncation) is
-dropped by the network with accounting, which the heartbeat protocol
-treats exactly like message loss: the sequence gap is nacked and the
-retained encoded bytes are re-delivered in order.  Decode failure is
-therefore *recoverable* wherever loss already was.
+A frame is ``[VERSION][frame type][body]`` and carries everything needed
+to decode it: the codec keeps no per-link or per-boot state, so frames
+decode in any order, on any receiver.  Staleness is not the codec's
+business — heartbeat bodies and Modified stamps carry the sender's boot
+epoch and are checked where they are applied.  A frame that fails to
+decode (wrong version, dangling ref, truncation, leftover bytes) is
+dropped by the network with accounting, which the protocol treats
+exactly like message loss.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Optional
 
 from repro.errors import CodecError
 
 __all__ = [
     "CodecError",
-    "StaleEpochError",
-    "UnknownSymbolError",
     "Encoded",
     "CodecStats",
+    "VOCABULARY",
     "WireCodec",
     "register_extension",
-    "coalesce_encoded",
 ]
 
 
-class StaleEpochError(CodecError):
-    """A frame stamped with a boot epoch older than the link's current
-    one: its symbol ids belong to a table the sender no longer holds."""
+VERSION = 2
 
+# The published vocabulary: every word this package puts on the wire, by
+# id.  It is part of the frame format — changing it means bumping
+# VERSION — and stays under 128 entries so each word costs two bytes as
+# a SYMREF.
+VOCABULARY = (
+    # record states
+    "true", "false", "unknown",
+    # wire item kinds
+    "modified", "subscribe", "subscribe-many",
+    "badge-seen", "badge-left", "badge-naming",
+    "proxied-event", "proxied-horizon",
+    # RPC methods
+    "outbox-deliver", "tail-sync", "settle-prepare", "settle-commit",
+    # payload field names ("event" is also the Event extension's name)
+    "issuer", "ref", "refs", "state", "stamp", "subscriber",
+    "items", "kind", "payload", "hb", "seq", "seqs", "horizon", "epoch",
+    "ack", "missing", "id", "method", "args", "kwargs", "value", "error",
+    "topic", "acked", "service", "changed", "journal_head",
+    "badge", "site", "home_site", "user", "event",
+)
+_VOCAB_IDS = {word: sid for sid, word in enumerate(VOCABULARY)}
 
-class UnknownSymbolError(CodecError):
-    """A symbol ref whose definition frame has not (yet) arrived."""
-
-
-VERSION = 1
+# longer strings are sent as plain text, never defined as symbols
+_SYMBOL_MAX_LEN = 64
 
 # -- frame types --------------------------------------------------------------
 
@@ -111,8 +114,8 @@ _T_BYTES = 0x06
 _T_LIST = 0x07
 _T_TUPLE = 0x08
 _T_DICT = 0x09
-_T_SYMDEF = 0x0A       # varint id + varint length + UTF-8 (defines + uses)
-_T_SYMREF = 0x0B       # varint id
+_T_SYMDEF = 0x0A       # varint length + UTF-8; takes the frame's next id
+_T_SYMREF = 0x0B       # varint id: vocabulary, or defined earlier in the frame
 _T_EXT = 0x0C          # registered extension: name symbol + packed value
 _T_FRAME = 0x0D        # nested encoded frame (varint length + raw bytes)
 
@@ -196,11 +199,9 @@ class CodecStats:
     encoded_bytes: int = 0
     typed_frames: int = 0
     generic_frames: int = 0
-    intern_hits: int = 0       # symbols sent as bare refs
-    intern_misses: int = 0     # symbols sent with their definition
-    stale_epoch_rejected: int = 0
-    unknown_symbol_rejected: int = 0
-    decode_errors: int = 0     # all other decode failures
+    intern_hits: int = 0       # strings sent as a ref (vocabulary or in-frame)
+    intern_misses: int = 0     # strings sent as text
+    decode_errors: int = 0
 
     def intern_hit_rate(self) -> float:
         total = self.intern_hits + self.intern_misses
@@ -211,7 +212,7 @@ class Encoded:
     """An already-encoded frame, ready for :meth:`Network.send`.
 
     Carries the accounting the network needs: the honest encoded size
-    (``len(data)``) and the intern hit/miss deltas of the encoding pass.
+    (``len(data)``) and the intern hit/miss counts of the encoding pass.
     """
 
     __slots__ = ("data", "intern_hits", "intern_misses")
@@ -222,78 +223,21 @@ class Encoded:
         self.intern_misses = intern_misses
 
 
-# -- per-link state -----------------------------------------------------------
-
-
-class _LinkEncoder:
-    """Sender-side intern table for one directed link."""
-
-    __slots__ = ("epoch", "next_id", "ids", "established", "reliable", "max_symbols")
-
-    def __init__(self, max_symbols: int):
-        self.epoch = 0
-        self.next_id = 0
-        self.ids: dict[str, int] = {}
-        self.established: set[int] = set()
-        self.reliable = False
-        self.max_symbols = max_symbols
-
-    def refresh_epoch(self, epoch: int) -> None:
-        """A new boot epoch abandons the old table: the receiver will
-        reject stale ids, so every symbol renegotiates from scratch."""
-        if epoch != self.epoch:
-            self.epoch = epoch
-            self.next_id = 0
-            self.ids.clear()
-            self.established.clear()
-
-
-class _LinkDecoder:
-    """Receiver-side intern table for one directed link."""
-
-    __slots__ = ("epoch", "symbols")
-
-    def __init__(self):
-        self.epoch = 0
-        self.symbols: dict[int, str] = {}
-
-    def begin_frame(self, epoch: int) -> None:
-        if epoch < self.epoch:
-            raise StaleEpochError(
-                f"frame from boot epoch {epoch} rejected: link is at epoch "
-                f"{self.epoch} and the old symbol table is gone"
-            )
-        if epoch > self.epoch:
-            self.epoch = epoch
-            self.symbols.clear()
-
-
 # -- frame encoder ------------------------------------------------------------
 
 
 class _FrameEncoder:
-    __slots__ = ("out", "link", "frame_defs", "hits", "misses", "intern_max_len")
+    __slots__ = ("out", "ids", "hits", "misses")
 
-    def __init__(self, link: _LinkEncoder, intern_max_len: int):
+    def __init__(self):
         self.out = bytearray()
-        self.link = link
-        self.frame_defs: set[int] = set()
+        self.ids: dict[str, int] = {}   # strings this frame defined -> id
         self.hits = 0
         self.misses = 0
-        self.intern_max_len = intern_max_len
 
     def begin(self, ftype: int) -> None:
         self.out.append(VERSION)
         self.out.append(ftype)
-        _write_uvarint(self.out, self.link.epoch)
-
-    def finish(self) -> bytes:
-        # Establishment rule: only retained-for-retransmission links may
-        # rely on a definition having arrived; everywhere else the next
-        # frame re-defines (self-contained, loss-proof).
-        if self.link.reliable and self.frame_defs:
-            self.link.established |= self.frame_defs
-        return bytes(self.out)
 
     # primitive writers
 
@@ -312,36 +256,27 @@ class _FrameEncoder:
         self.out += raw
 
     def string(self, s: str) -> None:
-        """A string in symbol position: interned through the link table."""
-        link = self.link
-        sid = link.ids.get(s)
+        """A string in symbol position: a ref to the vocabulary or to an
+        earlier definition in this frame, else defined here."""
+        out = self.out
+        sid = _VOCAB_IDS.get(s)
         if sid is None:
-            if len(link.ids) >= link.max_symbols or len(s) > self.intern_max_len:
-                # table full or string too long to be a symbol: plain text
-                self.misses += 1
-                self.out.append(_T_STR)
-                self._utf8(s)
-                return
-            sid = link.next_id
-            link.next_id += 1
-            link.ids[s] = sid
-            self.frame_defs.add(sid)
-            self.misses += 1
-            self.out.append(_T_SYMDEF)
-            self.u(sid)
-            self._utf8(s)
-        elif sid in link.established or sid in self.frame_defs:
+            sid = self.ids.get(s)
+        if sid is not None:
             self.hits += 1
-            self.out.append(_T_SYMREF)
-            self.u(sid)
+            out.append(_T_SYMREF)
+            if sid < 0x80:
+                out.append(sid)
+            else:
+                _write_uvarint(out, sid)
+            return
+        self.misses += 1
+        if len(s) > _SYMBOL_MAX_LEN:
+            out.append(_T_STR)
         else:
-            # known id, but its definition is not yet safe to assume
-            # delivered: renegotiate by re-defining under the same id
-            self.frame_defs.add(sid)
-            self.misses += 1
-            self.out.append(_T_SYMDEF)
-            self.u(sid)
-            self._utf8(s)
+            self.ids[s] = len(VOCABULARY) + len(self.ids)
+            out.append(_T_SYMDEF)
+        self._utf8(s)
 
     def value(self, v: Any) -> None:
         # Exact types first, with the zigzag/varint work inline: these are
@@ -360,16 +295,7 @@ class _FrameEncoder:
             else:
                 _write_uvarint(out, _zigzag(v))
         elif t is str:
-            link = self.link
-            sid = link.ids.get(v)
-            if sid is not None and sid < 0x80 and (
-                sid in link.established or sid in self.frame_defs
-            ):
-                self.hits += 1
-                out.append(_T_SYMREF)
-                out.append(sid)
-            else:
-                self.string(v)
+            self.string(v)
         elif t is list or t is tuple:
             out.append(_T_LIST if t is list else _T_TUPLE)
             n = len(v)
@@ -442,12 +368,12 @@ class _FrameEncoder:
 
 
 class _FrameDecoder:
-    __slots__ = ("data", "pos", "link")
+    __slots__ = ("data", "pos", "symbols")
 
-    def __init__(self, data: bytes, link: _LinkDecoder):
+    def __init__(self, data: bytes):
         self.data = data
         self.pos = 0
-        self.link = link
+        self.symbols = list(VOCABULARY)   # grows by this frame's SYMDEFs
 
     def u(self) -> int:
         value, self.pos = _read_uvarint(self.data, self.pos)
@@ -511,13 +437,9 @@ class _FrameDecoder:
             else:
                 self.pos = pos
                 sid = self.u()
-            try:
-                return self.link.symbols[sid]
-            except KeyError:
-                raise UnknownSymbolError(
-                    f"symbol id {sid} referenced before its definition arrived "
-                    f"(epoch {self.link.epoch})"
-                ) from None
+            if sid < len(self.symbols):
+                return self.symbols[sid]
+            raise CodecError(f"symbol id {sid} is not defined earlier in the frame")
         if tag == _T_LIST or tag == _T_TUPLE or tag == _T_DICT:
             if pos < end and data[pos] < 0x80:
                 n = data[pos]
@@ -548,12 +470,11 @@ class _FrameDecoder:
         if tag == _T_BYTES:
             return self.raw(self.u())
         if tag == _T_SYMDEF:
-            sid = self.u()
             s = self._utf8()
-            self.link.symbols[sid] = s
+            self.symbols.append(s)
             return s
         if tag == _T_FRAME:
-            return _decode_frame(self.raw(self.u()), self.link)
+            return _decode_frame(self.raw(self.u()))
         if tag == _T_EXT:
             name = self.string()
             entry = _EXTENSIONS.get(name)
@@ -592,41 +513,26 @@ def _modified_shape(item: dict) -> Optional[tuple]:
     return issuer, ref, state, stamp
 
 
-def _encode_items_section(fe: _FrameEncoder, items: Iterable[dict], coalesce: bool) -> int:
+def _encode_items_section(fe: _FrameEncoder, items: Iterable[dict]) -> None:
     """Write the shared items section: generic items in order, then
-    delta-encoded per-issuer modified groups.  Returns the item count
-    after encode-side coalescing."""
+    delta-encoded per-issuer modified groups."""
     others: list[dict] = []
     groups: dict[str, list[tuple[int, int, Optional[tuple]]]] = {}
-    positions: dict[tuple[str, int], int] = {}
     for item in items:
         shape = _modified_shape(item)
         if shape is None:
             others.append(item)
             continue
         issuer, ref, state, stamp = shape
-        run = groups.setdefault(issuer, [])
-        if coalesce:
-            # last-state-wins on the encoded form: the final state stays
-            # at the first occurrence's position, exactly like the wire
-            # layer's keyed coalescing
-            key = (issuer, ref)
-            index = positions.get(key)
-            if index is not None:
-                run[index] = (ref, state, stamp)
-                continue
-            positions[key] = len(run)
-        run.append((ref, state, stamp))
+        groups.setdefault(issuer, []).append((ref, state, stamp))
     fe.u(len(others))
     for item in others:
         fe.string(item["kind"])
         fe.value(item["payload"])
     fe.u(len(groups))
-    count = len(others)
     for issuer, run in groups.items():
         fe.string(issuer)
         fe.u(len(run))
-        count += len(run)
         prev_ref = 0
         prev_seq = 0
         for ref, state, stamp in run:
@@ -637,7 +543,6 @@ def _encode_items_section(fe: _FrameEncoder, items: Iterable[dict], coalesce: bo
                 fe.u(stamp[0])
                 fe.z(stamp[1] - prev_seq)
                 prev_seq = stamp[1]
-    return count
 
 
 def _decode_items_section(fd: _FrameDecoder) -> list[dict]:
@@ -730,15 +635,21 @@ def _write_seq_list(fe: _FrameEncoder, seqs: list[int]) -> None:
         prev = seq
 
 
-def _decode_frame(data: bytes, link: _LinkDecoder) -> Any:
-    """Decode one frame against a link's symbol table; returns the
-    payload object the sender encoded."""
-    fd = _FrameDecoder(data, link)
+def _decode_frame(data: bytes) -> Any:
+    """Decode one self-contained frame; returns the payload object the
+    sender encoded.  Bytes left over after the frame are an error."""
+    fd = _FrameDecoder(data)
+    payload = _read_frame(fd)
+    if fd.pos != len(data):
+        raise CodecError(f"{len(data) - fd.pos} bytes left over after the frame")
+    return payload
+
+
+def _read_frame(fd: _FrameDecoder) -> Any:
     version = fd.raw(1)[0]
     if version != VERSION:
         raise CodecError(f"unsupported codec version {version}")
     ftype = fd.raw(1)[0]
-    link.begin_frame(fd.u())
     if ftype == F_GENERIC:
         return fd.value()
     if ftype == F_BATCH:
@@ -787,83 +698,41 @@ def _decode_frame(data: bytes, link: _LinkDecoder) -> Any:
 
 
 class ItemsSection:
-    """One symbol-table pass over a batch's items, reusable as both the
+    """One encoding pass over a batch's items, reusable as both the
     on-wire envelope body and the standalone retransmit frame.
 
     The batched channel encodes its items exactly once; the resulting
     section bytes are wrapped twice — into the BATCH envelope that goes
     on the wire now, and into the ITEMS frame the heartbeat sender
-    retains (``frame``) so a nack retransmits real encoded bytes."""
+    retains (``frame``) so a nack retransmits real encoded bytes.  Both
+    frames are self-contained: the section defines its own symbols."""
 
-    __slots__ = ("section", "frame", "count", "intern_hits", "intern_misses")
+    __slots__ = ("section", "frame", "intern_hits", "intern_misses")
 
-    def __init__(self, section: bytes, frame: Encoded, count: int, hits: int, misses: int):
+    def __init__(self, section: bytes, frame: Encoded, hits: int, misses: int):
         self.section = section
         self.frame = frame
-        self.count = count
         self.intern_hits = hits
         self.intern_misses = misses
 
 
 class WireCodec:
-    """Per-network codec state: one intern table pair per directed link.
+    """Marshals payloads into self-contained frames and back.
 
-    Un-encodable payloads are a loud :class:`CodecError` at send time.
+    Holds counters only: no per-link or per-boot state.  Un-encodable
+    payloads are a loud :class:`CodecError` at send time.
     """
 
-    def __init__(self, max_symbols: int = 4096, intern_max_len: int = 64):
-        self.max_symbols = max_symbols
-        self.intern_max_len = intern_max_len
+    def __init__(self):
         self.stats = CodecStats()
-        self._encoders: dict[tuple[str, str], _LinkEncoder] = {}
-        self._decoders: dict[tuple[str, str], _LinkDecoder] = {}
-        self._epoch_sources: dict[str, Callable[[], int]] = {}
-
-    # -- link state -----------------------------------------------------------
-
-    def set_epoch_source(self, address: str, source: Callable[[], int]) -> None:
-        """Register the boot-epoch callable for frames sent *from*
-        ``address``.  A change in the returned epoch resets every
-        outbound intern table of that address (renegotiation)."""
-        self._epoch_sources[address] = source
-
-    def set_reliable(self, source: str, dest: str, reliable: bool = True) -> None:
-        """Mark a directed link's frames as retained-for-retransmission
-        (a heartbeat-attached batch channel).  Only such links may rely
-        on a symbol definition having arrived and send bare refs in
-        later frames."""
-        self._encoder_for(source, dest).reliable = reliable
-
-    def _encoder_for(self, source: str, dest: str) -> _LinkEncoder:
-        key = (source, dest)
-        enc = self._encoders.get(key)
-        if enc is None:
-            enc = self._encoders[key] = _LinkEncoder(self.max_symbols)
-        epoch_source = self._epoch_sources.get(source)
-        if epoch_source is not None:
-            enc.refresh_epoch(epoch_source())
-        return enc
-
-    def _decoder_for(self, source: str, dest: str) -> _LinkDecoder:
-        key = (source, dest)
-        dec = self._decoders.get(key)
-        if dec is None:
-            dec = self._decoders[key] = _LinkDecoder()
-        return dec
-
-    def link_encoder_symbols(self, source: str, dest: str) -> dict[str, int]:
-        """The sender-side intern table of a link (for tests/inspection)."""
-        enc = self._encoders.get((source, dest))
-        return dict(enc.ids) if enc is not None else {}
 
     # -- encode ---------------------------------------------------------------
 
-    def encode(self, source: str, dest: str, kind: str, payload: Any) -> Encoded:
+    def encode(self, kind: str, payload: Any) -> Encoded:
         """Encode one payload into a typed (or generic) frame."""
-        link = self._encoder_for(source, dest)
-        fe = _FrameEncoder(link, self.intern_max_len)
+        fe = _FrameEncoder()
         typed = self._write_typed(fe, kind, payload)
-        data = fe.finish()
+        data = bytes(fe.out)
         self.stats.frames_encoded += 1
         self.stats.encoded_bytes += len(data)
         if typed:
@@ -883,7 +752,7 @@ class WireCodec:
             fe.out.append(0x01 if hb is not None else 0x00)
             if hb is not None:
                 _write_hb_stamp(fe, hb)
-            _encode_items_section(fe, payload["items"], coalesce=False)
+            _encode_items_section(fe, payload["items"])
             return True
         if kind == "heartbeat" and _hb_shape(payload, "seq", "horizon", "epoch"):
             fe.begin(F_HEARTBEAT)
@@ -977,48 +846,27 @@ class WireCodec:
         fe.value(payload)
         return False
 
-    def encode_items(
-        self, source: str, dest: str, items: list[dict], coalesce: bool = True
-    ) -> ItemsSection:
-        """Encode a batch's items once, for both envelope and retention.
-
-        ``coalesce`` applies last-state-wins to modified items *on the
-        encoded form* — duplicate (issuer, ref) pairs collapse to the
-        final state at the first occurrence's position."""
-        link = self._encoder_for(source, dest)
-        fe = _FrameEncoder(link, self.intern_max_len)
+    def encode_items(self, items: list[dict]) -> ItemsSection:
+        """Encode a batch's items once, for both envelope and retention."""
+        fe = _FrameEncoder()
         fe.begin(F_ITEMS)
-        count = _encode_items_section(fe, items, coalesce=coalesce)
-        data = fe.finish()
+        _encode_items_section(fe, items)
+        data = bytes(fe.out)
         self.stats.frames_encoded += 1
         self.stats.encoded_bytes += len(data)
         self.stats.typed_frames += 1
         self.stats.intern_hits += fe.hits
         self.stats.intern_misses += fe.misses
-        header_len = 2 + len(_uvarint_bytes(link.epoch))
         return ItemsSection(
-            section=data[header_len:],
+            section=data[2:],   # after [VERSION][F_ITEMS]
             frame=Encoded(data),
-            count=count,
             hits=fe.hits,
             misses=fe.misses,
         )
 
-    def wrap_batch(
-        self,
-        source: str,
-        dest: str,
-        section: ItemsSection,
-        hb: Optional[dict],
-    ) -> Encoded:
-        """Wrap an encoded items section into the on-wire BATCH envelope.
-
-        Must be called in the same synchronous step as
-        :meth:`encode_items` (the section's symbol definitions belong to
-        this frame)."""
-        link = self._encoder_for(source, dest)
+    def wrap_batch(self, section: ItemsSection, hb: Optional[dict]) -> Encoded:
+        """Wrap an encoded items section into the on-wire BATCH envelope."""
         out = bytearray([VERSION, F_BATCH])
-        _write_uvarint(out, link.epoch)
         out.append(0x01 if hb is not None else 0x00)
         if hb is not None:
             _write_uvarint(out, hb["seq"])
@@ -1036,153 +884,13 @@ class WireCodec:
 
     # -- decode ---------------------------------------------------------------
 
-    def decode(self, source: str, dest: str, data: bytes) -> Any:
-        """Decode one frame arriving on the directed link; raises
-        :class:`CodecError` (and counts) on anything unverifiable."""
-        link = self._decoder_for(source, dest)
+    def decode(self, data: bytes) -> Any:
+        """Decode one frame; raises :class:`CodecError` (and counts) on
+        anything unverifiable."""
         try:
-            payload = _decode_frame(data, link)
-        except StaleEpochError:
-            self.stats.stale_epoch_rejected += 1
-            raise
-        except UnknownSymbolError:
-            self.stats.unknown_symbol_rejected += 1
-            raise
+            payload = _decode_frame(data)
         except CodecError:
             self.stats.decode_errors += 1
             raise
         self.stats.frames_decoded += 1
         return payload
-
-
-def _uvarint_bytes(value: int) -> bytes:
-    out = bytearray()
-    _write_uvarint(out, value)
-    return bytes(out)
-
-
-# -- encoded-form coalescing --------------------------------------------------
-
-
-def coalesce_encoded(data: bytes) -> bytes:
-    """Last-state-wins coalescing on an encoded ITEMS/BATCH frame.
-
-    Operates structurally on the encoded bytes — symbol definitions and
-    generic items are copied through verbatim, so no symbol table is
-    needed — and collapses duplicate (issuer, ref) modified entries to
-    the final state at the first occurrence's position: exactly the wire
-    layer's keyed coalescing, on the encoded form.  Satisfies
-    ``decode(coalesce_encoded(encode(xs))) == coalesce(xs)``.
-    """
-    pos = 0
-    if len(data) < 2:
-        raise CodecError("truncated frame")
-    version, ftype = data[0], data[1]
-    if version != VERSION:
-        raise CodecError(f"unsupported codec version {version}")
-    if ftype not in (F_ITEMS, F_BATCH):
-        raise CodecError("coalesce_encoded needs an ITEMS or BATCH frame")
-    pos = 2
-    _epoch, pos = _read_uvarint(data, pos)
-    if ftype == F_BATCH:
-        if pos >= len(data):
-            raise CodecError("truncated frame")
-        flags = data[pos]
-        pos += 1
-        if flags & 0x01:
-            _seq, pos = _read_uvarint(data, pos)
-            pos += 8  # horizon double
-            _ep, pos = _read_uvarint(data, pos)
-    head = bytes(data[:pos])
-    out = bytearray()
-    # generic items: copy verbatim
-    n_others, pos = _read_uvarint(data, pos)
-    others_start = pos
-    for _ in range(n_others):
-        pos = _skip_value(data, pos)   # kind
-        pos = _skip_value(data, pos)   # payload
-    others = data[others_start:pos]
-    n_groups, pos = _read_uvarint(data, pos)
-    _write_uvarint(out, n_others)
-    out += others
-    _write_uvarint(out, n_groups)
-    for _ in range(n_groups):
-        issuer_start = pos
-        pos = _skip_value(data, pos)
-        issuer_bytes = data[issuer_start:pos]
-        n, pos = _read_uvarint(data, pos)
-        run: list[tuple[int, int, Optional[tuple[int, int]]]] = []
-        index_of: dict[int, int] = {}
-        prev_ref = 0
-        prev_seq = 0
-        for _ in range(n):
-            delta, pos = _read_uvarint(data, pos)
-            prev_ref += _unzigzag(delta)
-            flags = data[pos]
-            pos += 1
-            stamp = None
-            if flags & 0x04:
-                epoch, pos = _read_uvarint(data, pos)
-                zdelta, pos = _read_uvarint(data, pos)
-                prev_seq += _unzigzag(zdelta)
-                stamp = (epoch, prev_seq)
-            entry = (prev_ref, flags & 0x03, stamp)
-            index = index_of.get(prev_ref)
-            if index is not None:
-                run[index] = entry
-            else:
-                index_of[prev_ref] = len(run)
-                run.append(entry)
-        out += issuer_bytes
-        _write_uvarint(out, len(run))
-        prev_ref = 0
-        prev_seq = 0
-        for ref, state, stamp in run:
-            _write_uvarint(out, _zigzag(ref - prev_ref))
-            prev_ref = ref
-            out.append(state | (0x04 if stamp is not None else 0))
-            if stamp is not None:
-                _write_uvarint(out, stamp[0])
-                _write_uvarint(out, _zigzag(stamp[1] - prev_seq))
-                prev_seq = stamp[1]
-    return head + bytes(out)
-
-
-def _skip_value(data: bytes, pos: int) -> int:
-    """Advance past one encoded value without resolving symbols."""
-    if pos >= len(data):
-        raise CodecError("truncated frame")
-    tag = data[pos]
-    pos += 1
-    if tag in (_T_NONE, _T_TRUE, _T_FALSE):
-        return pos
-    if tag == _T_INT:
-        _, pos = _read_uvarint(data, pos)
-        return pos
-    if tag == _T_FLOAT:
-        return pos + 8
-    if tag in (_T_STR, _T_BYTES, _T_FRAME):
-        n, pos = _read_uvarint(data, pos)
-        return pos + n
-    if tag == _T_SYMDEF:
-        _, pos = _read_uvarint(data, pos)
-        n, pos = _read_uvarint(data, pos)
-        return pos + n
-    if tag == _T_SYMREF:
-        _, pos = _read_uvarint(data, pos)
-        return pos
-    if tag in (_T_LIST, _T_TUPLE):
-        n, pos = _read_uvarint(data, pos)
-        for _ in range(n):
-            pos = _skip_value(data, pos)
-        return pos
-    if tag == _T_DICT:
-        n, pos = _read_uvarint(data, pos)
-        for _ in range(n):
-            pos = _skip_value(data, pos)
-            pos = _skip_value(data, pos)
-        return pos
-    if tag == _T_EXT:
-        pos = _skip_value(data, pos)
-        return _skip_value(data, pos)
-    raise CodecError(f"unknown value tag 0x{tag:02x}")

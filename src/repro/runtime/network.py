@@ -66,8 +66,8 @@ class NetworkStats:
     payloads_carried: int = 0
     bytes_sent: int = 0
     encoded_bytes: int = 0           # codec frame bytes (bytes_sent minus headers)
-    intern_hits: int = 0             # symbols sent as bare varint refs
-    intern_misses: int = 0           # symbols sent with their definition
+    intern_hits: int = 0             # strings sent as a symbol ref
+    intern_misses: int = 0           # strings sent as text
     coalesced: int = 0
     delivered: int = 0
     dropped_by_loss: int = 0
@@ -421,7 +421,7 @@ class Network:
         if isinstance(payload, Encoded):
             encoded = payload
         else:
-            encoded = self.codec.encode(source, dest, kind, payload)
+            encoded = self.codec.encode(kind, payload)
         self._seq += 1
         message = Message(
             source=source,
@@ -516,16 +516,16 @@ class Network:
     def _deliver(self, node: Node, message: Message) -> None:
         self.in_flight -= 1
         if not node.up:
-            # A crashed host must neither process the frame nor learn its
-            # symbol definitions; deliver() records the drop.
+            # A crashed host does not process the frame; deliver()
+            # records the drop.
             node.deliver(message)
             return
         try:
-            decoded = self.codec.decode(message.source, node.address, message.payload)
+            decoded = self.codec.decode(message.payload)
         except CodecError:
-            # An unverifiable frame (stale boot epoch, dangling symbol
-            # ref, truncation) is dropped with accounting; the layers
-            # above treat this exactly like message loss, so the
+            # An unverifiable frame (wrong version, dangling symbol ref,
+            # truncation, leftover bytes) is dropped with accounting; the
+            # layers above treat this exactly like message loss, so the
             # heartbeat nack machinery re-delivers retained frames.
             self.stats.dropped_decode += 1
             self.link_stats(message.source, node.address).dropped_decode += 1

@@ -508,9 +508,7 @@ class RpcEndpoint:
                 reply["value"] = handler(*body["args"], **body["kwargs"])
             except Exception as exc:  # surfaced to the caller, not swallowed
                 reply["error"] = f"{type(exc).__name__}: {exc}"
-        encoded = self.network.codec.encode(
-            self.address, message.source, "rpc-reply", reply
-        )
+        encoded = self.network.codec.encode("rpc-reply", reply)
         if self.dedup_window > 0:
             expires = self.network.simulator.now + self.dedup_window
             self._served[key] = encoded

@@ -105,8 +105,6 @@ class BatchedChannel:
         self.policy = policy or WirePolicy()
         self.stats = ChannelStats()
         self._heartbeat = heartbeat
-        if heartbeat is not None:
-            network.codec.set_reliable(source, dest)
         self._pending: list[dict[str, Any]] = []
         self._keyed: dict[Any, dict[str, Any]] = {}
         # one reusable kernel entry for the batch window, re-armed per batch
@@ -118,16 +116,9 @@ class BatchedChannel:
             network.on_link_up(self._on_link_up)
 
     def attach_heartbeat(self, sender: "HeartbeatSender") -> None:
-        """Piggyback ``sender``'s liveness on every departing batch.
-
-        A heartbeat-attached channel retains every departing batch for
-        nack-driven retransmission, which is what lets the codec treat
-        the link as *reliable*: symbol definitions sent once may be
-        referenced by bare ids in later frames, because a lost
-        definition frame is always re-delivered in sequence order.
-        """
+        """Piggyback ``sender``'s liveness on every departing batch; the
+        sender retains each batch's items for nack-driven retransmission."""
         self._heartbeat = sender
-        self.network.codec.set_reliable(self.source, self.dest)
 
     @property
     def pending(self) -> int:
@@ -245,12 +236,12 @@ class BatchedChannel:
         self._keyed = {}
         for item in items:
             item.pop("key", None)
-        # One symbol-table pass over the items: the same section bytes
+        # One encoding pass over the items: the same section bytes
         # become the standalone ITEMS frame the heartbeat sender retains
         # (so a nack retransmits real encoded bytes) and the BATCH
         # envelope that goes on the wire now.
         codec = self.network.codec
-        section = codec.encode_items(self.source, self.dest, items, coalesce=False)
+        section = codec.encode_items(items)
         hb: Optional[dict[str, Any]] = None
         if self._heartbeat is not None:
             # the batch content rides along as the retained payload: if
@@ -258,7 +249,7 @@ class BatchedChannel:
             # retransmits the items instead of an empty filler
             hb = self._heartbeat.piggyback(section.frame)
             self.stats.piggybacked_heartbeats += 1
-        batch = codec.wrap_batch(self.source, self.dest, section, hb)
+        batch = codec.wrap_batch(section, hb)
         self.stats.batches += 1
         self.network.send(
             self.source, self.dest, BATCH_KIND, batch, payload_count=len(items)

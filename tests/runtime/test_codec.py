@@ -1,16 +1,16 @@
-"""The compact binary wire codec: round-trips, interning, epoch safety.
+"""The compact binary wire codec: round-trips, self-contained frames and
+the published vocabulary.
 
 Three layers under test:
 
 * value/frame round-trips — everything the wire carries must decode to
   an equal object, because the network now delivers *decoded frames*,
   not the sender's live payload;
-* per-link symbol interning — definitions once per link on reliable
-  (retained-for-retransmission) links, re-defined every frame on
-  fire-and-forget links, renegotiated from scratch on a boot-epoch bump;
-* encoded-form coalescing — last-state-wins on delta-encoded cascade
-  items must agree with the wire layer's keyed coalescing (the
-  Hypothesis property ``decode(coalesce(encode(xs))) == coalesce(xs)``).
+* the generic value path against a plain reference writer and reader,
+  byte for byte, with every truncated frame a ``CodecError``;
+* symbols — the protocol's own words are refs into the fixed
+  ``VOCABULARY``; any other string is defined inside the frame that uses
+  it, so every frame decodes alone, in any order, on a fresh codec.
 """
 
 from unittest import mock
@@ -19,19 +19,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import HostOS, OasisService, ServiceRegistry
+from repro.core.linkage import SimLinkage
+from repro.core.sharding import ShardCoordinator
+from repro.core.types import ObjectType
 from repro.errors import CodecError
 from repro.runtime import codec as codec_module
 from repro.events.model import Event
+from repro.runtime.clock import SimClock
 from repro.runtime.codec import (
+    VOCABULARY,
     Encoded,
-    StaleEpochError,
-    UnknownSymbolError,
     WireCodec,
     _read_uvarint,
     _unzigzag,
     _write_uvarint,
     _zigzag,
-    coalesce_encoded,
 )
 from repro.runtime.network import Network
 from repro.runtime.simulator import Simulator
@@ -39,8 +42,8 @@ from repro.runtime.simulator import Simulator
 
 def roundtrip(payload, kind="x", codec=None):
     codec = codec or WireCodec()
-    encoded = codec.encode("a", "b", kind, payload)
-    return codec.decode("a", "b", encoded.data), encoded
+    encoded = codec.encode(kind, payload)
+    return codec.decode(encoded.data), encoded
 
 
 # -- primitives ---------------------------------------------------------------
@@ -112,10 +115,13 @@ class TestValueRoundTrip:
         assert isinstance(decoded["list"], list)
 
     def test_long_string_not_interned(self):
-        codec = WireCodec(intern_max_len=8)
-        decoded, encoded = roundtrip("x" * 100, codec=codec)
-        assert decoded == "x" * 100
-        assert encoded.intern_misses == 1  # charged, but sent as plain text
+        # past 64 characters a string is plain text every time it occurs
+        decoded, encoded = roundtrip(["x" * 65, "x" * 65])
+        assert decoded == ["x" * 65] * 2
+        assert (encoded.intern_hits, encoded.intern_misses) == (0, 2)
+        decoded, encoded = roundtrip(["x" * 64, "x" * 64])
+        assert decoded == ["x" * 64] * 2
+        assert (encoded.intern_hits, encoded.intern_misses) == (1, 1)
 
     def test_event_extension(self):
         event = Event("withdrawal", ("alice", 50), timestamp=3.25, source="Bank")
@@ -148,12 +154,12 @@ class TestValueRoundTrip:
         assert decoded == payload
 
 
-# -- the generic value path against its pre-fast-path reference ----------------
+# -- the generic value path against a plain reference --------------------------
 #
-# ReferenceEncoder/ReferenceDecoder carry the recursive value writer and
-# reader (and the helpers they called) as they stood before the codec
-# grew its exact-type dispatch with inline varints.  Swapped in for the
-# real frame classes, they must produce and read exactly the same bytes.
+# ReferenceEncoder/ReferenceDecoder are the plainest writer and reader of
+# the format: recursive, isinstance-dispatched, one helper call per
+# integer, and symbols looked up by list search.  Swapped in for the real
+# frame classes, they must produce and read exactly the same bytes.
 
 
 class ReferenceEncoder(codec_module._FrameEncoder):
@@ -166,32 +172,20 @@ class ReferenceEncoder(codec_module._FrameEncoder):
         _write_uvarint(self.out, _zigzag(value))
 
     def string(self, s):
-        link = self.link
-        sid = link.ids.get(s)
-        if sid is None:
-            if len(link.ids) >= link.max_symbols or len(s) > self.intern_max_len:
-                self.misses += 1
-                self.out.append(codec_module._T_STR)
-                self._utf8(s)
-                return
-            sid = link.next_id
-            link.next_id += 1
-            link.ids[s] = sid
-            self.frame_defs.add(sid)
-            self.misses += 1
-            self.out.append(codec_module._T_SYMDEF)
-            self.u(sid)
-            self._utf8(s)
-        elif sid in link.established or sid in self.frame_defs:
+        m = codec_module
+        known = list(m.VOCABULARY) + list(self.ids)   # ids keep definition order
+        if s in known:
             self.hits += 1
-            self.out.append(codec_module._T_SYMREF)
-            self.u(sid)
+            self.out.append(m._T_SYMREF)
+            self.u(known.index(s))
+            return
+        self.misses += 1
+        if len(s) > 64:
+            self.out.append(m._T_STR)
         else:
-            self.frame_defs.add(sid)
-            self.misses += 1
-            self.out.append(codec_module._T_SYMDEF)
-            self.u(sid)
-            self._utf8(s)
+            self.ids[s] = len(known)
+            self.out.append(m._T_SYMDEF)
+        self._utf8(s)
 
     def value(self, v):
         m = codec_module
@@ -281,18 +275,16 @@ class ReferenceDecoder(codec_module._FrameDecoder):
         if tag == m._T_BYTES:
             return self.raw(self.u())
         if tag == m._T_SYMDEF:
-            sid = self.u()
             s = self._utf8()
-            self.link.symbols[sid] = s
+            self.symbols.append(s)
             return s
         if tag == m._T_SYMREF:
             sid = self.u()
-            try:
-                return self.link.symbols[sid]
-            except KeyError:
-                raise UnknownSymbolError(f"symbol id {sid}") from None
+            if sid >= len(self.symbols):
+                raise CodecError(f"symbol id {sid}")
+            return self.symbols[sid]
         if tag == m._T_FRAME:
-            return m._decode_frame(self.raw(self.u()), self.link)
+            return m._decode_frame(self.raw(self.u()))
         if tag == m._T_LIST:
             return [self.value() for _ in range(self.u())]
         if tag == m._T_TUPLE:
@@ -308,24 +300,26 @@ class ReferenceDecoder(codec_module._FrameDecoder):
 
 def reference_encode(codec, kind, payload):
     with mock.patch.object(codec_module, "_FrameEncoder", ReferenceEncoder):
-        return codec.encode("a", "b", kind, payload)
+        return codec.encode(kind, payload)
 
 
 def reference_decode(codec, data):
     with mock.patch.object(codec_module, "_FrameDecoder", ReferenceDecoder):
-        return codec.decode("a", "b", data)
+        return codec.decode(data)
 
 
 # ints either side of every varint and zigzag edge, and both 64-bit ends
 EDGE_INTS = [-65, -64, 63, 64, 127, 128, 2**62, -(2**62), -(2**63)]
+# vocabulary words and strings a frame must define, each repeated
+SYMBOLS = st.sampled_from(["Login", "bsc0", "false", "outbox-deliver"])
 REFERENCE_LEAVES = (
     st.none()
     | st.booleans()
     | st.sampled_from(EDGE_INTS)
     | st.integers()
     | st.floats(allow_nan=False)
-    | st.sampled_from(["Login", "bsc0", "false", "outbox-deliver"])   # repeated symbols
-    | st.text(max_size=70)   # past intern_max_len too: plain text
+    | SYMBOLS
+    | st.text(max_size=70)   # past 64 characters too: plain text
     | st.binary(max_size=20)
     | st.builds(
         Event,
@@ -335,7 +329,6 @@ REFERENCE_LEAVES = (
         st.text(max_size=6),
     )
 )
-SYMBOLS = st.sampled_from(["Login", "bsc0", "false", "outbox-deliver"])
 
 
 def reference_values(max_leaves, long_leaves):
@@ -363,23 +356,21 @@ def _frames(payload):
     ]
 
 
-@given(payload=reference_values(25, REFERENCE_LEAVES), reliable=st.booleans())
+@given(payload=reference_values(25, REFERENCE_LEAVES))
 @settings(max_examples=100, deadline=None)
-def test_value_path_writes_and_reads_the_reference_bytes(payload, reliable):
+def test_value_path_writes_and_reads_the_reference_bytes(payload):
     """The fast value path is a re-implementation, not a format change:
-    frame for frame (symbols interned across them on reliable links), it
-    writes the reference writer's bytes and both readers agree."""
+    frame for frame, it writes the reference writer's bytes and both
+    readers agree."""
     real, ref = WireCodec(), WireCodec()
-    for codec in (real, ref):
-        codec.set_reliable("a", "b", reliable)
     for kind, body in _frames(payload) * 2:
-        encoded = real.encode("a", "b", kind, body)
+        encoded = real.encode(kind, body)
         expected = reference_encode(ref, kind, body)
         assert encoded.data == expected.data
         assert (encoded.intern_hits, encoded.intern_misses) == (
             expected.intern_hits, expected.intern_misses
         )
-        decoded = real.decode("a", "b", encoded.data)
+        decoded = real.decode(encoded.data)
         assert decoded == reference_decode(ref, expected.data)
         assert decoded == body
 
@@ -391,10 +382,10 @@ def test_every_truncated_frame_is_a_codec_error(payload):
     IndexError: the reader fails with CodecError, which the network
     counts as a decode drop."""
     for kind, body in _frames(payload)[:2]:
-        data = WireCodec().encode("a", "b", kind, body).data
+        data = WireCodec().encode(kind, body).data
         for end in range(len(data)):
             try:
-                codec_module._decode_frame(data[:end], codec_module._LinkDecoder())
+                codec_module._decode_frame(data[:end])
             except CodecError:
                 continue
             pytest.fail(f"a {end}-byte prefix of a {len(data)}-byte frame decoded")
@@ -456,13 +447,13 @@ class TestTypedFrames:
 
     def test_delta_encoding_is_compact(self):
         codec = WireCodec()
-        codec.set_reliable("a", "b")
         items = [mod("Login", 1000 + i, "false", (1, i + 1)) for i in range(100)]
-        first = codec.encode_items("a", "b", items)
-        again = codec.encode_items("a", "b", items)
-        # warm table: ~5 bytes per record (ref delta, flags, stamp delta)
-        assert len(again.frame.data) < 100 * 8
-        assert len(again.frame.data) < len(repr({"items": items})) / 10
+        section = codec.encode_items(items)
+        # the issuer once, then ~4 bytes per record (ref delta, flags,
+        # stamp epoch, seq delta)
+        assert len(section.frame.data) < 100 * 8
+        assert len(section.frame.data) < len(repr({"items": items})) / 10
+        assert codec.decode(section.frame.data)["items"] == items
 
 
 def mod(issuer, ref, state, stamp=None):
@@ -476,178 +467,185 @@ def sorted_mods(items):
     return sorted(items, key=lambda i: (i["payload"]["issuer"], i["payload"]["ref"]))
 
 
-# -- interning lifecycle ------------------------------------------------------
+# -- symbols: one published vocabulary, frame-scoped definitions ---------------
+
+# A literal copy of the version-2 vocabulary.  Ids are part of the frame
+# format: a change here without a VERSION bump breaks every peer.
+PUBLISHED_V2 = (
+    "true", "false", "unknown",
+    "modified", "subscribe", "subscribe-many",
+    "badge-seen", "badge-left", "badge-naming",
+    "proxied-event", "proxied-horizon",
+    "outbox-deliver", "tail-sync", "settle-prepare", "settle-commit",
+    "issuer", "ref", "refs", "state", "stamp", "subscriber",
+    "items", "kind", "payload", "hb", "seq", "seqs", "horizon", "epoch",
+    "ack", "missing", "id", "method", "args", "kwargs", "value", "error",
+    "topic", "acked", "service", "changed", "journal_head",
+    "badge", "site", "home_site", "user", "event",
+)
+
+SERVICES = {"Login", "Files", "Mirror"}
+
+LOGIN_RDL = """
+def LoggedOn(u, h)  u: userid  h: string
+LoggedOn(u, h) <-
+"""
+
+READER_RDL = """
+import Login.userid
+Reader(u) <- Login.LoggedOn(u, h)*
+"""
 
 
-class TestInterning:
-    def test_reliable_link_refs_after_first_frame(self):
-        codec = WireCodec()
-        codec.set_reliable("a", "b")
-        first = codec.encode("a", "b", "x", ["Login", "Login", "Login"])
-        second = codec.encode("a", "b", "x", ["Login"])
-        assert first.intern_misses == 1 and first.intern_hits == 2
-        assert second.intern_misses == 0 and second.intern_hits == 1
-        assert len(second.data) < len(first.data)
-        assert codec.decode("a", "b", first.data) == ["Login"] * 3
-        assert codec.decode("a", "b", second.data) == ["Login"]
+def defined_symbols(data):
+    """Decode one frame; returns the payload and the strings the frame
+    (and any frame nested in it) defined for itself."""
+    decoders = []
 
-    def test_unreliable_link_redefines_every_frame(self):
-        # no retransmission guarantee -> every frame self-contained
-        codec = WireCodec()
-        codec.encode("a", "b", "x", "Login")
-        second = codec.encode("a", "b", "x", "Login")
-        assert second.intern_misses == 1 and second.intern_hits == 0
-        # out-of-order decode works because nothing spans frames
-        assert codec.decode("a", "b", second.data) == "Login"
+    class Recording(codec_module._FrameDecoder):
+        def __init__(self, data):
+            super().__init__(data)
+            decoders.append(self)
 
-    def test_tables_are_per_directed_link(self):
-        codec = WireCodec()
-        codec.set_reliable("a", "b")
-        codec.encode("a", "b", "x", "Login")
-        reverse = codec.encode("b", "a", "x", "Login")
-        assert reverse.intern_misses == 1  # the reverse link starts cold
+    with mock.patch.object(codec_module, "_FrameDecoder", Recording):
+        payload = codec_module._decode_frame(data)
+    return payload, {s for d in decoders for s in d.symbols[len(VOCABULARY):]}
+
+
+def deployment_frames():
+    """Every frame a small deployment puts on the wire, as (kind, source,
+    dest, bytes): a journaled Login/Files pair (outbox deliveries, a
+    subscriber restart's tail-sync, one settle) and an unjournaled
+    Mirror subscriber (subscribe, a resubscribe, a Modified batch)."""
+    sim = Simulator()
+    net = Network(sim, seed=5, default_delay=0.01)
+    frames = []
+
+    def capture(message, delay):
+        frames.append((message.kind, message.source, message.dest, message.payload))
+        return [delay]
+
+    net.set_fault_injector(capture)
+    clock = SimClock(sim)
+    registry = ServiceRegistry()
+    linkage = SimLinkage(net)
+    login = OasisService("Login", registry=registry, linkage=linkage, clock=clock)
+    login.export_type(ObjectType("Login.userid"), "userid")
+    login.add_rolefile("main", LOGIN_RDL)
+    files = OasisService("Files", registry=registry, linkage=linkage, clock=clock)
+    files.add_rolefile("main", READER_RDL)
+    mirror = OasisService("Mirror", registry=registry, linkage=linkage, clock=clock)
+    mirror.add_rolefile("main", READER_RDL)
+    linkage.enable_journal(login)
+    linkage.enable_journal(files)
+    host = HostOS("ely")
+    certs = []
+    for i in range(3):
+        client = host.create_domain().client_id
+        cert = login.enter_role(client, "LoggedOn", (f"u{i}", "ely"))
+        files.enter_role(client, "Reader", credentials=(cert,))
+        mirror.enter_role(client, "Reader", credentials=(cert,))
+        certs.append(cert)
+    sim.run_until(1.0)
+    login.exit_role(certs[0])
+    sim.run_until(2.0)
+    linkage.resync(mirror, "Login")
+    sim.run_until(3.0)
+    linkage.crash(files)
+    sim.run_until(4.0)
+    linkage.restart(files)
+    sim.run_until(6.0)
+    ShardCoordinator(net, linkage, [login, files]).settle(max_hops=4, hop_window=0.5)
+    assert net.unaccounted() == 0
+    return frames
+
+
+class TestFrameSymbols:
+    def test_vocabulary_is_pinned_to_its_version(self):
+        assert codec_module.VERSION == 2
+        assert VOCABULARY == PUBLISHED_V2
+        assert len(set(VOCABULARY)) == len(VOCABULARY) < 128
+        for sid, word in enumerate(VOCABULARY):
+            # a two-byte ref, defining nothing
+            decoded, encoded = roundtrip(word)
+            assert decoded == word
+            assert encoded.data[2:] == bytes([codec_module._T_SYMREF, sid])
+            assert (encoded.intern_hits, encoded.intern_misses) == (1, 0)
+
+    def test_src_messages_define_no_symbol_but_service_names(self):
+        seen = set()
+        methods = {}
+        for kind, source, dest, data in deployment_frames():
+            payload, defined = defined_symbols(data)
+            assert defined <= SERVICES, (kind, payload, defined)
+            if kind == "wire-batch":
+                for item in payload["items"]:
+                    seen.add(item["kind"])
+            elif kind == "rpc-request":
+                methods[(source, payload["id"])] = payload["method"]
+                seen.add(payload["method"])
+            elif kind == "rpc-reply":
+                seen.add(methods[(dest, payload["id"])] + " reply")
+        assert seen >= {
+            "subscribe", "subscribe-many", "modified",
+            "outbox-deliver", "outbox-deliver reply",
+            "tail-sync", "tail-sync reply",
+            "settle-prepare", "settle-prepare reply",
+            "settle-commit", "settle-commit reply",
+        }
 
     def test_dangling_ref_is_rejected_not_guessed(self):
-        codec = WireCodec()
-        codec.set_reliable("a", "b")
-        codec.encode("a", "b", "x", "Login")          # defines symbol 0
-        second = codec.encode("a", "b", "x", "Login")  # bare ref
-        with pytest.raises(UnknownSymbolError):
-            codec.decode("a", "b", second.data)        # def frame never arrived
-        assert codec.stats.unknown_symbol_rejected == 1
-
-    def test_table_bound_falls_back_to_plain_strings(self):
-        codec = WireCodec(max_symbols=4)
-        codec.set_reliable("a", "b")
-        names = [f"principal-{i}" for i in range(10)]
-        encoded = codec.encode("a", "b", "x", names)
-        assert codec.decode("a", "b", encoded.data) == names
-
-
-# -- epoch renegotiation (satellite: intern-table epoch safety) ---------------
-
-
-class TestEpochSafety:
-    def make(self):
-        codec = WireCodec()
-        epoch = {"value": 1}
-        codec.set_epoch_source("a", lambda: epoch["value"])
-        codec.set_reliable("a", "b")
-        return codec, epoch
-
-    def test_epoch_bump_renegotiates_symbols(self):
-        codec, epoch = self.make()
-        codec.decode("a", "b", codec.encode("a", "b", "x", "Login").data)
-        warm = codec.encode("a", "b", "x", "Login")
-        assert warm.intern_hits == 1
-        epoch["value"] = 2  # crash-restart
-        fresh = codec.encode("a", "b", "x", "Login")
-        assert fresh.intern_misses == 1 and fresh.intern_hits == 0
-        assert codec.decode("a", "b", fresh.data) == "Login"
-
-    def test_stale_epoch_frame_rejected_after_new_epoch_seen(self):
-        codec, epoch = self.make()
-        stale = codec.encode("a", "b", "x", "Login")
-        epoch["value"] = 2
-        codec.decode("a", "b", codec.encode("a", "b", "x", "Login").data)
-        # the pre-crash frame's symbol ids belong to a dead table
-        with pytest.raises(StaleEpochError):
-            codec.decode("a", "b", stale.data)
-        assert codec.stats.stale_epoch_rejected == 1
-
-    def test_late_old_epoch_frame_before_any_new_traffic_still_decodes(self):
-        # the receiver cannot know about a restart it has not seen; the
-        # monitor-level (epoch, seq) stamps handle application staleness
-        codec, epoch = self.make()
-        stale = codec.encode("a", "b", "x", "Login")
-        epoch["value"] = 2
-        assert codec.decode("a", "b", stale.data) == "Login"
-
-    def test_stale_ids_never_resolve_against_new_table(self):
-        codec, epoch = self.make()
-        # establish "Login" as id 0 in epoch 1
-        codec.decode("a", "b", codec.encode("a", "b", "x", "Login").data)
-        stale_ref = codec.encode("a", "b", "x", "Login")  # bare ref to id 0
-        epoch["value"] = 2
-        # in epoch 2, id 0 is a *different* symbol
-        codec.decode("a", "b", codec.encode("a", "b", "x", "Files").data)
-        with pytest.raises(StaleEpochError):
-            codec.decode("a", "b", stale_ref.data)
-
-
-# -- encoded-form coalescing (satellite: round-trip property) -----------------
-
-
-def reference_coalesce(items):
-    """The wire layer's last-state-wins semantics on plain items: the
-    final state of each (issuer, ref) at its first occurrence's position,
-    generic items untouched, modified items grouped per issuer (the
-    decoded order of an items frame)."""
-    others = [i for i in items if i["kind"] != "modified"]
-    groups: dict[str, dict[int, dict]] = {}
-    for item in items:
-        if item["kind"] != "modified":
-            continue
-        body = item["payload"]
-        run = groups.setdefault(body["issuer"], {})
-        run[body["ref"]] = body  # dict overwrite keeps the first position
-    return others + [
-        {"kind": "modified", "payload": dict(body)}
-        for run in groups.values()
-        for body in run.values()
-    ]
-
-
-_states = st.sampled_from(["true", "false", "unknown"])
-_stamps = st.none() | st.tuples(
-    st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=1000)
-)
-_mod_items = st.builds(
-    mod,
-    st.sampled_from(["Login", "Files", "Badges"]),
-    st.integers(min_value=-50, max_value=50),
-    _states,
-    _stamps,
-)
-_other_items = st.builds(
-    lambda ref: {"kind": "subscribe", "payload": {"ref": ref, "subscriber": "S"}},
-    st.integers(min_value=0, max_value=20),
-)
-_item_lists = st.lists(_mod_items | _other_items, max_size=40)
-
-
-class TestEncodedCoalescing:
-    @given(_item_lists)
-    @settings(max_examples=200, deadline=None)
-    def test_decode_coalesce_encode_equals_coalesce(self, items):
-        codec = WireCodec()
-        section = codec.encode_items("a", "b", items, coalesce=False)
-        coalesced = coalesce_encoded(section.frame.data)
-        decoded = codec.decode("a", "b", coalesced)
-        assert decoded["items"] == reference_coalesce(items)
-
-    @given(_item_lists)
-    @settings(max_examples=100, deadline=None)
-    def test_encode_side_coalescing_agrees(self, items):
-        codec = WireCodec()
-        eager = codec.encode_items("a", "b", items, coalesce=True)
-        assert codec.decode("a", "b", eager.frame.data)["items"] == (
-            reference_coalesce(items)
+        m = codec_module
+        first = len(VOCABULARY)
+        login = bytes([m._T_SYMDEF, 5]) + b"Login"
+        for body in [
+            bytes([m._T_SYMREF, first]),                            # never defined
+            bytes([m._T_LIST, 2, m._T_SYMREF, first]) + login,       # defined later
+            bytes([m._T_LIST, 2]) + login + bytes([m._T_SYMREF, first + 1]),
+        ]:
+            codec = WireCodec()
+            with pytest.raises(CodecError):
+                codec.decode(bytes([m.VERSION, m.F_GENERIC]) + body)
+            assert codec.stats.decode_errors == 1
+        # a ref back to a definition made earlier in the same frame decodes
+        frame = bytes([m.VERSION, m.F_GENERIC, m._T_LIST, 2]) + login + bytes(
+            [m._T_SYMREF, first]
         )
+        assert WireCodec().decode(frame) == ["Login", "Login"]
 
-    @given(_item_lists)
-    @settings(max_examples=100, deadline=None)
-    def test_coalesce_encoded_is_idempotent(self, items):
+    def test_each_frame_defines_its_own_symbols(self):
         codec = WireCodec()
-        section = codec.encode_items("a", "b", items, coalesce=False)
-        once = coalesce_encoded(section.frame.data)
-        assert coalesce_encoded(once) == once
+        first = codec.encode("x", ["Login", "Login"])
+        second = codec.encode("x", ["Login"])
+        assert (first.intern_hits, first.intern_misses) == (1, 1)
+        assert (second.intern_hits, second.intern_misses) == (0, 1)
+        assert WireCodec().decode(second.data) == ["Login"]
 
-    def test_coalesce_never_grows_the_frame(self):
-        codec = WireCodec()
-        items = [mod("Login", i % 5, "false", (1, i)) for i in range(50)]
-        section = codec.encode_items("a", "b", items, coalesce=False)
-        assert len(coalesce_encoded(section.frame.data)) < len(section.frame.data)
+
+def _encoded_frames(sender, payload):
+    """(frame bytes, expected decode) for every frame shape, nested
+    retransmit frames included."""
+    items = [{"kind": "subscribe", "payload": payload}, mod("Login", 3, "false", (1, 2))]
+    section = sender.encode_items(items)
+    hb = {"seq": 4, "horizon": 0.5, "epoch": 1}
+    out = [(sender.encode(kind, body).data, body) for kind, body in _frames(payload)]
+    out.append((sender.wrap_batch(section, hb).data, {"items": items, "hb": hb}))
+    retransmit = dict(hb, payload=section.frame)
+    out.append(
+        (sender.encode("heartbeat-payload", retransmit).data, dict(hb, payload={"items": items}))
+    )
+    return out
+
+
+@given(payloads=st.lists(reference_values(8, SYMBOLS), min_size=1, max_size=3), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_frames_decode_in_any_order_with_a_fresh_codec(payloads, data):
+    """No frame leans on another: a receiver that saw none of the
+    others, taking them in any order, decodes each to what was sent."""
+    sender = WireCodec()
+    frames = [frame for payload in payloads for frame in _encoded_frames(sender, payload)]
+    for frame, expected in data.draw(st.permutations(frames)):
+        assert WireCodec().decode(frame) == expected
 
 
 # -- network integration ------------------------------------------------------
@@ -661,6 +659,15 @@ class TestNetworkIntegration:
         net.add_node("a", lambda m: got.append(m))
         net.add_node("b", lambda m: got.append(m))
         return sim, net, got
+
+    def wire_frame(self, net, kind, payload):
+        """The bytes ``net`` puts on the wire for one send (dropped by a
+        fault injector, so nothing is delivered)."""
+        frames = []
+        net.set_fault_injector(lambda message, delay: frames.append(message.payload))
+        net.send("a", "b", kind, payload)
+        net.set_fault_injector(None)
+        return frames[0]
 
     def test_delivery_is_a_real_roundtrip(self):
         sim, net, got = self.make()
@@ -685,7 +692,7 @@ class TestNetworkIntegration:
 
     def test_pre_encoded_payload_passes_through(self):
         sim, net, got = self.make()
-        encoded = net.codec.encode("a", "b", "data", [1, 2])
+        encoded = net.codec.encode("data", [1, 2])
         net.send("a", "b", "data", encoded)
         sim.run()
         assert got[0].payload == [1, 2]
@@ -693,18 +700,42 @@ class TestNetworkIntegration:
 
     def test_undecodable_frame_dropped_with_accounting(self):
         sim, net, got = self.make()
-        net.send("a", "b", "data", Encoded(b"\x01\x01\x00\xff"))
+        unknown_tag = bytes([codec_module.VERSION, codec_module.F_GENERIC, 0xFF])
+        net.send("a", "b", "data", Encoded(unknown_tag))
         sim.run()
         assert got == []
         assert net.stats.dropped_decode == 1
         assert net.unaccounted() == 0  # the drop has a recorded fate
 
-    def test_crashed_node_learns_no_symbols(self):
+    def test_leftover_bytes_are_a_decode_drop(self):
+        """A frame followed by anything is not a frame: top-level and
+        nested frames alike are dropped with accounting."""
         sim, net, got = self.make()
-        net.node("b").up = False
-        net.send("a", "b", "data", "Login")  # SYMDEF in flight
+        garbage = b"\x07garbage"
+        frames = [
+            self.wire_frame(net, "rpc-reply", {"id": 4, "value": "Login"}),
+            self.wire_frame(net, "heartbeat", {"seq": 3, "horizon": 1.5, "epoch": 1}),
+        ]
+        items = self.wire_frame(net, "data", {"items": [{"kind": "subscribe", "payload": 1}]})
+        for frame in frames:
+            net.send("a", "b", "data", Encoded(frame + garbage))
+        net.send(
+            "a", "b", "heartbeat-payload",
+            {"seq": 1, "horizon": 0.0, "epoch": 1, "payload": Encoded(items + garbage)},
+        )
         sim.run()
-        assert net.stats.dropped_while_down == 1
-        # the def died with the frame: a bare ref must not resolve
-        net.node("b").up = True
-        assert net.codec._decoder_for("a", "b").symbols == {}
+        assert got == []
+        assert net.stats.dropped_decode == 3
+        assert net.unaccounted() == 0
+
+    def test_other_versions_are_a_decode_drop(self):
+        sim, net, got = self.make()
+        frame = self.wire_frame(net, "data", {"issuer": "Login", "refs": [1, 2]})
+        for version in (0, 1, 3, 0xFF):
+            net.send("a", "b", "data", Encoded(bytes([version]) + frame[1:]))
+        net.send("a", "b", "data", Encoded(frame))
+        sim.run()
+        assert [m.payload for m in got] == [{"issuer": "Login", "refs": [1, 2]}]
+        assert net.stats.dropped_decode == 4
+        assert net.codec.stats.decode_errors == 4
+        assert net.unaccounted() == 0
