@@ -9,7 +9,9 @@ The acceptance gates for the compact binary codec:
   path) still compresses well, each batch frame defining its badge and
   room names once;
 * encode/decode stay cheap enough that marshalling never becomes the
-  cascade bottleneck (throughput recorded, not gated).
+  cascade bottleneck (throughput recorded, not gated);
+* a journaled pair's RELAY-session logoff reaches the subscriber as one
+  typed ``outbox-deliver`` frame, its wire bytes per entry pinned.
 
 Counter assertions are exact; measured series go to BENCH_codec.json
 (``BENCH_CODEC_OUT``) for the CI artifact.
@@ -18,17 +20,21 @@ Counter assertions are exact; measured series go to BENCH_codec.json
 import time
 from contextlib import contextmanager
 
+import pytest
+
 from benchmarks.conftest import bench_quick, record_codec
 from benchmarks.test_bench_wire import BATCHED, build_linked_world
+from repro.errors import RevokedError
 from repro.events.model import Event
-from repro.runtime.codec import WireCodec
+from repro.runtime.codec import F_ACKED, F_DELIVER, WireCodec
 from repro.runtime.heartbeat import HeartbeatMonitor, HeartbeatSender
-from repro.runtime.network import Network
+from repro.runtime.network import MESSAGE_HEADER_BYTES, Network
 from repro.runtime.simulator import Simulator
 from repro.runtime.wire import BatchedChannel, heartbeat_of, unpack
 
 CASCADE = 2_000
 STREAM = 2_000 if bench_quick() else 10_000
+RELAY = 128   # the request benchmark's fan-out: one logoff, 128 sessions
 
 
 class ReprStrawman:
@@ -257,4 +263,52 @@ def test_encode_decode_throughput():
         decode_items_per_second=int(decode_rate),
         frame_bytes=len(data),
         bytes_per_item=round(len(data) / CASCADE, 2),
+    )
+
+
+def test_relay_cascade_is_one_typed_delivery():
+    """A journaled Login->Files pair: one ``exit_roles`` over RELAY
+    sessions reaches Files as ONE ``outbox-deliver`` request, acked by
+    one reply.  Its wire bytes per entry (request and ack, headers
+    included) are pinned at the measured value: a dense revocation's
+    rows cost a one-byte seq delta, a four-byte CRR delta, the flags,
+    the stamp epoch and a one-byte stamp delta."""
+    sim, net, linkage, login, files, certs, readers = build_linked_world(BATCHED, RELAY)
+    linkage.enable_journal(login)
+    linkage.enable_journal(files)
+    sim.run()
+    frames = []
+
+    def capture(message, delay):
+        frames.append(message)
+        return [delay]
+
+    net.set_fault_injector(capture)
+    start = time.perf_counter()
+    assert login.exit_roles(certs) == RELAY
+    sim.run()
+    elapsed = time.perf_counter() - start
+    relay = [m for m in frames if m.source == "journal:Login" or m.dest == "journal:Login"]
+    requests = [m for m in relay if m.kind == "rpc-request"]
+    replies = [m for m in relay if m.kind == "rpc-reply"]
+    assert [(m.dest, m.payload[1]) for m in requests] == [("journal:Files", F_DELIVER)]
+    assert [m.payload[1] for m in replies] == [F_ACKED]
+    delivered = WireCodec().decode(requests[0].payload)
+    assert len(delivered["args"][1]) == RELAY
+    request_bytes = MESSAGE_HEADER_BYTES + len(requests[0].payload)
+    reply_bytes = MESSAGE_HEADER_BYTES + len(replies[0].payload)
+    bytes_per_entry = (request_bytes + reply_bytes) / RELAY
+    assert (request_bytes, reply_bytes) == (1_057, 157)   # 9.48 B per entry
+    for reader in readers:
+        with pytest.raises(RevokedError):
+            files.validate(reader)
+    assert net.stats.dropped_decode == 0
+    assert net.unaccounted() == 0
+    record_codec(
+        "codec_relay_cascade",
+        entries=RELAY,
+        request_bytes=request_bytes,
+        reply_bytes=reply_bytes,
+        bytes_per_entry=round(bytes_per_entry, 2),
+        seconds=elapsed,
     )

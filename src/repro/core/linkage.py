@@ -114,6 +114,9 @@ class SimLinkage(Linkage):
         self.network = network
         self.policy = policy or WirePolicy()
         self._services: dict[str, "OasisService"] = {}
+        # address -> attached service name: a subscribe names no
+        # subscriber, the sending node's address does
+        self._name_at: dict[str, str] = {}
         self._monitors: dict[tuple[str, str], HeartbeatMonitor] = {}
         self._senders: dict[tuple[str, str], HeartbeatSender] = {}
         self._pools: dict[str, ChannelPool] = {}
@@ -158,6 +161,7 @@ class SimLinkage(Linkage):
     def attach(self, service: "OasisService") -> None:
         self._services[service.name] = service
         address = self.address_of(service.name)
+        self._name_at[address] = service.name
         self.network.add_node(address, self._make_handler(service))
         self._pools[service.name] = ChannelPool(self.network, address, policy=self.policy)
 
@@ -306,9 +310,12 @@ class SimLinkage(Linkage):
         issuer — a 10k-surrogate revocation settles once, not 10k times —
         and the (epoch, seq) stamp dedup makes re-application idempotent,
         so the heartbeat machinery can safely replay a retransmitted
-        batch through here.
+        batch through here.  A subscribe subscribes the service at
+        ``source`` (the channel, not the message, names the party), and
+        one from an address with no attached service is ignored.
         """
         address = self.address_of(service.name)
+        sender = self._name_at.get(source)
         modified: dict[str, list[tuple[int, RecordState]]] = {}
         for kind, body in pairs:
             if kind == "modified":
@@ -341,23 +348,19 @@ class SimLinkage(Linkage):
                 modified.setdefault(body["issuer"], []).append(
                     (body["ref"], RecordState(body["state"]))
                 )
-            elif kind == "subscribe":
-                service.credentials.subscribe(body["ref"], body["subscriber"])
+            elif kind == "subscribe" and sender is not None:
+                service.credentials.subscribe(body["ref"], sender)
                 # the reply resolves a fail-closed Unknown surrogate:
                 # urgent, never held for a batch window
-                self._reply_subscribe(
-                    service, source, body["subscriber"], [body["ref"]], urgent=True
-                )
-            elif kind == "subscribe-many":
+                self._reply_subscribe(service, source, sender, [body["ref"]], urgent=True)
+            elif kind == "subscribe-many" and sender is not None:
                 # a restarted subscriber resubscribing its whole surrogate
                 # set in one request (the batched resync path); replies
                 # ride the normal batch windows — they all flush together
                 refs = [int(ref) for ref in body["refs"]]
                 for ref in refs:
-                    service.credentials.subscribe(ref, body["subscriber"])
-                self._reply_subscribe(
-                    service, source, body["subscriber"], refs, urgent=False
-                )
+                    service.credentials.subscribe(ref, sender)
+                self._reply_subscribe(service, source, sender, refs, urgent=False)
             elif kind in ("heartbeat", "heartbeat-payload", "heartbeat-fillers"):
                 monitor = self._monitors.get((source, address))
                 if monitor is not None:
@@ -394,9 +397,7 @@ class SimLinkage(Linkage):
         # Subscription is asynchronous on the real network; the surrogate
         # starts Unknown and is resolved by the issuer's state reply.
         self._pools[subscriber.name].to(self.address_of(issuer_name)).send(
-            "subscribe",
-            {"ref": remote_ref, "subscriber": subscriber.name},
-            urgent=True,
+            "subscribe", {"ref": remote_ref}, urgent=True
         )
         self._track_subscribe(subscriber.name, issuer_name, remote_ref)
         return RecordState.UNKNOWN
@@ -424,9 +425,7 @@ class SimLinkage(Linkage):
         self._sub_pending[key] += 1
         self.subscribe_retries += 1
         self._pools[subscriber_name].to(self.address_of(issuer_name)).send(
-            "subscribe",
-            {"ref": ref, "subscriber": subscriber_name},
-            urgent=True,
+            "subscribe", {"ref": ref}, urgent=True
         )
         self.network.simulator.schedule(
             self.subscribe_retry_period,
@@ -584,7 +583,7 @@ class SimLinkage(Linkage):
         channel = self._pools[subscriber.name].to(self.address_of(issuer_name))
         channel.send(
             "subscribe-many",
-            {"subscriber": subscriber.name, "refs": refs},
+            {"refs": refs},
             coalesce_key=("subscribe-many", issuer_name, subscriber.name),
         )
         for ref in refs:

@@ -19,12 +19,12 @@ Three layers:
   costing its repr length.
 
 * **typed frames** — the wire's recurring payload shapes (wire batches,
-  the four heartbeat-protocol bodies, RPC request/reply/event) get
-  dedicated frame types with field-level encodings; unrecognised shapes
-  ride a self-describing GENERIC frame.  Cascade batches get **delta
-  encoding**: a run of ``modified`` items for one issuer becomes the
-  issuer symbol once, then (zigzag ref-delta, state-enum, stamp-delta)
-  tuples — about five bytes per revoked record instead of a repr'd dict.
+  the four heartbeat-protocol bodies, RPC request/reply/event, and the
+  journal relay's delivery, ack and tail-sync reply) get dedicated frame
+  types with field-level encodings; unrecognised shapes ride a
+  self-describing GENERIC frame.  Record lists share one **delta-coded
+  row coder** — (zigzag ref-delta, state-enum, stamp-delta) rows, about
+  seven bytes per revoked record over dense CRRs (ids step by 2**24).
 
 * **symbols** — every word the protocol itself sends (item kinds,
   payload field names, RPC methods, record states, extension names) is
@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 
-VERSION = 2
+VERSION = 3
 
 # The published vocabulary: every word this package puts on the wire, by
 # id.  It is part of the frame format — changing it means bumping
@@ -101,6 +101,9 @@ F_HB_NACK = 0x08
 F_RPC_REQUEST = 0x09
 F_RPC_REPLY = 0x0A
 F_RPC_EVENT = 0x0B
+F_DELIVER = 0x0C       # outbox-deliver request: call id, issuer, run of rows
+F_ACKED = 0x0D         # its reply {"acked": seqs}
+F_TAIL_REPLY = 0x0E    # tail-sync reply {"epoch", "items": run of rows}
 
 # -- value tags ---------------------------------------------------------------
 
@@ -121,6 +124,7 @@ _T_FRAME = 0x0D        # nested encoded frame (varint length + raw bytes)
 
 _STATE_CODES = {"true": 0, "false": 1, "unknown": 2}
 _STATE_NAMES = {code: name for name, code in _STATE_CODES.items()}
+_HAS_STAMP = 0x04      # row flags: state code | has-stamp
 
 _DOUBLE = struct.Struct(">d")
 
@@ -379,9 +383,6 @@ class _FrameDecoder:
         value, self.pos = _read_uvarint(self.data, self.pos)
         return value
 
-    def z(self) -> int:
-        return _unzigzag(self.u())
-
     def f64(self) -> float:
         end = self.pos + 8
         if end > len(self.data):
@@ -485,11 +486,108 @@ class _FrameDecoder:
         raise CodecError(f"unknown value tag 0x{tag:02x}")
 
 
-# -- typed item section (the cascade hot path) --------------------------------
+# -- the row coder: cascade groups and relay frames (the hot path) ------------
+
+
+def _write_run(fe: _FrameEncoder, rows: list, with_seq: bool) -> None:
+    """Write ``(seq, ref, state, stamp)`` rows (``(ref, state, stamp)``
+    without ``with_seq``) as a run: a count, then per row an optional
+    zigzag seq delta, a zigzag ref delta, a flags byte (state code |
+    ``_HAS_STAMP``) and a stamp: a uvarint epoch, then a zigzag delta from
+    the row's own seq (an outbox stamp's is 0), else the previous stamp's."""
+    out = fe.out
+    _write_uvarint(out, len(rows))
+    prev_seq = prev_ref = base = 0
+    for row in rows:
+        if with_seq:
+            seq, ref, state, stamp = row
+            _write_uvarint(out, _zigzag(seq - prev_seq))
+            prev_seq = base = seq
+        else:
+            ref, state, stamp = row
+        _write_uvarint(out, _zigzag(ref - prev_ref))
+        prev_ref = ref
+        if stamp is None:
+            out.append(_STATE_CODES[state])
+        else:
+            out.append(_STATE_CODES[state] | _HAS_STAMP)
+            _write_uvarint(out, stamp[0])
+            _write_uvarint(out, _zigzag(stamp[1] - base))
+            base = stamp[1]
+
+
+def _read_run(fd: _FrameDecoder, with_seq: bool) -> list[list]:
+    """Read a run back as ``[seq, ref, state, stamp]`` lists (``[ref, state,
+    stamp]`` without ``with_seq``), each stamp ``[epoch, seq]`` or None."""
+    data = fd.data
+    n, pos = _read_uvarint(data, fd.pos)
+    rows = []
+    seq = ref = base = 0
+    for _ in range(n):
+        if with_seq:
+            z, pos = _read_uvarint(data, pos)
+            seq += (z >> 1) ^ -(z & 1)
+            base = seq
+        z, pos = _read_uvarint(data, pos)
+        ref += (z >> 1) ^ -(z & 1)
+        flags = data[pos] if pos < len(data) else -1
+        pos += 1
+        state = _STATE_NAMES.get(flags & ~_HAS_STAMP)
+        if state is None:
+            raise CodecError(f"bad or missing row flags at byte {pos - 1}")
+        stamp = None
+        if flags & _HAS_STAMP:
+            epoch, pos = _read_uvarint(data, pos)
+            z, pos = _read_uvarint(data, pos)
+            base += (z >> 1) ^ -(z & 1)
+            stamp = [epoch, base]
+        rows.append([seq, ref, state, stamp] if with_seq else [ref, state, stamp])
+    fd.pos = pos
+    return rows
+
+
+def _fits_rows(rows: Any, width: int) -> bool:
+    """Whether ``rows`` are ``[seq, ref, state, stamp]`` (width 4) or
+    ``[ref, state, stamp]`` lists that a run decodes back to exactly:
+    exact ints, seqs not negative, a known state, and as the stamp None
+    or an ``[epoch, seq]`` list of non-negative ints."""
+    return type(rows) is list and all(
+        type(row) is list and len(row) == width
+        and (width == 3 or type(row[0]) is int and row[0] >= 0)
+        and type(row[-3]) is int
+        and type(row[-2]) is str and row[-2] in _STATE_CODES
+        and (row[-1] is None or type(row[-1]) is list and len(row[-1]) == 2
+             and type(row[-1][0]) is type(row[-1][1]) is int and min(row[-1]) >= 0)
+        for row in rows
+    )
+
+
+def _relay_frame(kind: str, payload: Any) -> int:
+    """The relay frame ``payload`` fits exactly — an ``outbox-deliver``
+    request, its ``{"acked"}`` reply or a ``{"epoch", "items"}`` tail-sync
+    reply — else 0: anything else (extra keys, kwargs, tuple stamps,
+    negative seqs, unknown states, non-int parts) keeps its generic frame."""
+    if type(payload) is not dict or type(payload.get("id")) is not int or payload["id"] < 0:
+        return 0
+    args, value = payload.get("args"), payload.get("value")
+    if kind == "rpc-request":
+        return F_DELIVER if (
+            payload.keys() == {"id", "method", "args", "kwargs"}
+            and payload["method"] == "outbox-deliver" and payload["kwargs"] == {}
+            and isinstance(args, (tuple, list)) and len(args) == 2
+            and isinstance(args[0], str) and _fits_rows(args[1], 4)
+        ) else 0
+    if kind != "rpc-reply" or payload.keys() != {"id", "value"} or type(value) is not dict:
+        return 0
+    if value.keys() == {"acked"} and type(value["acked"]) is list:
+        return F_ACKED if all(type(s) is int and s >= 0 for s in value["acked"]) else 0
+    if value.keys() == {"epoch", "items"} and type(value["epoch"]) is int:
+        return F_TAIL_REPLY if value["epoch"] >= 0 and _fits_rows(value["items"], 3) else 0
+    return 0
 
 
 def _modified_shape(item: dict) -> Optional[tuple]:
-    """The (issuer, ref, state_code, stamp) of a well-formed modified
+    """The ``(issuer, (ref, state, stamp))`` of a well-formed modified
     item, or None if the item must ride the generic path."""
     if item.get("kind") != "modified":
         return None
@@ -498,8 +596,8 @@ def _modified_shape(item: dict) -> Optional[tuple]:
         return None
     issuer = body.get("issuer")
     ref = body.get("ref")
-    state = _STATE_CODES.get(body.get("state"))
-    if not isinstance(issuer, str) or not isinstance(ref, int) or state is None:
+    state = body.get("state")
+    if not isinstance(issuer, str) or not isinstance(ref, int) or _STATE_CODES.get(state) is None:
         return None
     stamp = body.get("stamp")
     if stamp is not None:
@@ -510,21 +608,20 @@ def _modified_shape(item: dict) -> Optional[tuple]:
         ):
             return None
         stamp = (stamp[0], stamp[1])
-    return issuer, ref, state, stamp
+    return issuer, (ref, state, stamp)
 
 
 def _encode_items_section(fe: _FrameEncoder, items: Iterable[dict]) -> None:
-    """Write the shared items section: generic items in order, then
-    delta-encoded per-issuer modified groups."""
+    """Write the shared items section: generic items in order, then one
+    run of modified rows per issuer."""
     others: list[dict] = []
-    groups: dict[str, list[tuple[int, int, Optional[tuple]]]] = {}
+    groups: dict[str, list[tuple]] = {}
     for item in items:
         shape = _modified_shape(item)
         if shape is None:
             others.append(item)
-            continue
-        issuer, ref, state, stamp = shape
-        groups.setdefault(issuer, []).append((ref, state, stamp))
+        else:
+            groups.setdefault(shape[0], []).append(shape[1])
     fe.u(len(others))
     for item in others:
         fe.string(item["kind"])
@@ -532,17 +629,7 @@ def _encode_items_section(fe: _FrameEncoder, items: Iterable[dict]) -> None:
     fe.u(len(groups))
     for issuer, run in groups.items():
         fe.string(issuer)
-        fe.u(len(run))
-        prev_ref = 0
-        prev_seq = 0
-        for ref, state, stamp in run:
-            fe.z(ref - prev_ref)
-            prev_ref = ref
-            fe.out.append(state | (0x04 if stamp is not None else 0))
-            if stamp is not None:
-                fe.u(stamp[0])
-                fe.z(stamp[1] - prev_seq)
-                prev_seq = stamp[1]
+        _write_run(fe, run, False)
 
 
 def _decode_items_section(fd: _FrameDecoder) -> list[dict]:
@@ -552,31 +639,10 @@ def _decode_items_section(fd: _FrameDecoder) -> list[dict]:
         items.append({"kind": kind, "payload": fd.value()})
     for _ in range(fd.u()):
         issuer = fd.string()
-        n = fd.u()
-        prev_ref = 0
-        prev_seq = 0
-        for _ in range(n):
-            prev_ref += fd.z()
-            flags = fd.raw(1)[0]
-            state = _STATE_NAMES.get(flags & 0x03)
-            if state is None:
-                raise CodecError(f"unknown record state code {flags & 0x03}")
-            stamp = None
-            if flags & 0x04:
-                epoch = fd.u()
-                prev_seq += fd.z()
-                stamp = (epoch, prev_seq)
-            items.append(
-                {
-                    "kind": "modified",
-                    "payload": {
-                        "issuer": issuer,
-                        "ref": prev_ref,
-                        "state": state,
-                        "stamp": stamp,
-                    },
-                }
-            )
+        for ref, state, stamp in _read_run(fd, False):
+            body = {"issuer": issuer, "ref": ref, "state": state,
+                    "stamp": None if stamp is None else tuple(stamp)}
+            items.append({"kind": "modified", "payload": body})
     return items
 
 
@@ -619,19 +685,24 @@ def _batch_shape(payload: Any) -> bool:
 
 
 def _seq_list(fd: _FrameDecoder) -> list[int]:
+    data = fd.data
+    n, pos = _read_uvarint(data, fd.pos)
     seqs = []
     prev = 0
-    for _ in range(fd.u()):
-        prev += fd.z()
+    for _ in range(n):
+        z, pos = _read_uvarint(data, pos)
+        prev += (z >> 1) ^ -(z & 1)
         seqs.append(prev)
+    fd.pos = pos
     return seqs
 
 
 def _write_seq_list(fe: _FrameEncoder, seqs: list[int]) -> None:
-    fe.u(len(seqs))
+    out = fe.out
+    _write_uvarint(out, len(seqs))
     prev = 0
     for seq in seqs:
-        fe.z(seq - prev)
+        _write_uvarint(out, _zigzag(seq - prev))
         prev = seq
 
 
@@ -691,6 +762,14 @@ def _read_frame(fd: _FrameDecoder) -> Any:
         return reply
     if ftype == F_RPC_EVENT:
         return {"topic": fd.string(), "payload": fd.value()}
+    if ftype in (F_DELIVER, F_ACKED, F_TAIL_REPLY):
+        call_id = fd.u()
+        if ftype == F_DELIVER:
+            args = (fd.string(), _read_run(fd, True))
+            return {"id": call_id, "method": "outbox-deliver", "args": args, "kwargs": {}}
+        if ftype == F_ACKED:
+            return {"id": call_id, "value": {"acked": _seq_list(fd)}}
+        return {"id": call_id, "value": {"epoch": fd.u(), "items": _read_run(fd, False)}}
     raise CodecError(f"unknown frame type 0x{ftype:02x}")
 
 
@@ -767,8 +846,7 @@ class WireCodec:
             return True
         if (
             kind == "heartbeat-fillers"
-            and isinstance(payload, dict)
-            and set(payload) == {"seqs", "horizon", "epoch"}
+            and _hb_shape(payload, "seqs", "horizon", "epoch")
             and isinstance(payload["seqs"], list)
             and all(isinstance(s, int) for s in payload["seqs"])
         ):
@@ -797,6 +875,19 @@ class WireCodec:
             fe.begin(F_HB_NACK)
             _write_seq_list(fe, payload["missing"])
             return True
+        relay = _relay_frame(kind, payload) if kind[:4] == "rpc-" else 0
+        if relay:
+            fe.begin(relay)
+            fe.u(payload["id"])
+            if relay == F_DELIVER:
+                fe.string(payload["args"][0])
+                _write_run(fe, payload["args"][1], True)
+            elif relay == F_ACKED:
+                _write_seq_list(fe, payload["value"]["acked"])
+            else:
+                fe.u(payload["value"]["epoch"])
+                _write_run(fe, payload["value"]["items"], False)
+            return True
         if (
             kind == "rpc-request"
             and isinstance(payload, dict)
@@ -823,10 +914,7 @@ class WireCodec:
         ):
             fe.begin(F_RPC_REPLY)
             fe.u(payload["id"])
-            flags = (0x01 if "value" in payload else 0) | (
-                0x02 if "error" in payload else 0
-            )
-            fe.out.append(flags)
+            fe.out.append(("value" in payload) | ("error" in payload) << 1)
             if "value" in payload:
                 fe.value(payload["value"])
             if "error" in payload:

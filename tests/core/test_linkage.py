@@ -323,3 +323,89 @@ def test_lost_subscribe_is_retried_until_acknowledged():
     sim.run_until(20.0)
     with pytest.raises(RevokedError):
         files.validate(reader)
+
+
+# -- the subscriber is whoever sent the subscribe -----------------------------
+
+
+def make_three_service_world():
+    """Login plus two subscribers, Files and Mirror, with two sessions."""
+    sim, net, linkage, login, files, user = make_distributed_world()
+    mirror = OasisService(
+        "Mirror", registry=files.registry, linkage=linkage, clock=files.clock
+    )
+    mirror.add_rolefile("main", FILES_RDL)
+    host = HostOS("ely")
+    certs = [
+        login.enter_role(host.create_domain().client_id, "LoggedOn", (f"u{i}", "ely"))
+        for i in range(2)
+    ]
+    return sim, net, linkage, login, files, mirror, certs
+
+
+def subscribers_of(service, cert):
+    return service.credentials.get(cert.crr).subscribers
+
+
+def read_as(service, cert):
+    return service.enter_role(cert.client, "Reader", credentials=(cert,))
+
+
+def test_the_subscriber_is_whoever_sent_the_subscribe():
+    """The issuer takes the subscriber from the channel (the sending
+    node's address), never from a claim inside the message: items naming
+    Mirror, sent from Files, subscribe Files."""
+    sim, net, linkage, login, files, mirror, certs = make_three_service_world()
+    read_as(files, certs[0])
+    sim.run()
+    assert subscribers_of(login, certs[0]) == {"Files"}
+    channel = linkage.channel("Files", "Login")
+    channel.send("subscribe", {"ref": certs[1].crr, "subscriber": "Mirror"}, urgent=True)
+    channel.send("subscribe-many", {"refs": [c.crr for c in certs], "subscriber": "Mirror"})
+    channel.flush()
+    sim.run()
+    assert subscribers_of(login, certs[0]) == {"Files"}
+    assert subscribers_of(login, certs[1]) == {"Files"}
+    assert net.unaccounted() == 0
+
+
+def test_resync_and_retried_subscribes_subscribe_the_sender():
+    sim, net, linkage, login, files, mirror, certs = make_three_service_world()
+    # the first subscribe is lost; a subscribe-many resync lands before
+    # the retry timer fires
+    net.set_link("oasis:Files", "oasis:Login", Link(loss_probability=1.0))
+    read_as(files, certs[0])
+    sim.run_until(0.5)
+    net.set_link("oasis:Files", "oasis:Login", Link())
+    assert linkage.resync(files, "Login") == 1
+    sim.run_until(1.0)
+    assert linkage.subscribe_retries == 0
+    assert subscribers_of(login, certs[0]) == {"Files"}
+    # a lost subscribe from Mirror lands on its timer retry
+    net.set_link("oasis:Mirror", "oasis:Login", Link(loss_probability=1.0))
+    read_as(mirror, certs[1])
+    sim.run_until(1.5)
+    net.set_link("oasis:Mirror", "oasis:Login", Link())
+    sim.run_until(10.0)
+    assert linkage.subscribe_retries >= 1
+    assert subscribers_of(login, certs[1]) == {"Mirror"}
+
+
+def test_a_subscribe_from_an_address_with_no_service_is_ignored():
+    """Nobody at a bare address could receive the notifications, so its
+    subscribe items change nothing and draw no reply."""
+    from repro.runtime.wire import BatchedChannel
+
+    sim, net, linkage, login, files, mirror, certs = make_three_service_world()
+    sim.run()
+    net.add_node("oasis:Ghost", lambda message: None)
+    ghost = BatchedChannel(net, "oasis:Ghost", "oasis:Login")
+    ghost.send("subscribe", {"ref": certs[0].crr}, urgent=True)
+    ghost.send("subscribe-many", {"refs": [certs[1].crr], "subscriber": "Files"})
+    ghost.flush()
+    sent = net.stats.messages_sent
+    sim.run()
+    assert subscribers_of(login, certs[0]) == set()
+    assert subscribers_of(login, certs[1]) == set()
+    assert net.stats.messages_sent == sent   # no reply went anywhere
+    assert net.unaccounted() == 0

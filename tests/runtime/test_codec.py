@@ -10,7 +10,10 @@ Three layers under test:
   byte for byte, with every truncated frame a ``CodecError``;
 * symbols — the protocol's own words are refs into the fixed
   ``VOCABULARY``; any other string is defined inside the frame that uses
-  it, so every frame decodes alone, in any order, on a fresh codec.
+  it, so every frame decodes alone, in any order, on a fresh codec;
+* the journal relay's typed frames (``outbox-deliver``, its ack, the
+  tail-sync reply) — each decodes to exactly what the generic frame for
+  the same payload decodes to, and any other shape keeps that frame.
 """
 
 from unittest import mock
@@ -20,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import HostOS, OasisService, ServiceRegistry
+from repro.core.credentials import CredentialRecordTable
 from repro.core.linkage import SimLinkage
 from repro.core.sharding import ShardCoordinator
 from repro.core.types import ObjectType
@@ -237,6 +241,33 @@ class ReferenceEncoder(codec_module._FrameEncoder):
             self.string(name)
             self.value(pack(v))
 
+    # The relay frames' run and seq-list coders.  reference_encode patches
+    # them over the module's functions, which take the encoder first.
+
+    def write_run(self, rows, with_seq):
+        self.u(len(rows))
+        prev_seq = prev_ref = prev_stamp = 0
+        for row in rows:
+            *seq, ref, state, stamp = row
+            if with_seq:
+                self.z(seq[0] - prev_seq)
+                prev_seq = seq[0]
+            self.z(ref - prev_ref)
+            prev_ref = ref
+            code = codec_module._STATE_CODES[state]
+            self.out.append(code if stamp is None else code | 0x04)
+            if stamp is not None:
+                self.u(stamp[0])
+                self.z(stamp[1] - (seq[0] if with_seq else prev_stamp))
+                prev_stamp = stamp[1]
+
+    def write_seq_list(self, seqs):
+        self.u(len(seqs))
+        prev = 0
+        for seq in seqs:
+            self.z(seq - prev)
+            prev = seq
+
 
 class ReferenceDecoder(codec_module._FrameDecoder):
     __slots__ = ()
@@ -297,14 +328,51 @@ class ReferenceDecoder(codec_module._FrameDecoder):
             return unpack(self.value())
         raise CodecError(f"unknown value tag 0x{tag:02x}")
 
+    def read_run(self, with_seq):
+        rows = []
+        seq = ref = prev_stamp = 0
+        for _ in range(self.u()):
+            if with_seq:
+                seq += self.z()
+            ref += self.z()
+            flags = self.raw(1)[0]
+            if flags & ~0x04 not in codec_module._STATE_NAMES:
+                raise CodecError(f"row flags 0x{flags:02x}")
+            stamp = None
+            if flags & 0x04:
+                epoch = self.u()
+                prev_stamp = (seq if with_seq else prev_stamp) + self.z()
+                stamp = [epoch, prev_stamp]
+            row = [ref, codec_module._STATE_NAMES[flags & ~0x04], stamp]
+            rows.append([seq] + row if with_seq else row)
+        return rows
+
+    def seq_list(self):
+        seqs = []
+        prev = 0
+        for _ in range(self.u()):
+            prev += self.z()
+            seqs.append(prev)
+        return seqs
+
 
 def reference_encode(codec, kind, payload):
-    with mock.patch.object(codec_module, "_FrameEncoder", ReferenceEncoder):
+    with mock.patch.multiple(
+        codec_module,
+        _FrameEncoder=ReferenceEncoder,
+        _write_run=ReferenceEncoder.write_run,
+        _write_seq_list=ReferenceEncoder.write_seq_list,
+    ):
         return codec.encode(kind, payload)
 
 
 def reference_decode(codec, data):
-    with mock.patch.object(codec_module, "_FrameDecoder", ReferenceDecoder):
+    with mock.patch.multiple(
+        codec_module,
+        _FrameDecoder=ReferenceDecoder,
+        _read_run=ReferenceDecoder.read_run,
+        _seq_list=ReferenceDecoder.seq_list,
+    ):
         return codec.decode(data)
 
 
@@ -446,14 +514,35 @@ class TestTypedFrames:
         assert sorted_mods(decoded["items"][1:]) == sorted_mods(items[1:])
 
     def test_delta_encoding_is_compact(self):
+        """Real CRRs are ``index << 24 | magic``: a dense revocation's ref
+        deltas are 2**24, four bytes each.  With the flags, the stamp
+        epoch and a one-byte seq delta, a record costs about seven bytes
+        after the issuer, which is defined once."""
         codec = WireCodec()
-        items = [mod("Login", 1000 + i, "false", (1, i + 1)) for i in range(100)]
-        section = codec.encode_items(items)
-        # the issuer once, then ~4 bytes per record (ref delta, flags,
-        # stamp epoch, seq delta)
-        assert len(section.frame.data) < 100 * 8
-        assert len(section.frame.data) < len(repr({"items": items})) / 10
-        assert codec.decode(section.frame.data)["items"] == items
+        for n, measured in ((64, 457), (1000, 7010)):
+            items = [
+                mod("Login", ref, "false", (1, i + 1)) for i, ref in enumerate(dense_crrs(n))
+            ]
+            section = codec.encode_items(items)
+            assert len(section.frame.data) <= measured
+            assert len(section.frame.data) < len(repr({"items": items})) / 10
+            assert codec.decode(section.frame.data)["items"] == items
+
+    def test_fillers_with_a_stray_horizon_or_epoch_take_the_generic_frame(self):
+        """As in every other typed branch, a fillers body the frame cannot
+        carry rides the generic frame instead of failing the send."""
+        for stray in ({"horizon": "x"}, {"epoch": 1.5}, {"epoch": -1}):
+            body = {"seqs": [1], "horizon": 2.0, "epoch": 1, **stray}
+            codec = WireCodec()
+            decoded, _ = roundtrip(body, kind="heartbeat-fillers", codec=codec)
+            assert decoded == body
+            assert codec.stats.generic_frames == 1
+
+
+def dense_crrs(n):
+    """The CRRs of ``n`` records created one after another."""
+    table = CredentialRecordTable("Login")
+    return [table.create_source().ref for _ in range(n)]
 
 
 def mod(issuer, ref, state, stamp=None):
@@ -467,11 +556,124 @@ def sorted_mods(items):
     return sorted(items, key=lambda i: (i["payload"]["issuer"], i["payload"]["ref"]))
 
 
+# -- the journal relay's typed frames ------------------------------------------
+
+RELAY_FRAMES = {codec_module.F_DELIVER, codec_module.F_ACKED, codec_module.F_TAIL_REPLY}
+
+
+def deliver(call_id, issuer, rows):
+    return {"id": call_id, "method": "outbox-deliver", "args": (issuer, rows), "kwargs": {}}
+
+
+def acked(call_id, seqs):
+    return {"id": call_id, "value": {"acked": seqs}}
+
+
+def tail_reply(call_id, epoch, rows):
+    return {"id": call_id, "value": {"epoch": epoch, "items": rows}}
+
+
+# Seqs, epochs and stamp parts are never negative; refs are any int.
+# Unsorted draws give negative deltas, and the 2**63-and-up values give
+# deltas beyond +-2**62.
+UINTS = st.integers(0, 2**70) | st.sampled_from([0, 63, 64, 127, 128, 2**62, 2**63, 2**64])
+REFS = st.integers() | st.sampled_from(EDGE_INTS + [2**63, -(2**64)] + dense_crrs(4))
+STATES = st.sampled_from(["true", "false", "unknown"])
+STAMPS = st.none() | st.lists(UINTS, min_size=2, max_size=2)
+
+
+def runs(row):
+    """Empty and short runs, and runs of 128 rows and more (two-byte counts)."""
+    return st.lists(row, max_size=6) | st.lists(row, min_size=128, max_size=132)
+
+
+OUTBOX_ROW = st.builds(lambda seq, ref, state: [seq, ref, state, [1, seq]], UINTS, REFS, STATES)
+DELIVER_ROWS = runs(st.tuples(UINTS, REFS, STATES, STAMPS).map(list) | OUTBOX_ROW)
+TAIL_ROWS = runs(st.tuples(REFS, STATES, STAMPS).map(list))
+RELAY_PAYLOADS = st.one_of(
+    st.tuples(st.just("rpc-request"), st.builds(deliver, UINTS, SYMBOLS, DELIVER_ROWS)),
+    st.tuples(st.just("rpc-reply"), st.builds(acked, UINTS, runs(UINTS))),
+    st.tuples(st.just("rpc-reply"), st.builds(tail_reply, UINTS, UINTS, TAIL_ROWS)),
+)
+
+
+def generic_frame(kind, payload):
+    """The frame ``payload`` took before the relay frames existed (the RPC
+    request or reply frame over generic values), by the reference writer."""
+    with mock.patch.object(codec_module, "_relay_frame", lambda kind, payload: 0):
+        return reference_encode(WireCodec(), kind, payload).data
+
+
+@given(relay=RELAY_PAYLOADS)
+@settings(max_examples=80, deadline=None)
+def test_relay_frames_decode_exactly_to_the_generic_frames_payload(relay):
+    """Handlers, the RPC dedup cache and the journal see no difference:
+    a relay frame decodes to what the generic frame decodes to, types
+    included (``repr`` tells a tuple from a list and True from 1).  The
+    fast path writes and reads the reference coders' bytes."""
+    kind, payload = relay
+    real, ref = WireCodec(), WireCodec()
+    encoded = real.encode(kind, payload)
+    assert encoded.data[1] in RELAY_FRAMES
+    assert encoded.data == reference_encode(ref, kind, payload).data
+    decoded = real.decode(encoded.data)
+    assert repr(decoded) == repr(reference_decode(ref, encoded.data))
+    assert repr(decoded) == repr(reference_decode(ref, generic_frame(kind, payload)))
+    assert repr(decoded) == repr(payload)
+
+
+@given(relay=RELAY_PAYLOADS)
+@settings(max_examples=15, deadline=None)
+def test_every_strict_prefix_of_a_relay_frame_is_a_codec_error(relay):
+    data = WireCodec().encode(*relay).data
+    for end in range(len(data)):
+        try:
+            codec_module._decode_frame(data[:end])
+        except CodecError:
+            continue
+        pytest.fail(f"a {end}-byte prefix of a {len(data)}-byte relay frame decoded")
+
+
+ROWS = [[7, 2**24, "false", [1, 7]], [8, 2**25, "true", None]]
+MISFITS = {
+    "extra request key": ("rpc-request", {**deliver(1, "Login", ROWS), "trace": 3}),
+    "extra reply key": ("rpc-reply", {**acked(1, [7, 8]), "error": "late"}),
+    "extra value key": ("rpc-reply", {"id": 1, "value": {"acked": [7], "more": 1}}),
+    "kwargs": ("rpc-request", {**deliver(1, "Login", ROWS), "kwargs": {"urgent": True}}),
+    "tuple stamp": ("rpc-request", deliver(1, "Login", [[7, 2**24, "false", (1, 7)]])),
+    "tuple row": ("rpc-reply", tail_reply(1, 1, [(2**24, "false", [1, 7])])),
+    "short row": ("rpc-request", deliver(1, "Login", [[7, 2**24, "false"]])),
+    "negative seq": ("rpc-request", deliver(1, "Login", [[-7, 2**24, "false", [1, 7]]])),
+    "negative stamp": ("rpc-request", deliver(1, "Login", [[7, 2**24, "false", [1, -7]]])),
+    "negative ack": ("rpc-reply", acked(1, [7, -8])),
+    "negative epoch": ("rpc-reply", tail_reply(1, -1, [])),
+    "negative id": ("rpc-request", deliver(-1, "Login", ROWS)),
+    "unknown state": ("rpc-request", deliver(1, "Login", [[7, 2**24, "revoked", None]])),
+    "no state": ("rpc-reply", tail_reply(1, 1, [[2**24, None, None]])),
+    "float seq": ("rpc-request", deliver(1, "Login", [[7.0, 2**24, "false", [1, 7]]])),
+    "str ref": ("rpc-request", deliver(1, "Login", [[7, "16777216", "false", None]])),
+    "bool stamp part": ("rpc-request", deliver(1, "Login", [[7, 2**24, "false", [True, 7]]])),
+    "bool ack": ("rpc-reply", acked(1, [True, 8])),
+    "float epoch": ("rpc-reply", tail_reply(1, 1.0, [])),
+    "int issuer": ("rpc-request", deliver(1, 42, ROWS)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(MISFITS))
+def test_shapes_that_do_not_fit_keep_the_generic_frame(shape):
+    kind, payload = MISFITS[shape]
+    codec = WireCodec()
+    encoded = codec.encode(kind, payload)
+    assert encoded.data[1] not in RELAY_FRAMES
+    assert repr(codec.decode(encoded.data)) == repr(payload)
+
+
 # -- symbols: one published vocabulary, frame-scoped definitions ---------------
 
-# A literal copy of the version-2 vocabulary.  Ids are part of the frame
-# format: a change here without a VERSION bump breaks every peer.
-PUBLISHED_V2 = (
+# A literal copy of the vocabulary, unchanged since version 2.  Ids are
+# part of the frame format: a change here without a VERSION bump breaks
+# every peer.
+PUBLISHED_V3 = (
     "true", "false", "unknown",
     "modified", "subscribe", "subscribe-many",
     "badge-seen", "badge-left", "badge-naming",
@@ -562,8 +764,8 @@ def deployment_frames():
 
 class TestFrameSymbols:
     def test_vocabulary_is_pinned_to_its_version(self):
-        assert codec_module.VERSION == 2
-        assert VOCABULARY == PUBLISHED_V2
+        assert codec_module.VERSION == 3
+        assert VOCABULARY == PUBLISHED_V3
         assert len(set(VOCABULARY)) == len(VOCABULARY) < 128
         for sid, word in enumerate(VOCABULARY):
             # a two-byte ref, defining nothing
@@ -593,6 +795,25 @@ class TestFrameSymbols:
             "settle-prepare", "settle-prepare reply",
             "settle-commit", "settle-commit reply",
         }
+
+    def test_relay_messages_take_their_typed_frames(self):
+        """Every delivery, ack and tail-sync reply a deployment sends fits
+        its typed frame; the tail-sync request keeps the RPC request frame."""
+        m = codec_module
+        methods, frame_types = {}, {}
+        for kind, source, dest, data in deployment_frames():
+            payload = WireCodec().decode(data)
+            if kind == "rpc-request":
+                methods[(source, payload["id"])] = name = payload["method"]
+            elif kind == "rpc-reply":
+                name = methods[(dest, payload["id"])] + " reply"
+            else:
+                continue
+            frame_types.setdefault(name, set()).add(data[1])
+        assert frame_types["outbox-deliver"] == {m.F_DELIVER}
+        assert frame_types["outbox-deliver reply"] == {m.F_ACKED}
+        assert frame_types["tail-sync"] == {m.F_RPC_REQUEST}
+        assert frame_types["tail-sync reply"] == {m.F_TAIL_REPLY}
 
     def test_dangling_ref_is_rejected_not_guessed(self):
         m = codec_module
@@ -712,10 +933,15 @@ class TestNetworkIntegration:
         nested frames alike are dropped with accounting."""
         sim, net, got = self.make()
         garbage = b"\x07garbage"
+        rows = [[seq, ref, "false", [1, seq]] for seq, ref in enumerate(dense_crrs(3), 5)]
         frames = [
             self.wire_frame(net, "rpc-reply", {"id": 4, "value": "Login"}),
             self.wire_frame(net, "heartbeat", {"seq": 3, "horizon": 1.5, "epoch": 1}),
+            self.wire_frame(net, "rpc-request", deliver(1, "Login", rows)),
+            self.wire_frame(net, "rpc-reply", acked(1, [5, 6, 7])),
+            self.wire_frame(net, "rpc-reply", tail_reply(2, 1, [row[1:] for row in rows])),
         ]
+        assert {frame[1] for frame in frames[2:]} == RELAY_FRAMES
         items = self.wire_frame(net, "data", {"items": [{"kind": "subscribe", "payload": 1}]})
         for frame in frames:
             net.send("a", "b", "data", Encoded(frame + garbage))
@@ -725,13 +951,13 @@ class TestNetworkIntegration:
         )
         sim.run()
         assert got == []
-        assert net.stats.dropped_decode == 3
+        assert net.stats.dropped_decode == 6
         assert net.unaccounted() == 0
 
     def test_other_versions_are_a_decode_drop(self):
         sim, net, got = self.make()
         frame = self.wire_frame(net, "data", {"issuer": "Login", "refs": [1, 2]})
-        for version in (0, 1, 3, 0xFF):
+        for version in (0, 1, 2, 0xFF):
             net.send("a", "b", "data", Encoded(bytes([version]) + frame[1:]))
         net.send("a", "b", "data", Encoded(frame))
         sim.run()
