@@ -2,9 +2,10 @@
 
 The acceptance gates for the compact binary codec:
 
-* a CASCADE-record revocation cascade across a SimLinkage link puts
-  >= 5x fewer *bytes* on the wire than the repr-of-payload baseline the
-  accounting used before (encoded / :class:`ReprStrawman` bytes <= 0.2);
+* a CASCADE-record revocation cascade across a SimLinkage link (one
+  journal relay delivery and its ack) puts >= 5x fewer *bytes* on the
+  wire than the repr-of-payload baseline the accounting used before
+  (encoded / :class:`ReprStrawman` bytes <= 0.2);
 * a STREAM-sighting badge stream (generic events through the extension
   path) still compresses well, each batch frame defining its badge and
   room names once;
@@ -105,7 +106,7 @@ def _cascade_bytes(strawman):
     sim, net, linkage, login, files, certs, readers = build_linked_world(
         BATCHED, CASCADE
     )
-    # a production deployment monitors the link: batches carry heartbeats
+    # a production deployment monitors the link
     linkage.monitor(login, files, period=1.0, grace=2.0)
     sim.run_until(sim.now + 3.0)
     # warm the validation caches so their hit ratios mean something
@@ -116,8 +117,8 @@ def _cascade_bytes(strawman):
     mark_repr = strawman.bytes
     mark_hits = net.stats.intern_hits
     mark_misses = net.stats.intern_misses
-    channel = linkage.channel("Login", "Files")
-    mark_batches = channel.stats.batches
+    requests = linkage.relay_of("Login").rpc.stats
+    mark_deliveries = requests.requests_sent
     start = time.perf_counter()
     login.credentials.revoke_many([cert.crr for cert in certs])
     sim.run_until(sim.now + 10.0)  # heartbeats run forever; bounded drain
@@ -136,14 +137,14 @@ def _cascade_bytes(strawman):
     assert run_ratio < 1.0
     assert net.stats.dropped_decode == 0
     assert net.unaccounted() == 0
-    # frames are self-contained and every other word of a cascade batch
-    # is a vocabulary ref or an enum: each batch frame in the window
+    # frames are self-contained and every other word of a delivery is a
+    # vocabulary ref or an enum: each delivery frame in the window
     # defines exactly one symbol, the issuer
     hits = net.stats.intern_hits - mark_hits
     misses = net.stats.intern_misses - mark_misses
-    batches = channel.stats.batches - mark_batches
-    assert batches > 0
-    assert misses == batches
+    deliveries = requests.requests_sent - mark_deliveries
+    assert deliveries > 0
+    assert misses == deliveries
     record_codec(
         "codec_cascade",
         cascade_records=CASCADE,
@@ -154,7 +155,7 @@ def _cascade_bytes(strawman):
         run_bytes_ratio=round(run_ratio, 4),
         intern_hits=hits,
         intern_misses=misses,
-        batches=batches,
+        deliveries=deliveries,
         seconds=elapsed,
         **_hit_rates(files.cache_counters()),
     )
@@ -168,13 +169,6 @@ def test_badge_stream_bytes_reduced():
     net = Network(sim, seed=23, default_delay=0.001)
     sender = HeartbeatSender(net, "sensornet", "sink", period=1.0)
     monitor = HeartbeatMonitor(net, "sink", "sensornet", period=1.0, grace=2.0)
-
-    def svc_node(message):
-        if message.kind == "heartbeat-ack":
-            sender.handle_ack(message.payload["ack"])
-        elif message.kind == "heartbeat-nack":
-            sender.handle_nack(message.payload["missing"])
-
     delivered = []
 
     def sink_node(message):
@@ -185,7 +179,7 @@ def test_badge_stream_bytes_reduced():
             if msg.kind == "sighting":
                 delivered.append(msg.payload)
 
-    net.add_node("sensornet", svc_node)
+    net.add_node("sensornet", lambda message: None)
     net.add_node("sink", sink_node)
     channel = BatchedChannel(net, "sensornet", "sink", heartbeat=sender)
     strawman = ReprStrawman()
@@ -229,28 +223,23 @@ def test_badge_stream_bytes_reduced():
 
 
 def test_encode_decode_throughput():
-    """Raw marshalling speed on the cascade item shape: recorded so a
-    codec regression shows up as a number, not a vibe."""
+    """Raw marshalling speed on the cascade's delivery shape (one
+    ``outbox-deliver`` request): recorded so a codec regression shows up
+    as a number, not a vibe."""
     codec = WireCodec()
-    items = [
-        {
-            "kind": "modified",
-            "payload": {"issuer": "Login", "ref": i, "state": "false", "stamp": None},
-        }
-        for i in range(CASCADE)
-    ]
+    rows = [[seq, seq << 24, "false", [1, seq]] for seq in range(1, CASCADE + 1)]
+    request = {"id": 7, "method": "outbox-deliver", "args": ("Login", rows), "kwargs": {}}
     rounds = 3 if bench_quick() else 10
     start = time.perf_counter()
     for _ in range(rounds):
-        section = codec.encode_items(items)
+        data = codec.encode("rpc-request", request).data
     encode_seconds = time.perf_counter() - start
 
-    data = section.frame.data
     start = time.perf_counter()
     for _ in range(rounds):
         decoded = codec.decode(data)
     decode_seconds = time.perf_counter() - start
-    assert len(decoded["items"]) == CASCADE
+    assert decoded["args"] == ("Login", rows)
 
     encode_rate = rounds * CASCADE / encode_seconds
     decode_rate = rounds * CASCADE / decode_seconds
@@ -274,9 +263,6 @@ def test_relay_cascade_is_one_typed_delivery():
     rows cost a one-byte seq delta, a four-byte CRR delta, the flags,
     the stamp epoch and a one-byte stamp delta."""
     sim, net, linkage, login, files, certs, readers = build_linked_world(BATCHED, RELAY)
-    linkage.enable_journal(login)
-    linkage.enable_journal(files)
-    sim.run()
     frames = []
 
     def capture(message, delay):
@@ -288,17 +274,18 @@ def test_relay_cascade_is_one_typed_delivery():
     assert login.exit_roles(certs) == RELAY
     sim.run()
     elapsed = time.perf_counter() - start
-    relay = [m for m in frames if m.source == "journal:Login" or m.dest == "journal:Login"]
-    requests = [m for m in relay if m.kind == "rpc-request"]
-    replies = [m for m in relay if m.kind == "rpc-reply"]
-    assert [(m.dest, m.payload[1]) for m in requests] == [("journal:Files", F_DELIVER)]
+    requests = [m for m in frames if m.kind == "rpc-request"]
+    replies = [m for m in frames if m.kind == "rpc-reply"]
+    assert [(m.dest, m.payload[1]) for m in requests] == [("oasis:Files", F_DELIVER)]
     assert [m.payload[1] for m in replies] == [F_ACKED]
     delivered = WireCodec().decode(requests[0].payload)
     assert len(delivered["args"][1]) == RELAY
     request_bytes = MESSAGE_HEADER_BYTES + len(requests[0].payload)
     reply_bytes = MESSAGE_HEADER_BYTES + len(replies[0].payload)
     bytes_per_entry = (request_bytes + reply_bytes) / RELAY
-    assert (request_bytes, reply_bytes) == (1_057, 157)   # 9.48 B per entry
+    # the call id takes two bytes: the subscribe replies went through
+    # the relay too
+    assert (request_bytes, reply_bytes) == (1_058, 158)   # 9.50 B per entry
     for reader in readers:
         with pytest.raises(RevokedError):
             files.validate(reader)

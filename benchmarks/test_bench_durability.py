@@ -4,11 +4,9 @@ Crash-recovery cost measurements on the simulated clock, recorded to
 BENCH_durability.json:
 
 * **crash recovery** — network messages from a crashed subscriber's
-  restart to full reconvergence, on the legacy path (batched
-  resubscribe: one subscribe-many request plus reply envelopes) versus
-  the journaled path (local replay plus one tail-sync round trip).
-  The acceptance bar from the issue is asserted here: the journal must
-  recover with at least **5x fewer** network messages;
+  restart to full reconvergence (local replay plus one tail-sync round
+  trip), pinned at the measured count whatever the number of
+  surrogates;
 * **outbox drain throughput** — notifications delivered per wire
   envelope when a mass revocation drains through the transactional
   outbox, plus the virtual time to settle.
@@ -42,7 +40,7 @@ SURROGATES = 1024 if bench_quick() else 2048
 REVOKED = 256 if bench_quick() else 512
 
 
-def make_world(journaled):
+def make_world():
     sim = Simulator()
     net = Network(sim, seed=17, default_delay=0.01)
     clock = SimClock(sim)
@@ -53,9 +51,6 @@ def make_world(journaled):
     login.add_rolefile("main", LOGIN_RDL)
     files = OasisService("Files", registry=registry, linkage=linkage, clock=clock)
     files.add_rolefile("main", FILES_RDL)
-    if journaled:
-        linkage.enable_journal(login)
-        linkage.enable_journal(files)
     return sim, net, linkage, login, files
 
 
@@ -77,10 +72,10 @@ def converged(login, files):
     return True
 
 
-def recover_and_count(journaled):
+def recover_and_count():
     """Crash the subscriber, restart it, and count the network messages
-    it takes to reconverge on the given recovery path."""
-    sim, net, linkage, login, files = make_world(journaled)
+    it takes to reconverge."""
+    sim, net, linkage, login, files = make_world()
     populate(login, files, SURROGATES)
     sim.run_until(10.0)
     assert converged(login, files)
@@ -103,45 +98,37 @@ def recover_and_count(journaled):
         raise AssertionError("recovery did not converge within the budget")
     messages = net.stats.messages_sent - sent_before
     virtual = sim.now - restart_at
-    replayed = 0
-    if journaled:
-        journal = linkage.durable.journal("Files")
-        assert journal.stats.replays == 1
-        replayed = journal.stats.records_replayed
-        assert journal.stats.tail_syncs_pulled >= 1
-    return messages, virtual, replayed
+    journal = linkage.durable.journal("Files")
+    assert journal.stats.replays == 1
+    assert journal.stats.tail_syncs_pulled == 1
+    return messages, virtual, journal.stats.records_replayed
 
 
-def test_crash_recovery_replay_beats_resubscribe():
+# Recovery messages, measured: the tail-sync request and its reply.  The
+# count does not grow with SURROGATES (one reply carries them all).
+RECOVERY_MESSAGES = 2
+
+
+def test_crash_recovery_by_replay_and_tail_sync():
     wall_start = time.perf_counter()
-    resubscribe_messages, resub_virtual, _ = recover_and_count(journaled=False)
-    journal_messages, journal_virtual, replayed = recover_and_count(journaled=True)
+    messages, virtual, replayed = recover_and_count()
     wall = time.perf_counter() - wall_start
-
-    assert journal_messages >= 1      # tail-sync is not free, just cheap
-    ratio = resubscribe_messages / journal_messages
-    # the acceptance bar from the issue: local replay plus tail-sync must
-    # cut recovery traffic by at least 5x versus resubscribing
-    assert ratio >= 5.0, (
-        f"journal recovery used {journal_messages} messages vs "
-        f"{resubscribe_messages} for resubscribe (ratio {ratio:.1f}x < 5x)"
+    assert messages == RECOVERY_MESSAGES, (
+        f"recovery of {SURROGATES} surrogates used {messages} messages"
     )
     assert replayed >= SURROGATES     # recovery really came from the log
     record_durability(
         "crash_recovery",
         surrogates=SURROGATES,
-        resubscribe_messages=resubscribe_messages,
-        journal_messages=journal_messages,
-        ratio=round(ratio, 2),
-        resubscribe_virtual_s=round(resub_virtual, 3),
-        journal_virtual_s=round(journal_virtual, 3),
+        journal_messages=messages,
+        journal_virtual_s=round(virtual, 3),
         records_replayed=replayed,
         wall_s=round(wall, 3),
     )
 
 
 def test_outbox_drain_throughput():
-    sim, net, linkage, login, files = make_world(journaled=True)
+    sim, net, linkage, login, files = make_world()
     pairs = populate(login, files, SURROGATES)
     sim.run_until(10.0)
 

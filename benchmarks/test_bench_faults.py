@@ -105,6 +105,12 @@ def test_partition_reconvergence_time():
     for cert, _reader in pairs[:: 3]:
         login.exit_role(cert)
     sim.run_until(30.0)
+    # nothing crossed the split: the revoked sessions' readers fail
+    # closed on suspicion (Unknown), not on a delivered FALSE
+    for _cert, reader in pairs[:: 3]:
+        with pytest.raises(RevokedError) as err:
+            files.validate(reader)
+        assert err.value.uncertain
     wall_start = time.perf_counter()
     net.heal({"oasis:Login"}, {"oasis:Files"})
     virtual = time_to_convergence(sim, login, files)

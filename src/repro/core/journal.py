@@ -22,9 +22,10 @@ a crash.  Three mechanisms ride it:
   "apply" and "notify" can no longer lose a revocation: the undrained
   entry is still in the durable outbox and is delivered after replay;
 * **dead-letter queue** — an entry whose delivery exhausts the RPC retry
-  budget is *parked*, never dropped, and redelivered on a seeded
-  exponential backoff.  The conservation invariant — every outbox entry
-  is applied exactly once at its destination or parked in the DLQ —
+  budget, or that its receiver refuses, is *parked*, never dropped, and
+  redelivered on a seeded exponential backoff.  The conservation
+  invariant — every outbox entry is applied exactly once at its
+  destination or parked in the DLQ —
   is checkable at any instant via :meth:`DurableStore.conservation_breaches`
   (swept by :class:`~repro.runtime.faults.InvariantChecker`).
 
@@ -32,16 +33,18 @@ Receivers dedup inbound deliveries by ``(issuer, outbox seq)`` in their
 *own* journal ("applied" records), so redelivery after a crash on either
 side is idempotent, and they keep the newest applied ``(epoch, seq)``
 stamp per ``(issuer, ref)`` so a delayed older state can never re-open a
-surrogate a newer notification already closed — the same stale-drop
-armour the wire path carries, in the journal's stamp space.
+surrogate a newer notification or snapshot already closed.  A receiver
+acks nothing from an issuer it suspects (section 4.10: records fed by a
+suspect sender are Unknown) or whose tail-sync snapshot it still awaits;
+those deliveries park at the issuer and come back after the snapshot,
+which the stamps order them against.
 
 Recovery protocol (driven by :meth:`JournalRelay.recover`): replay the
 local journal (fast, idempotent, zero messages), mask every surrogate
 Unknown (fail closed — the crash window is of unverifiable currency),
-then **tail-sync** from each journaled issuer: one RPC pulls a stamped
-snapshot of every subscribed record, resolving all surrogates in a
-single cascade, instead of the O(refs) resubscribe storm.  Pending
-outbox entries and due dead letters then drain.
+then **tail-sync** from each issuer: one RPC pulls a stamped snapshot of
+every subscribed record, resolving all surrogates in a single cascade.
+Pending outbox entries and due dead letters then drain.
 """
 
 from __future__ import annotations
@@ -61,6 +64,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 # One outbound notification: (ref, state, destination service names).
 Notice = tuple[int, RecordState, list[str]]
+
+# The relay's delivery RPC: a short retry budget, then the DLQ's seeded
+# exponential backoff takes over.
+RELAY_RETRY = RetryPolicy(max_attempts=3, base_delay=0.25, max_delay=2.0)
+RELAY_RPC_TIMEOUT = 2.0
+DLQ_BASE_DELAY = 2.0
+DLQ_MULTIPLIER = 2.0
+DLQ_MAX_DELAY = 30.0
 
 # Outbox entry lifecycle.  DELIVERED is terminal; DEAD entries are
 # *parked* (the dead-letter queue), not forgotten — redelivery moves
@@ -113,6 +124,8 @@ class JournalStats:
     outbox_redelivered: int = 0   # delivered on a DLQ redelivery pass
     parked: int = 0               # entries that entered the DLQ (cumulative)
     applied: int = 0              # inbound entries applied to the table
+    refused: int = 0              # inbound entries not acked: issuer suspect
+                                  # or its snapshot awaited (redelivered later)
     duplicates_dropped: int = 0   # inbound entries deduped by (issuer, seq)
     superseded: int = 0           # inbound entries or tail items stale under the stamp
     tail_syncs_served: int = 0
@@ -140,6 +153,9 @@ class ServiceJournal:
         # so draining and DLQ work cost O(undelivered), not O(history);
         # an entry leaves it only through mark_delivered()
         self.undelivered: dict[int, OutboxEntry] = {}
+        # destination -> its entries in ``undelivered`` (the overload
+        # signal: admission sheds while one reaches the queue bound)
+        self.depth: dict[str, int] = {}
         self.stats = JournalStats()
         # While replaying, mutations re-driven through the table must not
         # journal themselves again: append() is a no-op under this flag.
@@ -185,6 +201,7 @@ class ServiceJournal:
         record_seq = self._seq + 1
         outbox = self.outbox
         undelivered = self.undelivered
+        depth = self.depth
         last_stamp = self.last_stamp
         seq = self._outbox_seq
         entries = []
@@ -197,6 +214,7 @@ class ServiceJournal:
                 entries.append(entry)
                 outbox[seq] = entry
                 undelivered[seq] = entry
+                depth[dest] = depth.get(dest, 0) + 1
                 if stamp > last_stamp.get(ref, (0, 0)):
                     last_stamp[ref] = stamp
         self._outbox_seq = seq
@@ -275,6 +293,7 @@ class ServiceJournal:
         """The one transition to the terminal DELIVERED status."""
         entry.status = DELIVERED
         del self.undelivered[entry.seq]
+        self.depth[entry.dest] -= 1
         self.stats.outbox_delivered += 1
 
     def dead_letters(self) -> list[OutboxEntry]:
@@ -344,13 +363,14 @@ class JournalRelay:
     """The retrying drain of one service's transactional outbox, plus
     the inbound delivery / tail-sync endpoint peers talk to.
 
-    Owns the RPC endpoint at ``journal:<service>`` (a network node that
-    fate-shares with the service's ``oasis:<service>`` node across
-    crashes).  Outbound entries batch per destination into a single
-    ``outbox-deliver`` call per drain pass; the receiver acks every seq
-    it has durably recorded, the sender marks those DELIVERED, and
-    anything the retry budget cannot land is parked in the DLQ with
-    seeded exponential backoff.
+    Owns the RPC endpoint at the service's address, ``oasis:<name>``,
+    which the service's subscribe requests and heartbeats share: a cut or
+    a crash takes the whole event stream with it.  Outbound entries
+    batch per destination into a single ``outbox-deliver`` call per
+    drain pass; the receiver acks every seq it has durably recorded, the
+    sender marks those DELIVERED, and anything the retry budget cannot
+    land, or the receiver refuses, is parked in the DLQ with seeded
+    exponential backoff.
     """
 
     def __init__(
@@ -358,11 +378,6 @@ class JournalRelay:
         linkage: "SimLinkage",
         service: "OasisService",
         journal: ServiceJournal,
-        retry: Optional[RetryPolicy] = None,
-        rpc_timeout: float = 2.0,
-        dlq_base_delay: float = 2.0,
-        dlq_multiplier: float = 2.0,
-        dlq_max_delay: float = 30.0,
         seed: int = 0,
     ):
         self.linkage = linkage
@@ -370,16 +385,13 @@ class JournalRelay:
         self.journal = journal
         self.network = linkage.network
         self.sim = self.network.simulator
-        self.address = f"journal:{service.name}"
-        self.dlq_base_delay = dlq_base_delay
-        self.dlq_multiplier = dlq_multiplier
-        self.dlq_max_delay = dlq_max_delay
+        self.address = linkage.address_of(service.name)
         self._rng = random.Random(f"dlq:{service.name}:{seed}")
         self.rpc = RpcEndpoint(
             self.network,
             self.address,
-            default_timeout=rpc_timeout,
-            retry=retry or RetryPolicy(max_attempts=3, base_delay=0.25, max_delay=2.0),
+            default_timeout=RELAY_RPC_TIMEOUT,
+            retry=RELAY_RETRY,
             seed=seed,
         )
         self.rpc.register("outbox-deliver", self._on_deliver)
@@ -390,6 +402,9 @@ class JournalRelay:
         self._redeliver_timer = Timer(
             self.sim, self._redeliver_due, name=f"journal-dlq:{service.name}"
         )
+        # issuers whose tail-sync snapshot this service awaits: their
+        # deliveries are refused until it lands
+        self._awaiting: set[str] = set()
         # one-shot crash triggers per fault point ("mid-append",
         # "mid-drain"); a trigger must schedule its crash as a zero-delay
         # event so the current append/drain step completes atomically —
@@ -462,7 +477,7 @@ class JournalRelay:
 
     def _send(self, dest: str, entries: list[OutboxEntry], from_dlq: bool) -> None:
         payload = [[e.seq, e.ref, e.state, list(e.stamp)] for e in entries]
-        future = self.rpc.call(f"journal:{dest}", "outbox-deliver",
+        future = self.rpc.call(self.linkage.address_of(dest), "outbox-deliver",
                                self.service.name, payload)
         future.on_done(
             lambda f, d=dest, es=entries, q=from_dlq: self._on_drain_done(d, es, f, q)
@@ -487,6 +502,10 @@ class JournalRelay:
                 missed.append(entry)
         if missed:
             self._park(missed)
+        elif acked and self.journal.depth[dest]:
+            # the destination takes deliveries again: its parked backlog
+            # need not wait out the backoff
+            self.redeliver_to(dest)
 
     def _park(self, entries: list[OutboxEntry]) -> None:
         """Move undeliverable entries to the dead-letter queue with a
@@ -495,10 +514,7 @@ class JournalRelay:
         now = self.sim.now
         for entry in entries:
             entry.status = DEAD
-            delay = min(
-                self.dlq_base_delay * self.dlq_multiplier ** entry.redeliveries,
-                self.dlq_max_delay,
-            )
+            delay = min(DLQ_BASE_DELAY * DLQ_MULTIPLIER ** entry.redeliveries, DLQ_MAX_DELAY)
             delay += self._rng.uniform(0.0, 0.5 * delay)
             entry.redeliveries += 1
             entry.next_attempt_at = now + delay
@@ -512,6 +528,20 @@ class JournalRelay:
         due_at = min(entry.next_attempt_at for entry in dead)
         self._redeliver_timer.disarm()
         self._redeliver_timer.arm(max(0.0, due_at - self.sim.now))
+
+    def redeliver_to(self, dest: str) -> None:
+        """Make ``dest``'s parked entries due now.  ``dest`` has shown it
+        is reachable (an ack, or its monitor's restore), and until its
+        backlog drains the outbox depth keeps this service's admissions
+        shed."""
+        now = self.sim.now
+        due = False
+        for entry in self.journal.undelivered.values():
+            if entry.status == DEAD and entry.dest == dest:
+                entry.next_attempt_at = now
+                due = True
+        if due:
+            self._redeliver_due()
 
     def _redeliver_due(self) -> None:
         if not self._up():
@@ -543,10 +573,22 @@ class JournalRelay:
 
         Every seq is acked — including duplicates and stamp-stale
         entries, which are *settled* (recorded as applied, dropped from
-        the table update) rather than lost.  The "applied" record is
-        journaled BEFORE the table mutation: WAL discipline, and the
-        dedup ledger survives a crash landing between the two."""
+        the table update) rather than lost — unless the batch is refused
+        whole: while this service suspects ``issuer``, or awaits its
+        tail-sync snapshot, nothing is acked and the issuer parks the
+        entries for redelivery.  The "applied" record is journaled
+        BEFORE the table mutation: WAL discipline, and the dedup ledger
+        survives a crash landing between the two."""
         journal = self.journal
+        # any delivery for a ref proves the issuer has the subscription:
+        # the subscribe retry can stand down
+        note_subscribed = self.linkage.note_subscribed
+        name = self.service.name
+        if issuer in self._awaiting or self.linkage.suspects(name, issuer):
+            for item in items:
+                note_subscribed(name, issuer, int(item[1]))
+            journal.stats.refused += len(items)
+            return {"acked": []}
         acked: list[int] = []
         applied_log: list[list] = []
         updates: list[tuple[int, RecordState]] = []
@@ -554,9 +596,7 @@ class JournalRelay:
             seq, ref = int(seq), int(ref)
             stamp = tuple(stamp) if stamp is not None else None
             acked.append(seq)
-            # any delivery for this ref proves the issuer has the
-            # subscription: the subscribe retry can stand down
-            self.linkage.note_subscribed(self.service.name, issuer, ref)
+            note_subscribed(name, issuer, ref)
             key = (issuer, seq)
             if journal.applied_counts.get(key):
                 journal.stats.duplicates_dropped += 1
@@ -577,31 +617,41 @@ class JournalRelay:
             self.service.credentials.update_external_many(issuer, updates)
         return {"acked": acked}
 
-    def _on_tail_sync(self, subscriber: str) -> dict:
-        """Serve a restarted subscriber the authoritative suffix: the
-        current state and newest stamp of every record it subscribes to,
-        in one reply instead of one message per ref."""
-        self.journal.stats.tail_syncs_served += 1
+    def snapshot_for(self, subscriber: str) -> list[list]:
+        """The authoritative state of every record ``subscriber``
+        subscribes to, as ``[ref, state, stamp]`` rows: the current state
+        and the newest outbox stamp issued for the ref (None if none)."""
+        last_stamp = self.journal.last_stamp
         items = []
         for record in self.service.credentials.all_records():
             if subscriber in record.subscribers:
-                stamp = self.journal.last_stamp.get(record.ref)
+                stamp = last_stamp.get(record.ref)
                 items.append(
                     [record.ref, record.state.value, list(stamp) if stamp else None]
                 )
-        return {"epoch": self.service.boot_epoch, "items": items}
+        return items
+
+    def _on_tail_sync(self, subscriber: str) -> dict:
+        """Serve a restarted subscriber its snapshot in one reply instead
+        of one message per ref."""
+        self.journal.stats.tail_syncs_served += 1
+        return {"epoch": self.service.boot_epoch, "items": self.snapshot_for(subscriber)}
+
+    def awaiting(self, issuer: str) -> bool:
+        """Whether a tail-sync snapshot from ``issuer`` is outstanding."""
+        return issuer in self._awaiting
 
     def tail_sync(self, issuer_name: str) -> None:
-        """Pull the post-crash truth from a journaled issuer.
+        """Pull the post-crash truth from an issuer.
 
-        The reply is authoritative (a live read, like the restore-path
-        re-read): it applies directly and records the served stamps, so
-        any older delivery still in flight is dropped as stale while a
-        newer one still applies."""
+        Until the snapshot lands, deliveries from the issuer are refused
+        (they park and come back); the snapshot then applies through
+        :meth:`apply_snapshot`, whose stamps order it against them."""
         if not self._up():
             return  # crashed again; the next recover() re-pulls
+        self._awaiting.add(issuer_name)
         future = self.rpc.call(
-            f"journal:{issuer_name}", "tail-sync", self.service.name
+            self.linkage.address_of(issuer_name), "tail-sync", self.service.name
         )
         future.on_done(lambda f, i=issuer_name: self._on_tail_reply(i, f))
 
@@ -618,53 +668,73 @@ class JournalRelay:
                 name=f"journal-tailsync:{self.service.name}",
             )
             return
-        reply = future.result()
+        self.journal.stats.tail_syncs_pulled += 1
+        self._awaiting.discard(issuer)
+        if self.linkage.suspects(self.service.name, issuer):
+            # a snapshot read from a suspect issuer is as unverifiable as
+            # its deliveries: the surrogates stay Unknown, and the
+            # restore's stamped re-read resolves them
+            return
+        self.apply_snapshot(issuer, future.result().get("items", ()))
+
+    def apply_snapshot(self, issuer: str, items) -> None:
+        """Apply an issuer's stamped snapshot (:meth:`snapshot_for`).
+
+        The snapshot is authoritative, a live read: each row applies and
+        raises the ``(issuer, ref)`` stamp, so an older delivery still
+        parked or in flight is dropped as stale while a newer one still
+        applies.  A row older than a delivery that already landed is
+        skipped.  Only the raised stamps are journaled: replay rebuilds
+        the stamp ledger from them, the states are in "state" records."""
         journal = self.journal
-        journal.stats.tail_syncs_pulled += 1
         applied_stamps = journal.applied_stamps
-        logged = []
+        note_subscribed = self.linkage.note_subscribed
+        name = self.service.name
+        raised = []
         updates = []
-        for ref, state, stamp in reply.get("items", ()):
+        for ref, state, stamp in items:
             ref = int(ref)
             stamp = tuple(stamp) if stamp is not None else None
-            self.linkage.note_subscribed(self.service.name, issuer, ref)
+            note_subscribed(name, issuer, ref)
             skey = (issuer, ref)
             applied = applied_stamps.get(skey)
             if applied is not None and (stamp is None or stamp < applied):
-                # a delivery sent after this snapshot was served has
+                # a delivery sent after this snapshot was read has
                 # already landed: the snapshot's state is the older one
                 journal.stats.superseded += 1
                 continue
-            if stamp is not None:
+            if stamp is not None and stamp != applied:
                 applied_stamps[skey] = stamp
-            logged.append([ref, state, list(stamp) if stamp else None])
+                raised.append([ref, state, list(stamp)])
             updates.append((ref, RecordState(state)))
-        if logged:
-            journal.append("tail", {"issuer": issuer, "items": logged})
+        if raised:
+            journal.append("tail", {"issuer": issuer, "items": raised})
+        if updates:
             self.service.credentials.update_external_many(issuer, updates)
 
     # ------------------------------------------------------- crash / recovery
 
     def crash(self) -> None:
-        """Volatile relay state dies: timers, armed fault points, and
-        the in-flight marks (the durable truth is that an unacked entry
-        was never delivered — it reverts to pending for the redrain)."""
+        """Volatile relay state dies: timers, armed fault points, awaited
+        snapshots, and the in-flight marks (the durable truth is that an
+        unacked entry was never delivered — it reverts to pending for
+        the redrain)."""
         self._drain_timer.disarm()
         self._redeliver_timer.disarm()
         self._crash_points.clear()
+        self._awaiting.clear()
         for entry in self.journal.undelivered.values():
             if entry.status == INFLIGHT:
                 entry.status = PENDING
 
     def recover(self) -> int:
-        """The journaled restart: replay, mask, tail-sync, redrain.
+        """The restart: replay, mask, tail-sync, redrain.
 
         1. replay the local journal — rebuilds table state and the dedup
            ledgers with zero network traffic;
         2. mask every surrogate Unknown — the crash window is of
            unverifiable currency (fail closed);
-        3. tail-sync each journaled issuer (one RPC each) and fall back
-           to the linkage resubscribe path for unjournaled ones;
+        3. tail-sync each issuer on this linkage (one RPC each);
         4. redrain pending outbox entries and re-schedule dead letters.
 
         Returns the number of journal records replayed."""
@@ -684,8 +754,6 @@ class JournalRelay:
             table.mark_service_unknown(issuer_name)
             if self.linkage.relay_of(issuer_name) is not None:
                 self.tail_sync(issuer_name)
-            else:
-                self.linkage.resync(self.service, issuer_name)
         if not self._drain_timer.armed:
             self._drain_timer.arm(0.0)
         self._schedule_redelivery()

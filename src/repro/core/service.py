@@ -170,7 +170,7 @@ class OasisService:
         # coherence depends on being able to deliver revocations)
         self.shed_on_overload = shed_on_overload
         self.admission = admission
-        # write-ahead journal (set by attach_journal; None = unjournaled)
+        # write-ahead journal (set by attach_journal; None without one)
         self.journal = None
         self.secrets = RollingSecretTable(clock=self.clock, lifetime=secret_lifetime)
         self.signer = Signer(self.secrets, signature_length=signature_length)
@@ -481,7 +481,7 @@ class OasisService:
                 by[principal] = by.get(principal, 0) + 1
             raise OverloadError(
                 f"service {self.name!r} is overloaded: {len(jammed)} outbound "
-                f"channel(s) at their queue bound; {operation} shed"
+                f"queue(s) at their bound; {operation} shed"
             )
 
     def _credential_membership(
@@ -940,8 +940,8 @@ class OasisService:
         From here on every effective credential mutation is journaled
         before it is applied (the table's ``wal`` hook) and the audit
         log records through the journal with only a bounded hot window
-        in memory.  Normally called via ``SimLinkage.enable_journal``,
-        which also wires the outbox relay."""
+        in memory.  Called by ``SimLinkage.attach``, which also wires
+        the outbox relay."""
         self.journal = journal
         self.credentials.wal = lambda kind, data: journal.append(kind, data)
         self.audit.attach_journal(journal)

@@ -19,11 +19,11 @@ Three layers:
   costing its repr length.
 
 * **typed frames** — the wire's recurring payload shapes (wire batches,
-  the four heartbeat-protocol bodies, RPC request/reply/event, and the
-  journal relay's delivery, ack and tail-sync reply) get dedicated frame
-  types with field-level encodings; unrecognised shapes ride a
-  self-describing GENERIC frame.  Record lists share one **delta-coded
-  row coder** — (zigzag ref-delta, state-enum, stamp-delta) rows, about
+  the bare heartbeat, RPC request/reply, and the journal relay's
+  delivery, ack and tail-sync reply) get dedicated frame types with
+  field-level encodings; unrecognised shapes ride a self-describing
+  GENERIC frame.  The relay's record lists share one **delta-coded row
+  coder** — (zigzag ref-delta, state-enum, stamp-delta) rows, about
   seven bytes per revoked record over dense CRRs (ids step by 2**24).
 
 * **symbols** — every word the protocol itself sends (item kinds,
@@ -36,7 +36,7 @@ Three layers:
 A frame is ``[VERSION][frame type][body]`` and carries everything needed
 to decode it: the codec keeps no per-link or per-boot state, so frames
 decode in any order, on any receiver.  Staleness is not the codec's
-business — heartbeat bodies and Modified stamps carry the sender's boot
+business — heartbeat bodies and outbox stamps carry the sender's boot
 epoch and are checked where they are applied.  A frame that fails to
 decode (wrong version, dangling ref, truncation, leftover bytes) is
 dropped by the network with accounting, which the protocol treats
@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 from repro.errors import CodecError
 
@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 
-VERSION = 3
+VERSION = 4
 
 # The published vocabulary: every word this package puts on the wire, by
 # id.  It is part of the frame format — changing it means bumping
@@ -71,16 +71,14 @@ VOCABULARY = (
     # record states
     "true", "false", "unknown",
     # wire item kinds
-    "modified", "subscribe", "subscribe-many",
-    "badge-seen", "badge-left", "badge-naming",
+    "subscribe", "badge-seen", "badge-left", "badge-naming",
     "proxied-event", "proxied-horizon",
     # RPC methods
     "outbox-deliver", "tail-sync", "settle-prepare", "settle-commit",
     # payload field names ("event" is also the Event extension's name)
-    "issuer", "ref", "refs", "state", "stamp", "subscriber",
-    "items", "kind", "payload", "hb", "seq", "seqs", "horizon", "epoch",
-    "ack", "missing", "id", "method", "args", "kwargs", "value", "error",
-    "topic", "acked", "service", "changed", "journal_head",
+    "ref", "items", "kind", "payload", "hb", "seq", "horizon", "epoch",
+    "id", "method", "args", "kwargs", "value", "error",
+    "acked", "service", "changed", "journal_head",
     "badge", "site", "home_site", "user", "event",
 )
 _VOCAB_IDS = {word: sid for sid, word in enumerate(VOCABULARY)}
@@ -92,18 +90,12 @@ _SYMBOL_MAX_LEN = 64
 
 F_GENERIC = 0x01       # self-describing tagged value
 F_BATCH = 0x02         # wire batch envelope (items + optional heartbeat)
-F_ITEMS = 0x03         # standalone items frame (the retransmit form)
-F_HEARTBEAT = 0x04
-F_HB_PAYLOAD = 0x05
-F_HB_FILLERS = 0x06
-F_HB_ACK = 0x07
-F_HB_NACK = 0x08
-F_RPC_REQUEST = 0x09
-F_RPC_REPLY = 0x0A
-F_RPC_EVENT = 0x0B
-F_DELIVER = 0x0C       # outbox-deliver request: call id, issuer, run of rows
-F_ACKED = 0x0D         # its reply {"acked": seqs}
-F_TAIL_REPLY = 0x0E    # tail-sync reply {"epoch", "items": run of rows}
+F_HEARTBEAT = 0x03     # {"horizon", "epoch"}
+F_RPC_REQUEST = 0x04
+F_RPC_REPLY = 0x05
+F_DELIVER = 0x06       # outbox-deliver request: call id, issuer, run of rows
+F_ACKED = 0x07         # its reply {"acked": seqs}
+F_TAIL_REPLY = 0x08    # tail-sync reply {"epoch", "items": run of rows}
 
 # -- value tags ---------------------------------------------------------------
 
@@ -486,7 +478,7 @@ class _FrameDecoder:
         raise CodecError(f"unknown value tag 0x{tag:02x}")
 
 
-# -- the row coder: cascade groups and relay frames (the hot path) ------------
+# -- the row coder: relay frames (the hot path) -------------------------------
 
 
 def _write_run(fe: _FrameEncoder, rows: list, with_seq: bool) -> None:
@@ -586,50 +578,13 @@ def _relay_frame(kind: str, payload: Any) -> int:
     return 0
 
 
-def _modified_shape(item: dict) -> Optional[tuple]:
-    """The ``(issuer, (ref, state, stamp))`` of a well-formed modified
-    item, or None if the item must ride the generic path."""
-    if item.get("kind") != "modified":
-        return None
-    body = item.get("payload")
-    if not isinstance(body, dict) or not set(body) <= {"issuer", "ref", "state", "stamp"}:
-        return None
-    issuer = body.get("issuer")
-    ref = body.get("ref")
-    state = body.get("state")
-    if not isinstance(issuer, str) or not isinstance(ref, int) or _STATE_CODES.get(state) is None:
-        return None
-    stamp = body.get("stamp")
-    if stamp is not None:
-        if (
-            not isinstance(stamp, (tuple, list))
-            or len(stamp) != 2
-            or not all(isinstance(part, int) and part >= 0 for part in stamp)
-        ):
-            return None
-        stamp = (stamp[0], stamp[1])
-    return issuer, (ref, state, stamp)
-
-
-def _encode_items_section(fe: _FrameEncoder, items: Iterable[dict]) -> None:
-    """Write the shared items section: generic items in order, then one
-    run of modified rows per issuer."""
-    others: list[dict] = []
-    groups: dict[str, list[tuple]] = {}
+def _encode_items_section(fe: _FrameEncoder, items: list[dict]) -> None:
+    """Write the items section: a count, then each item's kind and
+    payload in order."""
+    fe.u(len(items))
     for item in items:
-        shape = _modified_shape(item)
-        if shape is None:
-            others.append(item)
-        else:
-            groups.setdefault(shape[0], []).append(shape[1])
-    fe.u(len(others))
-    for item in others:
         fe.string(item["kind"])
         fe.value(item["payload"])
-    fe.u(len(groups))
-    for issuer, run in groups.items():
-        fe.string(issuer)
-        _write_run(fe, run, False)
 
 
 def _decode_items_section(fd: _FrameDecoder) -> list[dict]:
@@ -637,38 +592,31 @@ def _decode_items_section(fd: _FrameDecoder) -> list[dict]:
     for _ in range(fd.u()):
         kind = fd.string()
         items.append({"kind": kind, "payload": fd.value()})
-    for _ in range(fd.u()):
-        issuer = fd.string()
-        for ref, state, stamp in _read_run(fd, False):
-            body = {"issuer": issuer, "ref": ref, "state": state,
-                    "stamp": None if stamp is None else tuple(stamp)}
-            items.append({"kind": "modified", "payload": body})
     return items
 
 
 # -- typed frame writers ------------------------------------------------------
 
 
-def _hb_shape(payload: Any, *required: str) -> bool:
+def _hb_shape(payload: Any) -> bool:
+    """Whether ``payload`` is a heartbeat stamp ``{"horizon", "epoch"}``
+    the heartbeat frame carries exactly."""
     return (
         isinstance(payload, dict)
-        and set(payload) == set(required)
-        and isinstance(payload.get("seq", 0), int)
-        and isinstance(payload.get("epoch", 0), int)
-        and isinstance(payload.get("horizon", 0.0), (int, float))
-        and payload.get("seq", 0) >= 0
-        and payload.get("epoch", 0) >= 0
+        and payload.keys() == {"horizon", "epoch"}
+        and type(payload["epoch"]) is int
+        and payload["epoch"] >= 0
+        and type(payload["horizon"]) in (int, float)
     )
 
 
-def _write_hb_stamp(fe: _FrameEncoder, body: dict) -> None:
-    fe.u(body["seq"])
-    fe.f64(float(body["horizon"]))
-    fe.u(body["epoch"])
+def _write_hb_stamp(out: bytearray, body: dict) -> None:
+    out += _DOUBLE.pack(float(body["horizon"]))
+    _write_uvarint(out, body["epoch"])
 
 
 def _read_hb_stamp(fd: _FrameDecoder) -> dict:
-    return {"seq": fd.u(), "horizon": fd.f64(), "epoch": fd.u()}
+    return {"horizon": fd.f64(), "epoch": fd.u()}
 
 
 def _batch_shape(payload: Any) -> bool:
@@ -681,7 +629,7 @@ def _batch_shape(payload: Any) -> bool:
     ):
         return False
     hb = payload.get("hb")
-    return hb is None or _hb_shape(hb, "seq", "horizon", "epoch")
+    return hb is None or _hb_shape(hb)
 
 
 def _seq_list(fd: _FrameDecoder) -> list[int]:
@@ -730,21 +678,8 @@ def _read_frame(fd: _FrameDecoder) -> Any:
         if hb is not None:
             payload["hb"] = hb
         return payload
-    if ftype == F_ITEMS:
-        return {"items": _decode_items_section(fd)}
     if ftype == F_HEARTBEAT:
         return _read_hb_stamp(fd)
-    if ftype == F_HB_PAYLOAD:
-        body = _read_hb_stamp(fd)
-        body["payload"] = fd.value()
-        return body
-    if ftype == F_HB_FILLERS:
-        seqs = _seq_list(fd)
-        return {"seqs": seqs, "horizon": fd.f64(), "epoch": fd.u()}
-    if ftype == F_HB_ACK:
-        return {"ack": fd.u()}
-    if ftype == F_HB_NACK:
-        return {"missing": _seq_list(fd)}
     if ftype == F_RPC_REQUEST:
         call_id = fd.u()
         method = fd.string()
@@ -760,8 +695,6 @@ def _read_frame(fd: _FrameDecoder) -> Any:
         if flags & 0x02:
             reply["error"] = fd.string()
         return reply
-    if ftype == F_RPC_EVENT:
-        return {"topic": fd.string(), "payload": fd.value()}
     if ftype in (F_DELIVER, F_ACKED, F_TAIL_REPLY):
         call_id = fd.u()
         if ftype == F_DELIVER:
@@ -777,20 +710,14 @@ def _read_frame(fd: _FrameDecoder) -> Any:
 
 
 class ItemsSection:
-    """One encoding pass over a batch's items, reusable as both the
-    on-wire envelope body and the standalone retransmit frame.
+    """A batch's items, encoded once, waiting for :meth:`WireCodec.wrap_batch`
+    to put the heartbeat stamp in front of them.  The section defines
+    its own symbols, so the BATCH frame around it is self-contained."""
 
-    The batched channel encodes its items exactly once; the resulting
-    section bytes are wrapped twice — into the BATCH envelope that goes
-    on the wire now, and into the ITEMS frame the heartbeat sender
-    retains (``frame``) so a nack retransmits real encoded bytes.  Both
-    frames are self-contained: the section defines its own symbols."""
+    __slots__ = ("section", "intern_hits", "intern_misses")
 
-    __slots__ = ("section", "frame", "intern_hits", "intern_misses")
-
-    def __init__(self, section: bytes, frame: Encoded, hits: int, misses: int):
+    def __init__(self, section: bytes, hits: int, misses: int):
         self.section = section
-        self.frame = frame
         self.intern_hits = hits
         self.intern_misses = misses
 
@@ -830,50 +757,12 @@ class WireCodec:
             hb = payload.get("hb")
             fe.out.append(0x01 if hb is not None else 0x00)
             if hb is not None:
-                _write_hb_stamp(fe, hb)
+                _write_hb_stamp(fe.out, hb)
             _encode_items_section(fe, payload["items"])
             return True
-        if kind == "heartbeat" and _hb_shape(payload, "seq", "horizon", "epoch"):
+        if kind == "heartbeat" and _hb_shape(payload):
             fe.begin(F_HEARTBEAT)
-            _write_hb_stamp(fe, payload)
-            return True
-        if kind == "heartbeat-payload" and _hb_shape(
-            payload, "seq", "horizon", "epoch", "payload"
-        ):
-            fe.begin(F_HB_PAYLOAD)
-            _write_hb_stamp(fe, payload)
-            fe.value(payload["payload"])
-            return True
-        if (
-            kind == "heartbeat-fillers"
-            and _hb_shape(payload, "seqs", "horizon", "epoch")
-            and isinstance(payload["seqs"], list)
-            and all(isinstance(s, int) for s in payload["seqs"])
-        ):
-            fe.begin(F_HB_FILLERS)
-            _write_seq_list(fe, payload["seqs"])
-            fe.f64(float(payload["horizon"]))
-            fe.u(payload["epoch"])
-            return True
-        if (
-            kind == "heartbeat-ack"
-            and isinstance(payload, dict)
-            and set(payload) == {"ack"}
-            and isinstance(payload["ack"], int)
-            and payload["ack"] >= 0
-        ):
-            fe.begin(F_HB_ACK)
-            fe.u(payload["ack"])
-            return True
-        if (
-            kind == "heartbeat-nack"
-            and isinstance(payload, dict)
-            and set(payload) == {"missing"}
-            and isinstance(payload["missing"], list)
-            and all(isinstance(s, int) for s in payload["missing"])
-        ):
-            fe.begin(F_HB_NACK)
-            _write_seq_list(fe, payload["missing"])
+            _write_hb_stamp(fe.out, payload)
             return True
         relay = _relay_frame(kind, payload) if kind[:4] == "rpc-" else 0
         if relay:
@@ -920,46 +809,24 @@ class WireCodec:
             if "error" in payload:
                 fe.string(payload["error"])
             return True
-        if (
-            kind == "rpc-event"
-            and isinstance(payload, dict)
-            and set(payload) == {"topic", "payload"}
-            and isinstance(payload["topic"], str)
-        ):
-            fe.begin(F_RPC_EVENT)
-            fe.string(payload["topic"])
-            fe.value(payload["payload"])
-            return True
         fe.begin(F_GENERIC)
         fe.value(payload)
         return False
 
     def encode_items(self, items: list[dict]) -> ItemsSection:
-        """Encode a batch's items once, for both envelope and retention."""
+        """Encode a batch's items (the body of its BATCH frame)."""
         fe = _FrameEncoder()
-        fe.begin(F_ITEMS)
         _encode_items_section(fe, items)
-        data = bytes(fe.out)
-        self.stats.frames_encoded += 1
-        self.stats.encoded_bytes += len(data)
-        self.stats.typed_frames += 1
         self.stats.intern_hits += fe.hits
         self.stats.intern_misses += fe.misses
-        return ItemsSection(
-            section=data[2:],   # after [VERSION][F_ITEMS]
-            frame=Encoded(data),
-            hits=fe.hits,
-            misses=fe.misses,
-        )
+        return ItemsSection(bytes(fe.out), fe.hits, fe.misses)
 
     def wrap_batch(self, section: ItemsSection, hb: Optional[dict]) -> Encoded:
         """Wrap an encoded items section into the on-wire BATCH envelope."""
         out = bytearray([VERSION, F_BATCH])
         out.append(0x01 if hb is not None else 0x00)
         if hb is not None:
-            _write_uvarint(out, hb["seq"])
-            out += _DOUBLE.pack(float(hb["horizon"]))
-            _write_uvarint(out, hb["epoch"])
+            _write_hb_stamp(out, hb)
         out += section.section
         self.stats.frames_encoded += 1
         self.stats.encoded_bytes += len(out)

@@ -1,12 +1,11 @@
-"""The heartbeat protocol of section 4.10.
+"""The heartbeat protocol of section 4.10: liveness, boot epoch and the
+event horizon.
 
-A sender guarantees that the receiver gets a message at least every ``t``
-seconds (a heartbeat if nothing substantive was sent).  Every message
-carries a sequence number, so the receiver detects loss of any *previous*
-message, and knows within ``t`` (plus network delay allowance) that a
-message has been lost or delayed.  Every ``i`` heartbeats the receiver
-replies with an acknowledgement so the sender can discard buffered state
-and resend unacknowledged payloads.
+A sender guarantees that the receiver hears from it at least every ``t``
+seconds: a data batch carrying the heartbeat stamp, or a bare heartbeat
+if nothing substantive was sent.  Silence for longer than ``t`` times a
+grace factor makes the receiver *suspect* the sender, and every record
+the sender feeds is then treated as Unknown (fail closed).
 
 Heartbeats also carry an *event horizon timestamp* (section 6.8.2): a lower
 bound on the timestamps of anything the sender will transmit in the future.
@@ -20,6 +19,12 @@ Characteristics delivered (quoted from the dissertation):
 * a server can detect a client that is not responding;
 * a forwarding client can treat heartbeats in the same way, providing
   guarantees about indirect events.
+
+The first promise is split between two mechanisms: the journal relay's
+outbox delivers every event exactly once or parks it for redelivery
+(:mod:`repro.core.journal`), and silence detection here tells the client
+when delivery may have failed.  Heartbeats carry no sequence numbers and
+retransmit nothing.
 """
 
 from __future__ import annotations
@@ -35,20 +40,9 @@ from repro.runtime.simulator import PeriodicTimer, Simulator
 class HeartbeatStats:
     heartbeats_sent: int = 0      # standalone (bare) heartbeat messages
     piggybacked: int = 0          # heartbeats carried by data batches
-    payloads_sent: int = 0
-    acks_sent: int = 0
-    resends: int = 0
-    gaps_detected: int = 0
     suspicions: int = 0
     epoch_changes: int = 0        # sender observed at a newer boot epoch
     stale_epoch_dropped: int = 0  # traffic from a dead (pre-crash) epoch
-
-
-@dataclass
-class _Outgoing:
-    seq: int
-    payload: Any
-    acked: bool = False
 
 
 class HeartbeatSender:
@@ -59,9 +53,9 @@ class HeartbeatSender:
     "now" will ever be sent).
 
     ``epoch`` is a callable returning the sender's current boot epoch
-    (section 2: identity is only valid within one boot).  Every protocol
-    message is stamped with it so a monitor can tell a restarted sender
-    from its pre-crash self and discard the dead epoch's state.
+    (section 2: identity is only valid within one boot).  Every heartbeat
+    is stamped with it so a monitor can tell a restarted sender from its
+    pre-crash self and discard the dead epoch's state.
     """
 
     def __init__(
@@ -82,8 +76,6 @@ class HeartbeatSender:
         self.name = name or address
         self._horizon = horizon or (lambda: self.sim.now)
         self._epoch = epoch or (lambda: 0)
-        self._seq = 0
-        self._unacked: dict[int, _Outgoing] = {}
         self._last_sent_at = -1.0
         self._running = False
         # One reusable kernel entry for the whole tick chain — a fleet of
@@ -105,122 +97,48 @@ class HeartbeatSender:
         self._timer.cancel()
 
     def restart(self) -> None:
-        """Reset volatile protocol state after a crash-restart.
-
-        Sequence numbers begin again at 1 and the unacked buffer is gone
-        — exactly what a real process loses with its memory.  The new
-        epoch stamp (from the ``epoch`` callable) tells the monitor to
-        reset its own sequence tracking rather than nack a false gap.
-        """
-        self._seq = 0
-        self._unacked.clear()
+        """Forget when the last signal went out (a crash-restart loses
+        it with the process memory), so the restarted sender beats at
+        once; the new epoch stamp tells the monitor about the restart."""
         self._last_sent_at = -1.0
 
-    def send_payload(self, payload: Any) -> int:
-        """Send a substantive message; counts as liveness like a heartbeat."""
-        self._seq += 1
-        record = _Outgoing(seq=self._seq, payload=payload)
-        self._unacked[self._seq] = record
-        self._transmit(record)
-        self.stats.payloads_sent += 1
-        return self._seq
-
-    def handle_ack(self, ack_seq: int) -> None:
-        """Receiver has everything up to and including ``ack_seq``."""
-        for seq in [s for s in self._unacked if s <= ack_seq]:
-            del self._unacked[seq]
-
-    def handle_nack(self, missing: list[int]) -> None:
-        """Resend specific lost sequence numbers.
-
-        Lost payloads are retransmitted individually (they carry state);
-        lost bare heartbeats only exist to close sequence gaps, so all of
-        them in one nack ride a single ``heartbeat-fillers`` message.
-        """
-        fillers: list[int] = []
-        for seq in missing:
-            record = self._unacked.get(seq)
-            if record is not None:
-                self.stats.resends += 1
-                self._transmit(record)
-            elif 0 < seq <= self._seq:
-                fillers.append(seq)
-        if fillers:
-            self.stats.resends += len(fillers)
-            self.network.send(
-                self.address,
-                self.dest,
-                "heartbeat-fillers",
-                {"seqs": fillers, "horizon": self._horizon(), "epoch": self._epoch()},
-                payload_count=len(fillers),
-            )
-
-    def piggyback(self, payload: Any = None) -> dict:
+    def piggyback(self) -> dict:
         """Stamp a departing data batch with this sender's liveness.
 
-        Allocates a real sequence number — so a lost batch is detected
-        exactly like a lost heartbeat — and resets the bare-heartbeat
-        timer: on a busy link the data itself is the liveness signal and
-        no standalone heartbeats are sent.
-
-        ``payload`` is the batch content the caller is about to put on
-        the wire under this sequence number.  It is retained in the
-        unacked buffer so that a nack for the seq retransmits the actual
-        data (as a ``heartbeat-payload``) rather than an empty filler:
-        without retention a lost batch would close its sequence gap while
-        silently discarding the notifications it carried.
-        """
-        self._seq += 1
+        Resets the bare-heartbeat timer: on a busy link the data itself
+        is the liveness signal and no standalone heartbeats are sent."""
         self._last_sent_at = self.sim.now
         self.stats.piggybacked += 1
-        if payload is not None:
-            self._unacked[self._seq] = _Outgoing(seq=self._seq, payload=payload)
-        return {"seq": self._seq, "horizon": self._horizon(), "epoch": self._epoch()}
-
-    def _transmit(self, record: _Outgoing) -> None:
-        self._last_sent_at = self.sim.now
-        self.network.send(
-            self.address,
-            self.dest,
-            "heartbeat-payload",
-            {
-                "seq": record.seq,
-                "payload": record.payload,
-                "horizon": self._horizon(),
-                "epoch": self._epoch(),
-            },
-        )
+        return {"horizon": self._horizon(), "epoch": self._epoch()}
 
     def _tick(self) -> None:
         due = self._last_sent_at + self.period
         quiet = due - self.sim.now
         if quiet <= 1e-12:
-            self._seq += 1
             self.stats.heartbeats_sent += 1
             self._last_sent_at = self.sim.now
             self.network.send(
                 self.address,
                 self.dest,
                 "heartbeat",
-                {"seq": self._seq, "horizon": self._horizon(), "epoch": self._epoch()},
+                {"horizon": self._horizon(), "epoch": self._epoch()},
             )
             # the periodic timer re-arms one full period out
         else:
-            # a piggybacked batch (or payload) covered liveness recently;
-            # wake exactly when its quiet interval expires so the gap
-            # between signals never exceeds one period.  reschedule()
-            # clamps at zero: float accumulation can leave ``quiet``
-            # fractionally negative, which must not kill the chain by
-            # scheduling into the past.
+            # a piggybacked batch covered liveness recently; wake exactly
+            # when its quiet interval expires so the gap between signals
+            # never exceeds one period.  reschedule() clamps at zero:
+            # float accumulation can leave ``quiet`` fractionally
+            # negative, which must not kill the chain by scheduling into
+            # the past.
             self._timer.reschedule(quiet)
 
 
 class HeartbeatMonitor:
-    """Receiver half: detects gaps, delays and silence from a sender.
+    """Receiver half: detects silence from a sender.
 
     Callbacks:
 
-    * ``on_payload(payload, horizon)`` — a substantive message arrived;
     * ``on_horizon(horizon)`` — the sender's event horizon advanced;
     * ``on_suspect()`` — nothing heard for longer than ``period * grace``;
     * ``on_restore()`` — the sender was heard from again after suspicion;
@@ -229,7 +147,7 @@ class HeartbeatMonitor:
       the old epoch is now of unverifiable currency.  Fired *before* the
       restore callback, so fail-closed masking can happen first.
 
-    Section 4.9: while a sender is suspect, credential records fed by it
+    Section 4.10: while a sender is suspect, credential records fed by it
     must be treated as Unknown (fail closed).
     """
 
@@ -239,9 +157,7 @@ class HeartbeatMonitor:
         address: str,
         source: str,
         period: float,
-        ack_every: int = 4,
         grace: float = 2.0,
-        on_payload: Optional[Callable[[Any, float], None]] = None,
         on_horizon: Optional[Callable[[float], None]] = None,
         on_suspect: Optional[Callable[[], None]] = None,
         on_restore: Optional[Callable[[], None]] = None,
@@ -252,24 +168,14 @@ class HeartbeatMonitor:
         self.address = address
         self.source = source
         self.period = period
-        self.ack_every = ack_every
         self.grace = grace
-        self.on_payload = on_payload
         self.on_horizon = on_horizon
         self.on_suspect = on_suspect
         self.on_restore = on_restore
         self.on_epoch_change = on_epoch_change
         self._sender_epoch: Optional[int] = None
-        # sequence tracking: everything in 1.._contiguous has been
-        # received; _received holds out-of-order arrivals beyond it.
-        self._contiguous = 0
-        self._max_seen = 0
-        self._received: set[int] = set()
-        self._since_ack = 0
         self._last_heard = network.simulator.now
         self._suspect = False
-        self._buffer: dict[int, Any] = {}   # undelivered payloads by seq
-        self._deliver_next = 1              # next seq eligible for delivery
         self.horizon = float("-inf")
         self.stats = HeartbeatStats()
         self._watchdog_timer = PeriodicTimer(
@@ -287,83 +193,31 @@ class HeartbeatMonitor:
         return self._sender_epoch
 
     def handle_message(self, kind: str, body: dict) -> None:
-        """Feed a 'heartbeat', 'heartbeat-payload' or 'heartbeat-fillers'
-        message body in (piggybacked batch heartbeats arrive as plain
-        'heartbeat' bodies)."""
+        """Feed a heartbeat body in: a bare ``"heartbeat"`` message's, or
+        the stamp a data batch carried."""
         epoch = body.get("epoch")
         if epoch is not None:
             if self._sender_epoch is not None and epoch < self._sender_epoch:
-                # Delayed traffic from a boot that has since died.  It
-                # must not count as liveness, and its sequence numbers
-                # belong to a numbering the sender no longer remembers.
+                # Delayed traffic from a boot that has since died: it
+                # must not count as liveness.
                 self.stats.stale_epoch_dropped += 1
                 return
             if self._sender_epoch is not None and epoch > self._sender_epoch:
                 old = self._sender_epoch
                 self._sender_epoch = epoch
-                self._reset_sequences()
                 self.stats.epoch_changes += 1
                 # Fired while still suspect (before _heard below) so the
-                # handler can mask/resync before any unmask happens.
+                # handler can mask and tail-sync before any unmask happens.
                 if self.on_epoch_change is not None:
                     self.on_epoch_change(old, epoch)
             elif self._sender_epoch is None:
                 self._sender_epoch = epoch
         self._heard()
-        seqs = list(body["seqs"]) if kind == "heartbeat-fillers" else [body["seq"]]
-        for seq in seqs:
-            self._note_seq(kind, seq, body)
-        self._drain()
         horizon = body.get("horizon", float("-inf"))
         if horizon > self.horizon:
             self.horizon = horizon
             if self.on_horizon is not None:
                 self.on_horizon(horizon)
-        self._since_ack += len(seqs)
-        if self._since_ack >= self.ack_every:
-            self._since_ack = 0
-            self.stats.acks_sent += 1
-            # ack only the last *contiguous* sequence number: anything
-            # beyond a gap must stay in the sender's buffer so a pending
-            # nack can still be honoured
-            self.network.send(
-                self.address, self.source, "heartbeat-ack", {"ack": self._contiguous}
-            )
-
-    def _reset_sequences(self) -> None:
-        """The sender restarted: its sequence numbering begins anew."""
-        self._contiguous = 0
-        self._max_seen = 0
-        self._received.clear()
-        self._buffer.clear()
-        self._deliver_next = 1
-        self._since_ack = 0
-
-    def _note_seq(self, kind: str, seq: int, body: dict) -> None:
-        if seq > self._max_seen + 1:
-            # a previous message was lost or is still in flight
-            self.stats.gaps_detected += 1
-            missing = list(range(self._max_seen + 1, seq))
-            self.network.send(self.address, self.source, "heartbeat-nack", {"missing": missing})
-        if seq > self._max_seen:
-            self._max_seen = seq
-        if seq > self._contiguous and seq not in self._received:
-            self._received.add(seq)
-            if kind == "heartbeat-payload":
-                self._buffer[seq] = body["payload"]
-            while self._contiguous + 1 in self._received:
-                self._contiguous += 1
-                self._received.remove(self._contiguous)
-
-    def _drain(self) -> None:
-        # deliver strictly in sequence order, holding at the first
-        # missing message: a resent payload must not arrive after its
-        # successors
-        while self._deliver_next <= self._contiguous:
-            payload = self._buffer.pop(self._deliver_next, None)
-            self._deliver_next += 1
-            if payload is not None and self.on_payload is not None:
-                self.on_payload(payload, self.horizon)
 
     def _heard(self) -> None:
         self._last_heard = self.sim.now
@@ -380,18 +234,6 @@ class HeartbeatMonitor:
             self.stats.suspicions += 1
             if self.on_suspect is not None:
                 self.on_suspect()
-        # re-nack outstanding gaps: the original nack (or its resend) may
-        # itself have been lost
-        if self._contiguous < self._max_seen:
-            missing = [
-                s
-                for s in range(self._contiguous + 1, self._max_seen)
-                if s not in self._received
-            ]
-            if missing:
-                self.network.send(
-                    self.address, self.source, "heartbeat-nack", {"missing": missing}
-                )
         # the periodic timer re-arms the next sweep
 
 
@@ -404,23 +246,16 @@ def connect_heartbeat(
 ) -> tuple[HeartbeatSender, HeartbeatMonitor]:
     """Wire a sender/monitor pair across the network with dispatch nodes.
 
-    Creates the two network nodes and routes the four protocol message
-    kinds between the halves.  Returns ``(sender, monitor)``; call
-    ``sender.start()`` to begin.
+    Creates the two network nodes and routes heartbeats to the monitor.
+    Returns ``(sender, monitor)``; call ``sender.start()`` to begin.
     """
     sender = HeartbeatSender(network, sender_address, monitor_address, period)
     monitor = HeartbeatMonitor(network, monitor_address, sender_address, period, **monitor_kwargs)
 
-    def sender_node(message):
-        if message.kind == "heartbeat-ack":
-            sender.handle_ack(message.payload["ack"])
-        elif message.kind == "heartbeat-nack":
-            sender.handle_nack(message.payload["missing"])
-
     def monitor_node(message):
-        if message.kind in ("heartbeat", "heartbeat-payload", "heartbeat-fillers"):
+        if message.kind == "heartbeat":
             monitor.handle_message(message.kind, message.payload)
 
-    network.add_node(sender_address, sender_node)
+    network.add_node(sender_address, lambda message: None)
     network.add_node(monitor_address, monitor_node)
     return sender, monitor

@@ -74,11 +74,9 @@ class NetworkStats:
     dropped_while_down: int = 0
     dropped_no_handler: int = 0
     dropped_by_fault: int = 0
-    dropped_decode: int = 0          # undecodable frames (stale epoch, dangling ref)
+    dropped_decode: int = 0          # undecodable frames (bad version, dangling ref)
     duplicated: int = 0
     spilled_overflow: int = 0        # payloads shed by a bounded wire queue
-    subscribes_batched: int = 0      # resubscribes carried by subscribe-many
-                                     # items instead of one message each
 
     def offered(self) -> int:
         """Delivery attempts this side of the fabric created: every send
@@ -182,6 +180,9 @@ class Network:
     ):
         self.simulator = simulator
         self.codec = codec if codec is not None else WireCodec()
+        # the world's seed: components with their own random streams
+        # (journal relays) derive them from it
+        self.seed = seed
         self._rng = random.Random(seed)
         self._nodes: dict[str, Node] = {}
         self._links: dict[tuple[str, str], Link] = {}
@@ -380,13 +381,6 @@ class Network:
         self.stats.spilled_overflow += count
         self.link_stats(source, dest).spilled_overflow += count
 
-    def note_batched_subscribe(self, source: str, dest: str, count: int = 1) -> None:
-        """Record resubscribes that rode one subscribe-many item instead
-        of going out as ``count`` individual subscribe messages (the
-        restart-storm reduction: ``count`` refs, one wire item)."""
-        self.stats.subscribes_batched += count
-        self.link_stats(source, dest).subscribes_batched += count
-
     def unaccounted(self) -> int:
         """Delivery attempts with no recorded fate.
 
@@ -525,8 +519,8 @@ class Network:
         except CodecError:
             # An unverifiable frame (wrong version, dangling symbol ref,
             # truncation, leftover bytes) is dropped with accounting; the
-            # layers above treat this exactly like message loss, so the
-            # heartbeat nack machinery re-delivers retained frames.
+            # layers above treat this exactly like message loss (RPC
+            # retry and the outbox DLQ send again).
             self.stats.dropped_decode += 1
             self.link_stats(message.source, node.address).dropped_decode += 1
             return

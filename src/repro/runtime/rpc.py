@@ -1,7 +1,8 @@
 """Request/response RPC over the simulated network.
 
-The dissertation's services communicate by RPC (extended with event
-notification; section 6.2).  This module provides that layer: an
+The dissertation's services communicate by RPC (section 6.2; event
+notification rides the journal relay and the wire channels, not this
+layer).  This module provides the request/reply layer: an
 :class:`RpcEndpoint` owns a network node, exposes named methods, and issues
 calls that complete a :class:`RpcFuture` when the reply message arrives.
 
@@ -314,7 +315,6 @@ class RpcEndpoint:
         self._methods: dict[str, RpcHandler] = {}
         self._pending: dict[int, _PendingCall] = {}
         self._call_seq = 0
-        self._event_handlers: dict[str, Callable[[str, Any], None]] = {}
         # Server-side duplicate suppression: (caller, call id) -> cached
         # reply, forgotten after ``dedup_window`` virtual seconds.  The
         # reply is cached in its encoded wire form: a duplicate is
@@ -393,17 +393,6 @@ class RpcEndpoint:
             for dest in dests
         }
 
-    def notify(self, dest: str, topic: str, payload: Any) -> None:
-        """One-way notification (the event half of the extended RPC)."""
-        self.network.send(self.address, dest, "rpc-event", {"topic": topic, "payload": payload})
-
-    def on_event(self, topic: str, handler: Callable[[str, Any], None]) -> None:
-        """Register a handler for one-way notifications on ``topic``.
-
-        The handler receives ``(source_address, payload)``.
-        """
-        self._event_handlers[topic] = handler
-
     # -- internals -----------------------------------------------------------
 
     def _breaker_for(self, dest: str) -> Optional[_Breaker]:
@@ -480,11 +469,6 @@ class RpcEndpoint:
                 error=body.get("error"),
                 cause="reply",
             )
-        elif message.kind == "rpc-event":
-            body = message.payload
-            handler = self._event_handlers.get(body["topic"])
-            if handler is not None:
-                handler(message.source, body["payload"])
 
     def _serve(self, message: Message) -> None:
         body = message.payload

@@ -1,11 +1,13 @@
 """Wire-efficiency layer: batched, coalescing per-destination channels.
 
-OASIS's scalability story rests on cheap cross-service coherence
-(sections 4.9-4.10): credential-state notifications, heartbeats and badge
-sightings all cross service boundaries.  Sent naively that is one message
-per item — a revocation cascade touching 10k surrogates emits 10k
-notifications.  A :class:`BatchedChannel` sits between senders and
-:meth:`Network.send` and amortises the per-message cost:
+OASIS's scalability story rests on cheap cross-service traffic
+(sections 4.9-4.10): subscribe requests, heartbeats, badge sightings and
+proxied events all cross service boundaries.  Sent naively that is one
+message per item.  (Credential-state notifications travel through the
+journal relay's outbox instead, one delivery per destination per
+round: :mod:`repro.core.journal`.)  A :class:`BatchedChannel` sits
+between senders and :meth:`Network.send` and amortises the per-message
+cost:
 
 * **batching** — payloads queue and flush as one envelope, either when
   ``max_batch`` payloads are pending or ``max_delay`` virtual seconds
@@ -14,14 +16,13 @@ notifications.  A :class:`BatchedChannel` sits between senders and
   enqueuing cascade finishes but before any later-time event, so a whole
   revocation cascade ships as one message with zero added latency.
 * **coalescing** — a payload sent with a ``coalesce_key`` supersedes any
-  pending payload with the same key (last-state-wins).  A credential
-  record that flips TRUE -> UNKNOWN -> FALSE inside one batch window
-  sends one message carrying FALSE, not three.
+  pending payload with the same key (last-state-wins).  A badge seen in
+  three rooms inside one batch window is reported once, in the last.
 * **heartbeat piggybacking** — a channel with an attached
   :class:`~repro.runtime.heartbeat.HeartbeatSender` stamps each departing
-  batch with a real heartbeat (sequence number + event horizon) and
-  resets the bare-heartbeat timer, so on a busy link the only liveness
-  traffic is the data itself.
+  batch with a heartbeat (boot epoch + event horizon) and resets the
+  bare-heartbeat timer, so on a busy link the only liveness traffic is
+  the data itself.
 
 Ordering invariants (the "careful" part):
 
@@ -116,8 +117,7 @@ class BatchedChannel:
             network.on_link_up(self._on_link_up)
 
     def attach_heartbeat(self, sender: "HeartbeatSender") -> None:
-        """Piggyback ``sender``'s liveness on every departing batch; the
-        sender retains each batch's items for nack-driven retransmission."""
+        """Piggyback ``sender``'s liveness on every departing batch."""
         self._heartbeat = sender
 
     @property
@@ -236,18 +236,11 @@ class BatchedChannel:
         self._keyed = {}
         for item in items:
             item.pop("key", None)
-        # One encoding pass over the items: the same section bytes
-        # become the standalone ITEMS frame the heartbeat sender retains
-        # (so a nack retransmits real encoded bytes) and the BATCH
-        # envelope that goes on the wire now.
         codec = self.network.codec
         section = codec.encode_items(items)
         hb: Optional[dict[str, Any]] = None
         if self._heartbeat is not None:
-            # the batch content rides along as the retained payload: if
-            # this envelope is lost, the nack for its sequence number
-            # retransmits the items instead of an empty filler
-            hb = self._heartbeat.piggyback(section.frame)
+            hb = self._heartbeat.piggyback()
             self.stats.piggybacked_heartbeats += 1
         batch = codec.wrap_batch(section, hb)
         self.stats.batches += 1
@@ -320,7 +313,7 @@ def heartbeat_of(message: Message) -> Optional[dict]:
     """The heartbeat piggybacked on a batch, if any.
 
     Feed it to the destination's monitor as a bare ``"heartbeat"``
-    message body (``{"seq": ..., "horizon": ...}``).
+    message body (``{"horizon": ..., "epoch": ...}``).
     """
     if message.kind == BATCH_KIND:
         return message.payload.get("hb")

@@ -39,7 +39,7 @@ Reader(u) <- Login.LoggedOn(u, h)*
 """
 
 
-def make_world(delay=0.05, journaled=True):
+def make_world(delay=0.05):
     sim = Simulator()
     net = Network(sim, seed=13, default_delay=delay)
     clock = SimClock(sim)
@@ -50,9 +50,6 @@ def make_world(delay=0.05, journaled=True):
     login.add_rolefile("main", LOGIN_RDL)
     files = OasisService("Files", registry=registry, linkage=linkage, clock=clock)
     files.add_rolefile("main", FILES_RDL)
-    if journaled:
-        linkage.enable_journal(login)
-        linkage.enable_journal(files)
     return sim, net, linkage, login, files
 
 
@@ -219,6 +216,31 @@ def test_undeliverable_notifications_park_in_dlq_and_redeliver():
     assert linkage.durable.conservation_breaches() == []
 
 
+def test_an_ack_redelivers_the_parked_backlog_at_once():
+    """No monitor: the first delivery Files acks after an outage shows it
+    is back, so the entries parked for it go out at once instead of
+    waiting out their DLQ backoff (here due 8 s later)."""
+    sim, net, linkage, login, files = make_world(delay=0.01)
+    pairs = populate(login, files, 4)
+    sim.run_until(2.0)
+    net.set_link_state("oasis:Login", "oasis:Files", False)
+    for cert, _reader in pairs[:3]:
+        login.exit_role(cert)
+    sim.run_until(20.0)
+    login_journal = linkage.durable.journal("Login")
+    parked = login_journal.dead_letters()
+    assert len(parked) == 3
+    assert min(entry.next_attempt_at for entry in parked) > 28.0
+
+    net.set_link_state("oasis:Login", "oasis:Files", True)
+    login.exit_role(pairs[3][0])
+    sim.run_until(20.1)            # the delivery, its ack, the backlog
+    assert login_journal.depth["Files"] == 0
+    assert login_journal.stats.outbox_redelivered == 3
+    assert set(surrogate_states(files).values()) == {RecordState.FALSE}
+    assert linkage.durable.conservation_breaches() == []
+
+
 def assert_outbox_view_matches_full_scan(linkage, name):
     """The undelivered view the relay drains from must equal a scan of
     the full durable outbox, in seq order, at any instant."""
@@ -280,15 +302,16 @@ def test_subscriber_recovers_by_tail_sync_not_resubscribe_storm():
     for cert, _reader in pairs[:7]:
         login.exit_role(cert)  # revoked while the subscriber is down
     sim.run_until(10.0)
-    subscribes_before = net.stats.subscribes_batched
+    subscribes = linkage.channel("Files", "Login").stats
+    subscribes_before = subscribes.sends
     linkage.restart(files)
     sim.run_until(40.0)
 
     files_journal = linkage.durable.journal("Files")
     assert files_journal.stats.tail_syncs_pulled >= 1
     assert linkage.durable.journal("Login").stats.tail_syncs_served >= 1
-    # the journaled path does not resubscribe per ref
-    assert net.stats.subscribes_batched == subscribes_before
+    # recovery does not resubscribe: no subscribe went to Login
+    assert subscribes.sends == subscribes_before
     states = surrogate_states(files)
     for index, (cert, _reader) in enumerate(pairs):
         expected = RecordState.FALSE if index < 7 else RecordState.TRUE
@@ -300,7 +323,8 @@ def test_stale_tail_reply_never_reopens_a_newer_revocation():
     """The issuer serves the restarted subscriber's tail-sync snapshot,
     then revokes a session; that revocation's delivery overtakes the
     held snapshot reply.  The snapshot's older TRUE must not land last:
-    the item is skipped because a newer stamp was already applied."""
+    the overtaking delivery is refused while the snapshot is awaited,
+    and its redelivery's newer stamp applies after the snapshot."""
     sim, net, linkage, login, files = make_world(delay=0.01)
     pairs = populate(login, files, 3)
     sim.run_until(2.0)
@@ -313,7 +337,7 @@ def test_stale_tail_reply_never_reopens_a_newer_revocation():
         if (
             not held
             and message.kind == "rpc-reply"
-            and (message.source, message.dest) == ("journal:Login", "journal:Files")
+            and (message.source, message.dest) == ("oasis:Login", "oasis:Files")
         ):
             held.append(sim.now)
             return [delay + 0.05]
@@ -330,8 +354,92 @@ def test_stale_tail_reply_never_reopens_a_newer_revocation():
     assert surrogate_states(files)[revoked.crr] is RecordState.FALSE
     assert checker.divergences() == []
     assert checker.check_fail_closed() == []
-    assert linkage.durable.journal("Files").stats.superseded >= 1
+    assert linkage.durable.journal("Files").stats.refused >= 1
     assert linkage.durable.conservation_breaches() == []
+
+
+# Heal times of the parked-delivery probe.  Before the refusal-while-
+# suspect rule and the stamped restore, 7 of these 10 re-opened the
+# revoked surrogate for 1.3 to 7.0 s.
+PARKED_HEAL_TIMES = (3.0, 3.5, 4.0, 5.0, 5.5, 6.0, 7.5, 8.0, 8.5, 10.0)
+
+
+@pytest.mark.parametrize("heal_at", PARKED_HEAL_TIMES)
+def test_parked_older_delivery_never_reopens_a_revocation_on_heal(heal_at):
+    """A subscribe reply (TRUE) parks behind a cut of the Login-Files
+    link, and the session logs off, so its FALSE parks behind the TRUE.
+    When the link heals, the older TRUE must not re-open the surrogate:
+    not while Files still suspects Login (the delivery is refused and
+    redelivered), and not after the restore re-read (the re-read is the
+    issuer's stamped snapshot, which the TRUE's older stamp cannot
+    supersede)."""
+    sim, net, linkage, login, files = make_world(delay=0.01)
+    relays = [linkage.enable_journal(service, seed=13) for service in (login, files)]
+    linkage.monitor(login, files, 0.5, grace=2.0)
+    sim.run_until(1.0)
+    client = HostOS("probe-host").create_domain().client_id
+    cert = login.enter_role(client, "LoggedOn", ("u", "h"))
+    files.enter_role(client, "Reader", credentials=(cert,))
+    sim.run_until(1.005)                # the subscribe is in flight
+    net.partition({"oasis:Login"}, {"oasis:Files"})
+    sim.run_until(2.0)
+    login.exit_role(cert)
+    checker = InvariantChecker([login, files], stale_bound=1.0, journals=linkage.durable)
+
+    sim.schedule_at(heal_at, net.heal, {"oasis:Login"}, {"oasis:Files"})
+    end = heal_at + 40.0
+    for k in range(1, int((end - 2.0) / 0.05)):
+        sim.schedule_at(2.0 + 0.05 * k, checker.check_fail_closed)
+    sim.run_until(end)
+
+    assert checker.violations == [], "\n".join(str(v) for v in checker.violations)
+    assert surrogate_states(files)[cert.crr] is RecordState.FALSE
+    assert checker.converged()
+    assert relays[0].journal.stats.outbox_delivered >= 2   # the TRUE and the FALSE
+    assert checker.check_outbox_conservation() == []
+    assert linkage.journal_quiescent()
+
+
+def test_tail_reply_from_a_suspect_issuer_leaves_surrogates_unknown():
+    """Files stays down longer than its monitor's grace, so it restarts
+    suspecting Login, and Login's heartbeats stay lost (its sender is
+    stopped) while the RPCs get through.  The tail-sync reply lands while
+    Login is suspect, and Files refuses Login's deliveries until the
+    restore: the reply must leave the surrogates Unknown, or a revocation
+    issued after it would leave a TRUE surrogate behind until the
+    heartbeats resume."""
+    sim, net, linkage, login, files = make_world(delay=0.01)
+    pairs = populate(login, files, 3)
+    sender, _monitor = linkage.monitor(login, files, 0.5, grace=2.0)
+    sim.run_until(2.0)
+    linkage.crash(files)
+    sender.stop()
+    sim.run_until(4.0)                  # suspect since 3.0 (0.5 * 2.0 of silence)
+    linkage.restart(files)
+    sim.run_until(4.1)
+    files_journal = linkage.durable.journal("Files")
+    assert files_journal.stats.tail_syncs_pulled == 1
+    assert linkage.suspects("Files", "Login")
+    assert set(surrogate_states(files).values()) == {RecordState.UNKNOWN}
+
+    checker = InvariantChecker([login, files], stale_bound=1.0, journals=linkage.durable)
+    revoked = pairs[0][0]
+    login.exit_role(revoked)
+    for k in range(1, 120):
+        sim.schedule_at(4.1 + 0.05 * k, checker.check_fail_closed)
+    sim.run_until(10.0)
+    assert checker.violations == [], "\n".join(str(v) for v in checker.violations)
+    assert files_journal.stats.refused >= 1      # the FALSE parks meanwhile
+    assert set(surrogate_states(files).values()) == {RecordState.UNKNOWN}
+
+    sender.start()
+    sim.run_until(12.0)
+    assert not linkage.suspects("Files", "Login")
+    assert surrogate_states(files)[revoked.crr] is RecordState.FALSE
+    assert checker.converged()
+    assert checker.check_fail_closed() == [] and checker.violations == []
+    assert checker.check_outbox_conservation() == []
+    assert linkage.journal_quiescent()
 
 
 def test_one_round_is_one_outbox_transaction_across_a_crash():
@@ -344,7 +452,6 @@ def test_one_round_is_one_outbox_transaction_across_a_crash():
         "Mirror", registry=login.registry, linkage=linkage, clock=login.clock
     )
     mirror.add_rolefile("main", FILES_RDL)
-    linkage.enable_journal(mirror)
     pairs = populate(login, files, 5)
     for cert, _reader in pairs:
         mirror.enter_role(cert.client, "Reader", credentials=(cert,))
@@ -481,15 +588,14 @@ def test_role_history_cdc_tracks_tenures():
     assert log.current_members() == {("Writer", ("y",)): ["alice"]}
 
 
-# ------------------------------------------------------- batched resubscribe
+# ----------------------------------------------------------- batched recovery
 
 
-def test_restart_resubscribes_in_one_batch_not_a_storm():
+def test_restart_recovers_in_one_tail_sync_not_a_storm():
     count = 150
-    sim, net, linkage, login, files = make_world(journaled=False)
+    sim, net, linkage, login, files = make_world()
     pairs = populate(login, files, count)
     sim.run_until(5.0)
-    assert net.stats.subscribes_batched == 0
 
     linkage.crash(files)
     sim.run_until(10.0)
@@ -497,13 +603,9 @@ def test_restart_resubscribes_in_one_batch_not_a_storm():
     linkage.restart(files)
     sim.run_until(30.0)
 
-    # all 150 refs resubscribed through subscribe-many items
-    assert net.stats.subscribes_batched == count
-    link = net.link_stats("oasis:Files", "oasis:Login")
-    assert link.subscribes_batched == count
-    recovery_messages = net.stats.messages_sent - sent_before
-    # one request envelope + batched replies, nowhere near one per ref
-    assert recovery_messages < count / 2
+    # one tail-sync request and its reply carry all 150 refs
+    assert linkage.durable.journal("Files").stats.tail_syncs_pulled == 1
+    assert net.stats.messages_sent - sent_before == 2
     states = surrogate_states(files)
     assert all(state is RecordState.TRUE for state in states.values())
 

@@ -107,6 +107,9 @@ def test_revocation_during_partition_detected_on_heal():
     net.partition({"oasis:Login"}, {"oasis:Files"})
     login.exit_role(login_cert)
     sim.run_until(30.0)
+    with pytest.raises(RevokedError) as err:
+        files.validate(reader)
+    assert err.value.uncertain  # the revocation did not cross: suspicion
     net.heal({"oasis:Login"}, {"oasis:Files"})
     sim.run_until(60.0)
     with pytest.raises(RevokedError) as err:
@@ -160,6 +163,10 @@ def test_mixed_fates_during_partition_resolved_on_heal():
     login.exit_role(pairs[0][0])
     login.exit_role(pairs[2][0])
     sim.run_until(30.0)
+    for _cert, reader in pairs:
+        with pytest.raises(RevokedError) as err:
+            files.validate(reader)
+        assert err.value.uncertain  # nothing crossed the split
     net.heal({"oasis:Login"}, {"oasis:Files"})
     sim.run_until(60.0)
     for index, (cert, reader) in enumerate(pairs):
@@ -172,7 +179,8 @@ def test_mixed_fates_during_partition_resolved_on_heal():
 
 
 class TestWireEfficiency:
-    """The batching/coalescing transport underneath SimLinkage."""
+    """The outbox relay underneath SimLinkage: one transaction and one
+    delivery per destination per round."""
 
     def test_revocation_cascade_batches_into_few_messages(self):
         sim, net, linkage, login, files, user = make_distributed_world()
@@ -184,17 +192,22 @@ class TestWireEfficiency:
             files.enter_role(domain.client_id, "Reader", credentials=(cert,))
             certs.append(cert)
         sim.run()
+        journal = linkage.relay_of("Login").journal
         before = net.stats.messages_sent
+        records = len(journal)
+        delivered = journal.stats.outbox_delivered
         login.credentials.revoke_many([cert.crr for cert in certs])
         sim.run()
-        on_wire = net.stats.messages_sent - before
-        # 50 notifications to one destination: one batch envelope
-        assert on_wire == 1
-        assert net.stats.payloads_carried >= 50
+        # 50 notifications to one destination: one outbox transaction,
+        # one outbox-deliver and its ack
+        assert net.stats.messages_sent - before == 2
+        assert [r.kind for r in journal.records[records:]].count("notify") == 1
+        assert journal.stats.outbox_delivered - delivered == 50
 
     def test_state_flip_coalesces_to_final_state(self):
-        """TRUE -> UNKNOWN -> FALSE inside one batch window crosses the
-        wire once, carrying FALSE (last-state-wins, never the reverse)."""
+        """TRUE -> UNKNOWN -> FALSE inside one drain crosses the wire in
+        one delivery, and the receiver settles on FALSE (last-state-wins,
+        never the reverse)."""
         sim, net, linkage, login, files, user = make_distributed_world()
         login_cert = login.enter_role(user.client_id, "LoggedOn", ("dm", "ely"))
         reader = files.enter_role(user.client_id, "Reader", credentials=(login_cert,))
@@ -207,8 +220,7 @@ class TestWireEfficiency:
         linkage.publish(login, [(login_cert.crr, RecordState.UNKNOWN, sorted(subscribers))])
         linkage.publish(login, [(login_cert.crr, RecordState.FALSE, sorted(subscribers))])
         sim.run()
-        assert net.stats.messages_sent - before == 1
-        assert net.stats.coalesced >= 1
+        assert net.stats.messages_sent - before == 2   # one delivery, one ack
         with pytest.raises(RevokedError) as err:
             files.validate(reader)
         assert not err.value.uncertain
@@ -361,7 +373,6 @@ def test_the_subscriber_is_whoever_sent_the_subscribe():
     assert subscribers_of(login, certs[0]) == {"Files"}
     channel = linkage.channel("Files", "Login")
     channel.send("subscribe", {"ref": certs[1].crr, "subscriber": "Mirror"}, urgent=True)
-    channel.send("subscribe-many", {"refs": [c.crr for c in certs], "subscriber": "Mirror"})
     channel.flush()
     sim.run()
     assert subscribers_of(login, certs[0]) == {"Files"}
@@ -369,17 +380,10 @@ def test_the_subscriber_is_whoever_sent_the_subscribe():
     assert net.unaccounted() == 0
 
 
-def test_resync_and_retried_subscribes_subscribe_the_sender():
+def test_retried_subscribes_subscribe_the_sender():
     sim, net, linkage, login, files, mirror, certs = make_three_service_world()
-    # the first subscribe is lost; a subscribe-many resync lands before
-    # the retry timer fires
-    net.set_link("oasis:Files", "oasis:Login", Link(loss_probability=1.0))
     read_as(files, certs[0])
-    sim.run_until(0.5)
-    net.set_link("oasis:Files", "oasis:Login", Link())
-    assert linkage.resync(files, "Login") == 1
     sim.run_until(1.0)
-    assert linkage.subscribe_retries == 0
     assert subscribers_of(login, certs[0]) == {"Files"}
     # a lost subscribe from Mirror lands on its timer retry
     net.set_link("oasis:Mirror", "oasis:Login", Link(loss_probability=1.0))
@@ -401,7 +405,7 @@ def test_a_subscribe_from_an_address_with_no_service_is_ignored():
     net.add_node("oasis:Ghost", lambda message: None)
     ghost = BatchedChannel(net, "oasis:Ghost", "oasis:Login")
     ghost.send("subscribe", {"ref": certs[0].crr}, urgent=True)
-    ghost.send("subscribe-many", {"refs": [certs[1].crr], "subscriber": "Files"})
+    ghost.send("subscribe", {"ref": certs[1].crr, "subscriber": "Files"}, urgent=True)
     ghost.flush()
     sent = net.stats.messages_sent
     sim.run()

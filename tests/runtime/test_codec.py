@@ -465,18 +465,14 @@ def test_every_truncated_frame_is_a_codec_error(payload):
 class TestTypedFrames:
     def test_heartbeat_frames(self):
         codec = WireCodec()
-        for kind, body in [
-            ("heartbeat", {"seq": 17, "horizon": 4.5, "epoch": 2}),
-            ("heartbeat-ack", {"ack": 12}),
-            ("heartbeat-nack", {"missing": [3, 4, 9]}),
-            ("heartbeat-fillers", {"seqs": [5, 6, 7], "horizon": 1.0, "epoch": 1}),
-            (
-                "heartbeat-payload",
-                {"seq": 3, "horizon": 0.5, "epoch": 1, "payload": {"items": []}},
-            ),
+        for body in [
+            {"horizon": 4.5, "epoch": 2},
+            {"horizon": float("-inf"), "epoch": 0},
+            {"horizon": 1.0, "epoch": 2**40},
         ]:
-            decoded, encoded = roundtrip(body, kind=kind, codec=codec)
-            assert decoded == body, kind
+            decoded, encoded = roundtrip(body, kind="heartbeat", codec=codec)
+            assert decoded == body
+            assert encoded.data[1] == codec_module.F_HEARTBEAT
         assert codec.stats.generic_frames == 0  # every shape hit its typed frame
 
     def test_rpc_frames(self):
@@ -487,14 +483,11 @@ class TestTypedFrames:
         for reply in [{"id": 4, "value": 5}, {"id": 4, "error": "boom"}, {"id": 4}]:
             decoded, _ = roundtrip(reply, kind="rpc-reply", codec=codec)
             assert decoded == reply
-        event = {"topic": "alerts", "payload": [1, 2]}
-        decoded, _ = roundtrip(event, kind="rpc-event", codec=codec)
-        assert decoded == event
         assert codec.stats.generic_frames == 0
 
     def test_mismatched_shape_falls_back_to_generic(self):
         codec = WireCodec()
-        body = {"seq": "not-an-int"}
+        body = {"horizon": 1.0, "epoch": "not-an-int"}
         decoded, _ = roundtrip(body, kind="heartbeat", codec=codec)
         assert decoded == body
         assert codec.stats.generic_frames == 1
@@ -502,58 +495,50 @@ class TestTypedFrames:
     def test_batch_frame_roundtrip(self):
         codec = WireCodec()
         items = [
-            {"kind": "subscribe", "payload": {"ref": 9, "subscriber": "Files"}},
-            mod("Login", 4, "false", (1, 7)),
-            mod("Login", 5, "unknown", (1, 8)),
+            {"kind": "subscribe", "payload": {"ref": 9}},
+            {"kind": "badge-seen", "payload": {"badge": "b1", "site": "Cam"}},
+            {"kind": "subscribe", "payload": {"ref": 10}},
         ]
-        body = {"items": items, "hb": {"seq": 2, "horizon": 1.5, "epoch": 1}}
-        decoded, _ = roundtrip(body, kind="wire-batch", codec=codec)
-        assert decoded["hb"] == body["hb"]
-        # generic items keep their position; modified items group after
-        assert decoded["items"][0] == items[0]
-        assert sorted_mods(decoded["items"][1:]) == sorted_mods(items[1:])
+        body = {"items": items, "hb": {"horizon": 1.5, "epoch": 1}}
+        decoded, encoded = roundtrip(body, kind="wire-batch", codec=codec)
+        assert decoded == body   # items keep their order
+        assert encoded.data[1] == codec_module.F_BATCH
+        wrapped = codec.wrap_batch(codec.encode_items(items), body["hb"])
+        assert wrapped.data == encoded.data
 
     def test_delta_encoding_is_compact(self):
         """Real CRRs are ``index << 24 | magic``: a dense revocation's ref
-        deltas are 2**24, four bytes each.  With the flags, the stamp
-        epoch and a one-byte seq delta, a record costs about seven bytes
-        after the issuer, which is defined once."""
+        deltas are 2**24, four bytes each.  With a one-byte seq delta, the
+        flags, the stamp epoch and its zero delta, an outbox row costs
+        eight bytes after the issuer, which is defined once."""
         codec = WireCodec()
-        for n, measured in ((64, 457), (1000, 7010)):
-            items = [
-                mod("Login", ref, "false", (1, i + 1)) for i, ref in enumerate(dense_crrs(n))
-            ]
-            section = codec.encode_items(items)
-            assert len(section.frame.data) <= measured
-            assert len(section.frame.data) < len(repr({"items": items})) / 10
-            assert codec.decode(section.frame.data)["items"] == items
+        for n, measured in ((64, MEASURED_64), (1000, MEASURED_1000)):
+            rows = [[i + 1, ref, "false", [1, i + 1]] for i, ref in enumerate(dense_crrs(n))]
+            payload = deliver(3, "Login", rows)
+            data = codec.encode("rpc-request", payload).data
+            assert len(data) <= measured
+            assert len(data) < len(repr(payload)) / 4
+            assert codec.decode(data)["args"] == ("Login", rows)
 
-    def test_fillers_with_a_stray_horizon_or_epoch_take_the_generic_frame(self):
-        """As in every other typed branch, a fillers body the frame cannot
-        carry rides the generic frame instead of failing the send."""
-        for stray in ({"horizon": "x"}, {"epoch": 1.5}, {"epoch": -1}):
-            body = {"seqs": [1], "horizon": 2.0, "epoch": 1, **stray}
+    def test_heartbeat_with_a_stray_horizon_or_epoch_takes_the_generic_frame(self):
+        """As in every other typed branch, a heartbeat body the frame
+        cannot carry rides the generic frame instead of failing the send."""
+        for stray in ({"horizon": "x"}, {"epoch": 1.5}, {"epoch": -1}, {"seq": 4}):
+            body = {"horizon": 2.0, "epoch": 1, **stray}
             codec = WireCodec()
-            decoded, _ = roundtrip(body, kind="heartbeat-fillers", codec=codec)
+            decoded, _ = roundtrip(body, kind="heartbeat", codec=codec)
             assert decoded == body
             assert codec.stats.generic_frames == 1
+
+
+# the bytes the delta-coded run takes for 64 and 1000 dense revocations
+MEASURED_64, MEASURED_1000 = 520, 8009
 
 
 def dense_crrs(n):
     """The CRRs of ``n`` records created one after another."""
     table = CredentialRecordTable("Login")
     return [table.create_source().ref for _ in range(n)]
-
-
-def mod(issuer, ref, state, stamp=None):
-    return {
-        "kind": "modified",
-        "payload": {"issuer": issuer, "ref": ref, "state": state, "stamp": stamp},
-    }
-
-
-def sorted_mods(items):
-    return sorted(items, key=lambda i: (i["payload"]["issuer"], i["payload"]["ref"]))
 
 
 # -- the journal relay's typed frames ------------------------------------------
@@ -670,19 +655,16 @@ def test_shapes_that_do_not_fit_keep_the_generic_frame(shape):
 
 # -- symbols: one published vocabulary, frame-scoped definitions ---------------
 
-# A literal copy of the vocabulary, unchanged since version 2.  Ids are
-# part of the frame format: a change here without a VERSION bump breaks
-# every peer.
-PUBLISHED_V3 = (
+# A literal copy of the version-4 vocabulary.  Ids are part of the frame
+# format: a change here without a VERSION bump breaks every peer.
+PUBLISHED_V4 = (
     "true", "false", "unknown",
-    "modified", "subscribe", "subscribe-many",
-    "badge-seen", "badge-left", "badge-naming",
+    "subscribe", "badge-seen", "badge-left", "badge-naming",
     "proxied-event", "proxied-horizon",
     "outbox-deliver", "tail-sync", "settle-prepare", "settle-commit",
-    "issuer", "ref", "refs", "state", "stamp", "subscriber",
-    "items", "kind", "payload", "hb", "seq", "seqs", "horizon", "epoch",
-    "ack", "missing", "id", "method", "args", "kwargs", "value", "error",
-    "topic", "acked", "service", "changed", "journal_head",
+    "ref", "items", "kind", "payload", "hb", "seq", "horizon", "epoch",
+    "id", "method", "args", "kwargs", "value", "error",
+    "acked", "service", "changed", "journal_head",
     "badge", "site", "home_site", "user", "event",
 )
 
@@ -716,9 +698,9 @@ def defined_symbols(data):
 
 def deployment_frames():
     """Every frame a small deployment puts on the wire, as (kind, source,
-    dest, bytes): a journaled Login/Files pair (outbox deliveries, a
-    subscriber restart's tail-sync, one settle) and an unjournaled
-    Mirror subscriber (subscribe, a resubscribe, a Modified batch)."""
+    dest, bytes): Login with two subscribers, Files and Mirror
+    (subscribes, outbox deliveries, heartbeats, a subscriber restart's
+    tail-sync, one settle)."""
     sim = Simulator()
     net = Network(sim, seed=5, default_delay=0.01)
     frames = []
@@ -738,8 +720,7 @@ def deployment_frames():
     files.add_rolefile("main", READER_RDL)
     mirror = OasisService("Mirror", registry=registry, linkage=linkage, clock=clock)
     mirror.add_rolefile("main", READER_RDL)
-    linkage.enable_journal(login)
-    linkage.enable_journal(files)
+    linkage.monitor(login, mirror, period=0.5)
     host = HostOS("ely")
     certs = []
     for i in range(3):
@@ -750,8 +731,6 @@ def deployment_frames():
         certs.append(cert)
     sim.run_until(1.0)
     login.exit_role(certs[0])
-    sim.run_until(2.0)
-    linkage.resync(mirror, "Login")
     sim.run_until(3.0)
     linkage.crash(files)
     sim.run_until(4.0)
@@ -764,8 +743,8 @@ def deployment_frames():
 
 class TestFrameSymbols:
     def test_vocabulary_is_pinned_to_its_version(self):
-        assert codec_module.VERSION == 3
-        assert VOCABULARY == PUBLISHED_V3
+        assert codec_module.VERSION == 4
+        assert VOCABULARY == PUBLISHED_V4
         assert len(set(VOCABULARY)) == len(VOCABULARY) < 128
         for sid, word in enumerate(VOCABULARY):
             # a two-byte ref, defining nothing
@@ -783,13 +762,15 @@ class TestFrameSymbols:
             if kind == "wire-batch":
                 for item in payload["items"]:
                     seen.add(item["kind"])
+            elif kind == "heartbeat":
+                seen.add(kind)
             elif kind == "rpc-request":
                 methods[(source, payload["id"])] = payload["method"]
                 seen.add(payload["method"])
             elif kind == "rpc-reply":
                 seen.add(methods[(dest, payload["id"])] + " reply")
         assert seen >= {
-            "subscribe", "subscribe-many", "modified",
+            "subscribe", "heartbeat",
             "outbox-deliver", "outbox-deliver reply",
             "tail-sync", "tail-sync reply",
             "settle-prepare", "settle-prepare reply",
@@ -844,17 +825,16 @@ class TestFrameSymbols:
 
 
 def _encoded_frames(sender, payload):
-    """(frame bytes, expected decode) for every frame shape, nested
-    retransmit frames included."""
-    items = [{"kind": "subscribe", "payload": payload}, mod("Login", 3, "false", (1, 2))]
+    """(frame bytes, expected decode) for every frame shape, a nested
+    frame included."""
+    items = [{"kind": "subscribe", "payload": payload}]
     section = sender.encode_items(items)
-    hb = {"seq": 4, "horizon": 0.5, "epoch": 1}
+    hb = {"horizon": 0.5, "epoch": 1}
     out = [(sender.encode(kind, body).data, body) for kind, body in _frames(payload)]
-    out.append((sender.wrap_batch(section, hb).data, {"items": items, "hb": hb}))
-    retransmit = dict(hb, payload=section.frame)
-    out.append(
-        (sender.encode("heartbeat-payload", retransmit).data, dict(hb, payload={"items": items}))
-    )
+    batch = sender.wrap_batch(section, hb)
+    out.append((batch.data, {"items": items, "hb": hb}))
+    out.append((sender.encode("x", [batch]).data, [{"items": items, "hb": hb}]))
+    out.append((sender.encode("heartbeat", hb).data, hb))
     return out
 
 
@@ -936,7 +916,7 @@ class TestNetworkIntegration:
         rows = [[seq, ref, "false", [1, seq]] for seq, ref in enumerate(dense_crrs(3), 5)]
         frames = [
             self.wire_frame(net, "rpc-reply", {"id": 4, "value": "Login"}),
-            self.wire_frame(net, "heartbeat", {"seq": 3, "horizon": 1.5, "epoch": 1}),
+            self.wire_frame(net, "heartbeat", {"horizon": 1.5, "epoch": 1}),
             self.wire_frame(net, "rpc-request", deliver(1, "Login", rows)),
             self.wire_frame(net, "rpc-reply", acked(1, [5, 6, 7])),
             self.wire_frame(net, "rpc-reply", tail_reply(2, 1, [row[1:] for row in rows])),
@@ -945,10 +925,7 @@ class TestNetworkIntegration:
         items = self.wire_frame(net, "data", {"items": [{"kind": "subscribe", "payload": 1}]})
         for frame in frames:
             net.send("a", "b", "data", Encoded(frame + garbage))
-        net.send(
-            "a", "b", "heartbeat-payload",
-            {"seq": 1, "horizon": 0.0, "epoch": 1, "payload": Encoded(items + garbage)},
-        )
+        net.send("a", "b", "data", {"nested": Encoded(items + garbage)})
         sim.run()
         assert got == []
         assert net.stats.dropped_decode == 6
@@ -957,11 +934,11 @@ class TestNetworkIntegration:
     def test_other_versions_are_a_decode_drop(self):
         sim, net, got = self.make()
         frame = self.wire_frame(net, "data", {"issuer": "Login", "refs": [1, 2]})
-        for version in (0, 1, 2, 0xFF):
+        for version in (0, 1, 2, 3, 0xFF):
             net.send("a", "b", "data", Encoded(bytes([version]) + frame[1:]))
         net.send("a", "b", "data", Encoded(frame))
         sim.run()
         assert [m.payload for m in got] == [{"issuer": "Login", "refs": [1, 2]}]
-        assert net.stats.dropped_decode == 4
-        assert net.codec.stats.decode_errors == 4
+        assert net.stats.dropped_decode == 5
+        assert net.codec.stats.decode_errors == 5
         assert net.unaccounted() == 0

@@ -91,7 +91,8 @@ def test_fail_closed_holds_and_quiesces_to_ground_truth(seed, ops):
         restart=lambda name: linkage.restart(services[name]),
     )
     checker = InvariantChecker(
-        [login, files], stale_bound=STALE_BOUND, is_down=chaos.is_down
+        [login, files], stale_bound=STALE_BOUND, is_down=chaos.is_down,
+        journals=linkage.durable,
     )
     chaos.arm()
 
@@ -143,6 +144,9 @@ def test_fail_closed_holds_and_quiesces_to_ground_truth(seed, ops):
     assert checker.violations == [], "\n".join(str(v) for v in checker.violations)
     # invariant 2: quiesced to brute-force ground truth
     assert checker.converged(), checker.divergences()
+    # invariant 3: every notification applied exactly once or parked
+    assert checker.check_outbox_conservation() == []
+    assert linkage.journal_quiescent()
     for session in sessions:
         if session["reader"] is None:
             continue

@@ -1,9 +1,7 @@
 """Unit tests for the heartbeat protocol of section 4.10."""
 
-import pytest
-
 from repro.runtime.heartbeat import HeartbeatMonitor, HeartbeatSender, connect_heartbeat
-from repro.runtime.network import Link, Network
+from repro.runtime.network import Network
 from repro.runtime.simulator import Simulator
 
 
@@ -20,18 +18,6 @@ def test_heartbeats_flow_when_idle():
     sim.run_until(10.0)
     assert sender.stats.heartbeats_sent >= 9
     assert not monitor.suspect
-
-
-def test_payloads_delivered_in_order():
-    got = []
-    sim, net, sender, monitor = make_world(
-        period=1.0, on_payload=lambda p, h: got.append(p)
-    )
-    sender.start()
-    sim.schedule(0.5, sender.send_payload, "a")
-    sim.schedule(0.6, sender.send_payload, "b")
-    sim.run_until(5.0)
-    assert got == ["a", "b"]
 
 
 def test_silence_triggers_suspicion_within_grace():
@@ -65,22 +51,6 @@ def test_restore_after_heal():
     assert restored
 
 
-def test_lost_payload_is_resent_via_nack():
-    got = []
-    sim, net, sender, monitor = make_world(
-        period=1.0, on_payload=lambda p, h: got.append(p)
-    )
-    sender.start()
-    # drop exactly the window around the payload send
-    sim.schedule(4.9, net.partition, {"svc"}, {"cli"})
-    sim.schedule(5.0, sender.send_payload, "precious")
-    sim.schedule(5.1, net.heal, {"svc"}, {"cli"})
-    sim.run_until(30.0)
-    assert "precious" in got
-    assert monitor.stats.gaps_detected >= 1
-    assert sender.stats.resends >= 1
-
-
 def test_horizon_advances_with_heartbeats():
     horizons = []
     sim, net, sender, monitor = make_world(
@@ -90,199 +60,6 @@ def test_horizon_advances_with_heartbeats():
     sim.run_until(5.0)
     assert horizons == sorted(horizons)
     assert monitor.horizon >= 3.0
-
-
-def test_acks_prune_sender_state():
-    sim, net, sender, monitor = make_world(period=1.0, ack_every=2)
-    sender.start()
-    for i in range(6):
-        sim.schedule(0.1 * i + 0.05, sender.send_payload, i)
-    sim.run_until(10.0)
-    assert len(sender._unacked) == 0
-
-
-def make_bare_monitor(on_payload=None, ack_every=1):
-    """A monitor fed by hand, with the sender side captured for inspection."""
-    sim = Simulator()
-    net = Network(sim, seed=1)
-    to_sender = []
-    net.add_node("svc", lambda m: to_sender.append((m.kind, m.payload)))
-    monitor = HeartbeatMonitor(
-        net, "cli", "svc", period=1.0, ack_every=ack_every, on_payload=on_payload
-    )
-    net.add_node("cli", lambda m: monitor.handle_message(m.kind, m.payload))
-    return sim, monitor, to_sender
-
-
-def test_ack_is_last_contiguous_not_last_seen():
-    """Regression: acking past an unfilled gap lets the sender discard
-    the very records the pending nack needs — the lost payload would be
-    dropped forever.  The ack must stop at the contiguous prefix."""
-    sim, monitor, to_sender = make_bare_monitor()
-    monitor.handle_message("heartbeat-payload", {"seq": 1, "payload": "a", "horizon": 0.0})
-    monitor.handle_message("heartbeat-payload", {"seq": 3, "payload": "c", "horizon": 0.0})
-    sim.run_until(0.5)
-    acks = [p["ack"] for k, p in to_sender if k == "heartbeat-ack"]
-    assert acks[-1] == 1  # seq 2 outstanding: 3 must stay buffered at the sender
-    nacks = [p["missing"] for k, p in to_sender if k == "heartbeat-nack"]
-    assert [2] in nacks
-
-
-def test_ack_advances_once_gap_fills():
-    sim, monitor, to_sender = make_bare_monitor()
-    monitor.handle_message("heartbeat-payload", {"seq": 1, "payload": "a", "horizon": 0.0})
-    monitor.handle_message("heartbeat-payload", {"seq": 3, "payload": "c", "horizon": 0.0})
-    monitor.handle_message("heartbeat-payload", {"seq": 2, "payload": "b", "horizon": 0.0})
-    sim.run_until(0.5)
-    acks = [p["ack"] for k, p in to_sender if k == "heartbeat-ack"]
-    assert acks[-1] == 3
-
-
-def test_delivery_holds_at_gap_and_resumes_in_order():
-    """Regression: buffered payloads past an unfilled gap must not be
-    delivered early — a resent message would arrive after its
-    successors."""
-    got = []
-    sim, monitor, to_sender = make_bare_monitor(on_payload=lambda p, h: got.append(p))
-    monitor.handle_message("heartbeat-payload", {"seq": 1, "payload": "a", "horizon": 0.0})
-    monitor.handle_message("heartbeat-payload", {"seq": 3, "payload": "c", "horizon": 0.0})
-    monitor.handle_message("heartbeat-payload", {"seq": 4, "payload": "d", "horizon": 0.0})
-    assert got == ["a"]  # c and d held: 2 is missing
-    monitor.handle_message("heartbeat-payload", {"seq": 2, "payload": "b", "horizon": 0.0})
-    assert got == ["a", "b", "c", "d"]
-
-
-def test_duplicate_resends_deliver_once():
-    got = []
-    sim, monitor, to_sender = make_bare_monitor(on_payload=lambda p, h: got.append(p))
-    monitor.handle_message("heartbeat-payload", {"seq": 1, "payload": "a", "horizon": 0.0})
-    monitor.handle_message("heartbeat-payload", {"seq": 1, "payload": "a", "horizon": 0.0})
-    monitor.handle_message("heartbeat-payload", {"seq": 2, "payload": "b", "horizon": 0.0})
-    assert got == ["a", "b"]
-
-
-def test_lost_bare_heartbeat_does_not_stall_delivery():
-    """A nacked gap left by a bare heartbeat (no payload) is filled by
-    the sender's filler resend, so later payloads still deliver."""
-    got = []
-    sim, net, sender, monitor = make_world(period=1.0, on_payload=lambda p, h: got.append(p))
-    sender.start()
-    # drop only the t=2.0 heartbeat, then send a payload afterwards
-    sim.schedule(1.9, net.partition, {"svc"}, {"cli"})
-    sim.schedule(2.1, net.heal, {"svc"}, {"cli"})
-    sim.schedule(2.5, sender.send_payload, "after-gap")
-    sim.run_until(20.0)
-    assert got == ["after-gap"]
-
-
-def test_lossy_network_delivers_all_payloads_in_order():
-    """End-to-end under sustained random loss in both directions: every
-    payload arrives, exactly once, in send order (nack + watchdog re-nack
-    + contiguous acks)."""
-    got = []
-    sim = Simulator()
-    net = Network(sim, seed=7)
-    sender, monitor = connect_heartbeat(
-        net, "svc", "cli", 1.0, ack_every=2, on_payload=lambda p, h: got.append(p)
-    )
-    net.set_link("svc", "cli", Link(base_delay=0.01, loss_probability=0.3))
-    net.set_link("cli", "svc", Link(base_delay=0.01, loss_probability=0.3))
-    sender.start()
-    for i in range(30):
-        sim.schedule(0.3 * i + 0.05, sender.send_payload, i)
-    sim.run_until(400.0)
-    assert got == list(range(30))
-    assert monitor.stats.gaps_detected >= 1
-    assert sender.stats.resends >= 1
-    assert len(sender._unacked) == 0  # everything eventually acked contiguously
-
-
-def test_multiple_lost_bare_heartbeats_refill_in_one_message():
-    """All bare-heartbeat gaps named by one nack ride a single
-    'heartbeat-fillers' message rather than one filler each."""
-    got = []
-    kinds = []
-    sim = Simulator()
-    net = Network(sim, seed=11)
-    sender, monitor = connect_heartbeat(
-        net, "svc", "cli", 1.0, on_payload=lambda p, h: got.append(p)
-    )
-    cli = net.node("cli")
-    inner = cli.handler
-
-    def tap(message):
-        kinds.append(message.kind)
-        inner(message)
-
-    cli.handler = tap
-    sender.start()
-    # drop three consecutive bare heartbeats (t=2, t=3, t=4)
-    sim.schedule(1.5, net.partition, {"svc"}, {"cli"})
-    sim.schedule(4.5, net.heal, {"svc"}, {"cli"})
-    sim.schedule(5.2, sender.send_payload, "after-gaps")
-    sim.run_until(20.0)
-    assert got == ["after-gaps"]
-    assert monitor._contiguous == monitor._max_seen
-    # the three fillers shared one message
-    filler_messages = kinds.count("heartbeat-fillers")
-    assert filler_messages == 1
-    assert sender.stats.resends >= 3
-
-
-def test_filler_batch_advances_contiguous_prefix_and_ack():
-    """A fillers message closes every gap it names: the contiguous
-    prefix jumps past all of them and the next ack reflects that."""
-    sim, monitor, to_sender = make_bare_monitor(ack_every=1)
-    monitor.handle_message("heartbeat-payload", {"seq": 1, "payload": "a", "horizon": 0.0})
-    monitor.handle_message("heartbeat-payload", {"seq": 5, "payload": "e", "horizon": 0.0})
-    sim.run_until(0.2)
-    acks = [p["ack"] for k, p in to_sender if k == "heartbeat-ack"]
-    assert acks[-1] == 1  # 2..4 outstanding
-    monitor.handle_message("heartbeat-fillers", {"seqs": [2, 3, 4], "horizon": 0.0})
-    sim.run_until(0.4)
-    acks = [p["ack"] for k, p in to_sender if k == "heartbeat-ack"]
-    assert acks[-1] == 5
-
-
-def test_ack_stays_at_contiguous_prefix_with_batched_payloads():
-    """Batched (back-to-back, same-instant) payloads around a gap do not
-    let the ack run past the gap."""
-    got = []
-    sim, monitor, to_sender = make_bare_monitor(
-        on_payload=lambda p, h: got.append(p), ack_every=1
-    )
-    # a "batch" of payloads 3..5 arrives while 2 is missing
-    monitor.handle_message("heartbeat-payload", {"seq": 1, "payload": "a", "horizon": 0.0})
-    for seq, payload in ((3, "c"), (4, "d"), (5, "e")):
-        monitor.handle_message(
-            "heartbeat-payload", {"seq": seq, "payload": payload, "horizon": 0.0}
-        )
-    sim.run_until(0.2)
-    acks = [p["ack"] for k, p in to_sender if k == "heartbeat-ack"]
-    assert max(acks) == 1          # never past the gap
-    assert got == ["a"]            # delivery held at the gap
-    monitor.handle_message("heartbeat-payload", {"seq": 2, "payload": "b", "horizon": 0.0})
-    sim.run_until(0.4)
-    assert got == ["a", "b", "c", "d", "e"]
-    acks = [p["ack"] for k, p in to_sender if k == "heartbeat-ack"]
-    assert acks[-1] == 5
-
-
-def test_filler_resend_counts_each_gap():
-    sim = Simulator()
-    net = Network(sim, seed=3)
-    to_cli = []
-    net.add_node("cli", lambda m: to_cli.append((m.kind, m.payload)))
-    sender = HeartbeatSender(net, "svc", "cli", period=1.0)
-    net.add_node("svc", lambda m: None)
-    sender.start()
-    sim.run_until(3.5)   # seqs 1..4 sent as bare heartbeats
-    sender.handle_nack([2, 3])
-    sim.run_until(4.0)
-    fillers = [p for k, p in to_cli if k == "heartbeat-fillers"]
-    assert len(fillers) == 1
-    assert fillers[0]["seqs"] == [2, 3]
-    assert sender.stats.resends >= 2
 
 
 def test_detection_latency_scales_with_period():
@@ -365,44 +142,29 @@ def make_epoch_world(period=1.0, **monitor_kwargs):
     epoch_box = [1]
     sender = HeartbeatSender(net, "svc", "cli", period, epoch=lambda: epoch_box[0])
     monitor = HeartbeatMonitor(net, "cli", "svc", period, **monitor_kwargs)
-
-    def svc_node(message):
-        if message.kind == "heartbeat-ack":
-            sender.handle_ack(message.payload["ack"])
-        elif message.kind == "heartbeat-nack":
-            sender.handle_nack(message.payload["missing"])
-
-    net.add_node("svc", svc_node)
+    net.add_node("svc", lambda m: None)
     net.add_node("cli", lambda m: monitor.handle_message(m.kind, m.payload))
     return sim, net, sender, monitor, epoch_box
 
 
-def test_epoch_change_fires_callback_and_resets_sequences():
+def test_epoch_change_fires_callback_once():
     changes = []
-    got = []
     sim, net, sender, monitor, epoch_box = make_epoch_world(
         on_epoch_change=lambda old, new: changes.append((old, new, sim.now)),
-        on_payload=lambda p, h: got.append(p),
     )
     sender.start()
     sim.run_until(5.0)
     assert monitor.sender_epoch == 1
-    old_max = monitor._max_seen
-    assert old_max >= 4
-    # crash-restart: new epoch, sequence numbering starts over
+    # crash-restart: new epoch, and the restarted sender beats at once
     epoch_box[0] = 2
     sender.restart()
     sim.run_until(6.5)
-    sender.send_payload("post-crash")
+    sender.piggyback()
     sim.run_until(10.0)
-    assert changes and changes[0][:2] == (1, 2)
+    assert [change[:2] for change in changes] == [(1, 2)]
     assert monitor.sender_epoch == 2
-    # the restarted numbering was accepted (no false duplicate-drop)
-    assert got == ["post-crash"]
     assert monitor.stats.epoch_changes == 1
-    # the restart did not read as a giant backwards gap
-    assert monitor.stats.gaps_detected == 0
-    assert monitor._max_seen <= old_max + 2
+    assert not monitor.suspect
 
 
 def test_stale_epoch_traffic_is_dropped_and_not_liveness():
@@ -416,9 +178,12 @@ def test_stale_epoch_traffic_is_dropped_and_not_liveness():
     assert monitor.sender_epoch == 2
     # a delayed message from the dead epoch arrives late: dropped, and it
     # must not count as hearing from the (current) sender
-    monitor.handle_message("heartbeat", {"seq": 99, "horizon": 0.0, "epoch": 1})
+    sim.run_until(5.4)
+    heard = monitor._last_heard
+    monitor.handle_message("heartbeat", {"horizon": 99.0, "epoch": 1})
     assert monitor.stats.stale_epoch_dropped == 1
-    assert monitor._max_seen < 99
+    assert monitor._last_heard == heard
+    assert monitor.horizon < 99.0
 
 
 def test_epoch_change_fires_before_restore_while_still_suspect():
@@ -459,16 +224,21 @@ def test_sender_stop_start_does_not_double_tick_rate():
 
 
 def test_quiet_interval_wakeup_survives_negative_float_residue():
-    """Satellite regression: piggybacked liveness reschedules the tick to
+    """Regression: piggybacked liveness reschedules the tick to
     ``due - now``, which float accumulation can leave fractionally
     negative.  The chain must clamp and keep beating, not die with
     'cannot schedule in the past'."""
     sim, net, sender, monitor = make_world(period=0.1)
     sender.start()
-    # payloads at times that are not exactly representable multiples of
+
+    def send_batch():
+        # a data batch stamped with the piggybacked heartbeat
+        net.send("svc", "cli", "heartbeat", sender.piggyback())
+
+    # batches at times that are not exactly representable multiples of
     # the period, so due - now picks up float residue at many wake-ups
     for i in range(1, 200):
-        sim.schedule_at(i * 0.049999999999999996, sender.send_payload, i)
+        sim.schedule_at(i * 0.049999999999999996, send_batch)
     sim.run_until(12.0)
     # liveness never lapsed: the monitor saw a signal at least every period
     assert not monitor.suspect

@@ -102,15 +102,6 @@ def test_on_done_after_completion_fires_immediately():
     assert results == [8]
 
 
-def test_one_way_event_notification():
-    sim, net, server, client = make_pair()
-    got = []
-    client.on_event("news", lambda src, payload: got.append((src, payload)))
-    server.notify("client", "news", {"headline": "x"})
-    sim.run()
-    assert got == [("server", {"headline": "x"})]
-
-
 def test_default_timeout_reaps_lost_reply():
     """Regression: a call with no explicit timeout whose reply is lost
     must not leave its pending record in the endpoint forever."""

@@ -233,6 +233,7 @@ class SoakWorld:
             list(self.services.values()),
             stale_bound=STALE_BOUND,
             is_down=self.chaos.is_down,
+            journals=self.linkage.durable,
         )
         self.chaos.arm()
         spacing = DURATION / OPS_TARGET
@@ -277,6 +278,13 @@ def test_soak_never_violates_fail_closed(soak):
 
 def test_soak_converges_after_faults_cease(soak):
     assert soak.checker.converged(), soak.checker.divergences()
+
+
+def test_soak_conserves_every_notification(soak):
+    """Every outbox entry is applied exactly once or parked, and nothing
+    is pending or in flight once the faults have ceased."""
+    assert soak.checker.check_outbox_conservation() == []
+    assert soak.linkage.journal_quiescent()
 
 
 def test_soak_recovery_machinery_was_used(soak):

@@ -64,8 +64,6 @@ def build_world(seed=SEED, delay=0.01, monitor=False):
     login.add_rolefile("main", LOGIN_RDL)
     files = OasisService("Files", registry=registry, linkage=linkage, clock=clock)
     files.add_rolefile("main", FILES_RDL)
-    linkage.enable_journal(login, seed=seed)
-    linkage.enable_journal(files, seed=seed)
     if monitor:
         linkage.monitor(login, files, period=1.0, grace=2.0)
     return sim, net, linkage, login, files
@@ -387,6 +385,7 @@ def test_journal_soak_loses_no_notification(chaos_soak):
     parked in the DLQ — never vanished, never double-applied."""
     assert chaos_soak.sweep_breaches == []
     assert chaos_soak.store.conservation_breaches() == []
+    assert chaos_soak.linkage.journal_quiescent()
     assert chaos_soak.store.journal("Login").stats.outbox_delivered >= 1
 
 
@@ -413,8 +412,8 @@ def test_journal_soak_recovered_by_replay_not_resubscribe(chaos_soak):
     login_journal = chaos_soak.store.journal("Login")
     files_journal = chaos_soak.store.journal("Files")
     assert login_journal.stats.replays + files_journal.stats.replays >= 2
-    # journaled recovery never falls back to the resubscribe path
-    assert chaos_soak.net.stats.subscribes_batched == 0
+    # the restarted subscriber re-learned its issuer's truth by tail-sync
+    assert files_journal.stats.tail_syncs_pulled >= 1
 
 
 def test_journal_soak_replays_identically():

@@ -158,6 +158,7 @@ class FleetWorld:
             list(self.services.values()),
             stale_bound=STALE_BOUND,
             is_down=self.chaos.is_down,
+            journals=self.linkage.durable,
         )
         self.chaos.arm()
         sweeps = int(FLEET_DURATION + FLEET_SETTLE)
@@ -188,6 +189,8 @@ def test_fleet_soak_zero_fail_closed_violations(fleet):
         str(v) for v in fleet.checker.violations
     )
     assert fleet.checker.converged(), fleet.checker.divergences()
+    assert fleet.checker.check_outbox_conservation() == []
+    assert fleet.linkage.journal_quiescent()
 
 
 def test_fleet_soak_actually_exercised_the_fleet(fleet):
@@ -202,8 +205,9 @@ def test_fleet_soak_actually_exercised_the_fleet(fleet):
 def test_fleet_soak_profile_attributes_the_event_stream(fleet):
     report = fleet.profile.report()
     assert report["total_events"] == fleet.sim.events_processed
-    # the big three subsystems of a heartbeat-dominated fleet soak
-    for subsystem in ("hb", "deliver", "flush"):
+    # the big three subsystems of a heartbeat-dominated fleet soak:
+    # heartbeats, deliveries and the outbox relay's RPC timers
+    for subsystem in ("hb", "deliver", "rpc"):
         assert subsystem in report["subsystems"], sorted(report["subsystems"])
     # heartbeats dominate event count in an idle-ish fleet
     assert report["subsystems"]["hb"]["events"] > report["total_events"] * 0.3

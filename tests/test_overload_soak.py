@@ -258,6 +258,7 @@ class OverloadWorld:
             is_down=self.chaos.is_down,
             channels=self.linkage.all_channels,
             custodes=[self.ffc],
+            journals=self.linkage.durable,
         )
         self.chaos.arm()
         for i in range(PINNED_SESSIONS):
@@ -335,6 +336,11 @@ def test_soak_accounts_for_every_message(soak):
 
 def test_soak_converges_after_faults_cease(soak):
     assert soak.checker.converged(), soak.checker.divergences()
+
+
+def test_soak_conserves_every_notification(soak):
+    assert soak.checker.check_outbox_conservation() == []
+    assert soak.linkage.journal_quiescent()
 
 
 def test_soak_replays_identically():

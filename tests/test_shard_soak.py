@@ -126,6 +126,7 @@ def test_shard_kill_soak_fail_closed_and_rebalance():
         stale_bound=STALE_BOUND,
         is_down=chaos.is_down,
         channels=linkage.all_channels,
+        journals=linkage.durable,
     )
     chaos.arm()
 
@@ -189,6 +190,8 @@ def test_shard_kill_soak_fail_closed_and_rebalance():
         f"fail-closed violations under shard kill: {checker.violations}"
     )
     assert checker.checks > 0
+    assert checker.check_outbox_conservation() == []
+    assert linkage.journal_quiescent()
     # after the dust settles every probe key is served by its ring owner
     for key in probe_keys:
         assert fleet.router.route(key) == fleet.router.owner(key)
