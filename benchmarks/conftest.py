@@ -95,6 +95,24 @@ def bench_quick():
     return os.environ.get("BENCH_QUICK", "") not in ("", "0")
 
 
+def alternating_pairs(measure_a, measure_b, pairs=5):
+    """``pairs`` ``(a, b)`` results of two measurements taken in this
+    process, alternating which runs first.  A wall-clock ratio gate reads
+    the median of the per-pair ratios: two throughputs measured minutes
+    apart move with the machine's load, a pair taken back to back much
+    less."""
+    results = []
+    for pair in range(pairs):
+        if pair % 2:
+            b = measure_b()
+            a = measure_a()
+        else:
+            a = measure_a()
+            b = measure_b()
+        results.append((a, b))
+    return results
+
+
 def record_hotpath(name, **data):
     """Merge one experiment's results into BENCH_hotpath.json.
 

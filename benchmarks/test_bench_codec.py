@@ -24,7 +24,7 @@ from contextlib import contextmanager
 import pytest
 
 from benchmarks.conftest import bench_quick, record_codec
-from benchmarks.test_bench_wire import BATCHED, build_linked_world
+from benchmarks.test_bench_wire import build_linked_world
 from repro.errors import RevokedError
 from repro.events.model import Event
 from repro.runtime.codec import F_ACKED, F_DELIVER, WireCodec
@@ -103,9 +103,7 @@ def test_cascade_bytes_on_wire_reduced_5x():
 
 
 def _cascade_bytes(strawman):
-    sim, net, linkage, login, files, certs, readers = build_linked_world(
-        BATCHED, CASCADE
-    )
+    sim, net, linkage, login, files, certs, readers = build_linked_world(CASCADE)
     # a production deployment monitors the link
     linkage.monitor(login, files, period=1.0, grace=2.0)
     sim.run_until(sim.now + 3.0)
@@ -137,14 +135,14 @@ def _cascade_bytes(strawman):
     assert run_ratio < 1.0
     assert net.stats.dropped_decode == 0
     assert net.unaccounted() == 0
-    # frames are self-contained and every other word of a delivery is a
-    # vocabulary ref or an enum: each delivery frame in the window
-    # defines exactly one symbol, the issuer
+    # frames are self-contained and every word of a delivery is a
+    # vocabulary ref or an enum: no frame in the window defines a
+    # symbol (the caller's address, not the frame, names the issuer)
     hits = net.stats.intern_hits - mark_hits
     misses = net.stats.intern_misses - mark_misses
     deliveries = requests.requests_sent - mark_deliveries
     assert deliveries > 0
-    assert misses == deliveries
+    assert misses == 0
     record_codec(
         "codec_cascade",
         cascade_records=CASCADE,
@@ -228,7 +226,7 @@ def test_encode_decode_throughput():
     as a number, not a vibe."""
     codec = WireCodec()
     rows = [[seq, seq << 24, "false", [1, seq]] for seq in range(1, CASCADE + 1)]
-    request = {"id": 7, "method": "outbox-deliver", "args": ("Login", rows), "kwargs": {}}
+    request = {"id": 7, "method": "outbox-deliver", "args": (rows,), "kwargs": {}}
     rounds = 3 if bench_quick() else 10
     start = time.perf_counter()
     for _ in range(rounds):
@@ -239,7 +237,7 @@ def test_encode_decode_throughput():
     for _ in range(rounds):
         decoded = codec.decode(data)
     decode_seconds = time.perf_counter() - start
-    assert decoded["args"] == ("Login", rows)
+    assert decoded["args"] == (rows,)
 
     encode_rate = rounds * CASCADE / encode_seconds
     decode_rate = rounds * CASCADE / decode_seconds
@@ -262,7 +260,7 @@ def test_relay_cascade_is_one_typed_delivery():
     included) are pinned at the measured value: a dense revocation's
     rows cost a one-byte seq delta, a four-byte CRR delta, the flags,
     the stamp epoch and a one-byte stamp delta."""
-    sim, net, linkage, login, files, certs, readers = build_linked_world(BATCHED, RELAY)
+    sim, net, linkage, login, files, certs, readers = build_linked_world(RELAY)
     frames = []
 
     def capture(message, delay):
@@ -279,13 +277,13 @@ def test_relay_cascade_is_one_typed_delivery():
     assert [(m.dest, m.payload[1]) for m in requests] == [("oasis:Files", F_DELIVER)]
     assert [m.payload[1] for m in replies] == [F_ACKED]
     delivered = WireCodec().decode(requests[0].payload)
-    assert len(delivered["args"][1]) == RELAY
+    assert len(delivered["args"][0]) == RELAY
     request_bytes = MESSAGE_HEADER_BYTES + len(requests[0].payload)
     reply_bytes = MESSAGE_HEADER_BYTES + len(replies[0].payload)
     bytes_per_entry = (request_bytes + reply_bytes) / RELAY
     # the call id takes two bytes: the subscribe replies went through
     # the relay too
-    assert (request_bytes, reply_bytes) == (1_058, 158)   # 9.50 B per entry
+    assert (request_bytes, reply_bytes) == (1_051, 158)   # 9.45 B per entry
     for reader in readers:
         with pytest.raises(RevokedError):
             files.validate(reader)

@@ -7,8 +7,7 @@ The acceptance gates for the notification transport:
   notification scheme: the journal relay delivers a round's entries to
   a destination in one ``outbox-deliver`` request and its ack;
 * a revocation is visible at the subscriber one link delay after the
-  revoke, whatever the wire policy's flush window — no correctness-for-
-  throughput trade;
+  revoke — no correctness-for-throughput trade;
 * in a busy window, piggybacking on a batched channel means zero
   standalone heartbeats.
 
@@ -28,7 +27,7 @@ from repro.runtime.clock import SimClock
 from repro.runtime.heartbeat import HeartbeatMonitor, HeartbeatSender
 from repro.runtime.network import Link, Network
 from repro.runtime.simulator import Simulator
-from repro.runtime.wire import BatchedChannel, WirePolicy, unpack, heartbeat_of
+from repro.runtime.wire import BatchedChannel, unpack, heartbeat_of
 
 LOGIN_RDL = "def LoggedOn(u, h)  u: userid  h: string\nLoggedOn(u, h) <- "
 FILES_RDL = "import Login.userid\nReader(u) <- Login.LoggedOn(u, h)*"
@@ -36,12 +35,12 @@ FILES_RDL = "import Login.userid\nReader(u) <- Login.LoggedOn(u, h)*"
 CASCADE = 2_000 if bench_quick() else 10_000
 
 
-def build_linked_world(policy, n, link_delay=0.001, seed=9):
+def build_linked_world(n, link_delay=0.001, seed=9):
     sim = Simulator()
     net = Network(sim, seed=seed, default_delay=link_delay)
     clock = SimClock(sim)
     registry = ServiceRegistry()
-    linkage = SimLinkage(net, policy=policy)
+    linkage = SimLinkage(net)
     login = OasisService("Login", registry=registry, linkage=linkage, clock=clock)
     login.export_type(ObjectType("Login.userid"), "userid")
     login.add_rolefile("main", LOGIN_RDL)
@@ -58,14 +57,11 @@ def build_linked_world(policy, n, link_delay=0.001, seed=9):
     return sim, net, linkage, login, files, certs, readers
 
 
-BATCHED = WirePolicy()                               # the default transport
-
-
 def test_cascade_messages_on_wire_reduced_5x():
     """The tentpole gate: the journal relay cuts a CASCADE-record
     revocation's wire traffic by >= 5x against the seed's scheme of one
     message per notification."""
-    sim, net, linkage, login, files, certs, readers = build_linked_world(BATCHED, CASCADE)
+    sim, net, linkage, login, files, certs, readers = build_linked_world(CASCADE)
     journal = linkage.relay_of("Login").journal
     before_messages = net.stats.messages_sent
     before_bytes = net.stats.bytes_sent
@@ -90,9 +86,9 @@ def test_cascade_messages_on_wire_reduced_5x():
     )
 
 
-def _revocation_latency(policy, link_delay=0.001):
+def _revocation_latency(link_delay=0.001):
     sim, net, linkage, login, files, certs, readers = build_linked_world(
-        policy, 1, link_delay=link_delay
+        1, link_delay=link_delay
     )
     files.validate(readers[0])
     t0 = sim.now
@@ -109,23 +105,14 @@ def _revocation_latency(policy, link_delay=0.001):
 def test_revocation_visible_one_link_delay_after_the_revoke():
     """No correctness-for-throughput trade: the relay drains a revocation
     in a zero-delay event, so it is visible at the subscriber one link
-    delay after the revoke (measured: exactly 1 ms across a 1 ms link).
-    A wire policy's flush window batches subscribe traffic only and adds
-    nothing to it."""
+    delay after the revoke (measured: exactly 1 ms across a 1 ms link)."""
     link_delay = 0.001
-    flush_interval = 0.002
-    latency = _revocation_latency(BATCHED, link_delay=link_delay)
-    windowed = _revocation_latency(
-        WirePolicy(max_batch=64, max_delay=flush_interval), link_delay=link_delay
-    )
+    latency = _revocation_latency(link_delay=link_delay)
     assert latency <= link_delay + 1e-9
-    assert windowed <= link_delay + 1e-9
     record_hotpath(
         "wire_revocation_latency",
         link_delay=link_delay,
-        flush_interval=flush_interval,
         latency=latency,
-        latency_flush_window=windowed,
     )
 
 

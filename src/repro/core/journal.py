@@ -1,7 +1,6 @@
 """Event-sourced durability: per-service write-ahead log, transactional
-outbox, and dead-letter retry (ROADMAP open item 2; the paper's ch. 4
-auditing model assumes every credential and ACL change is durably
-attributable).
+outbox, and dead-letter retry (the paper's ch. 4 auditing model assumes
+every credential and ACL change is durably attributable).
 
 The journal is the in-sim *durable* substrate of a service, in the same
 sense the credential record table models its durable database: it
@@ -17,34 +16,42 @@ a crash.  Three mechanisms ride it:
 * **transactional outbox** — an outbound cascade notification is
   appended in the *same* journal transaction as the state change that
   caused it (:meth:`ServiceJournal.append_notify`), then drained by a
-  retrying relay (:class:`JournalRelay`) over the existing
+  relay (:class:`JournalRelay`) over the request/reply
   :class:`~repro.runtime.rpc.RpcEndpoint` layer.  A crash between
   "apply" and "notify" can no longer lose a revocation: the undrained
   entry is still in the durable outbox and is delivered after replay;
-* **dead-letter queue** — an entry whose delivery exhausts the RPC retry
-  budget, or that its receiver refuses, is *parked*, never dropped, and
-  redelivered on a seeded exponential backoff.  The conservation
-  invariant — every outbox entry is applied exactly once at its
-  destination or parked in the DLQ —
-  is checkable at any instant via :meth:`DurableStore.conservation_breaches`
-  (swept by :class:`~repro.runtime.faults.InvariantChecker`).
+* **dead-letter queue** — the one retry.  The relay sends each delivery
+  once; an entry whose delivery call fails (timeout, link down) or that
+  its receiver refuses is *parked*, never dropped, and redelivered on a
+  seeded exponential backoff, one batched call per destination.  The
+  conservation invariant — every outbox entry is applied exactly once at
+  its destination or parked in the DLQ — is checkable at any instant via
+  :meth:`DurableStore.conservation_breaches` (swept by
+  :class:`~repro.runtime.faults.InvariantChecker`).
+
+The outbox is also the service's one queue bound: its undelivered depth
+per destination (:attr:`ServiceJournal.depth`) is what admission sheds
+on (:meth:`~repro.core.linkage.SimLinkage.backpressured_of`).
 
 Receivers dedup inbound deliveries by ``(issuer, outbox seq)`` in their
 *own* journal ("applied" records), so redelivery after a crash on either
-side is idempotent, and they keep the newest applied ``(epoch, seq)``
-stamp per ``(issuer, ref)`` so a delayed older state can never re-open a
-surrogate a newer notification or snapshot already closed.  A receiver
-acks nothing from an issuer it suspects (section 4.10: records fed by a
-suspect sender are Unknown) or whose tail-sync snapshot it still awaits;
-those deliveries park at the issuer and come back after the snapshot,
-which the stamps order them against.
+side, or a network duplicate of a delivery call, is idempotent, and they
+keep the newest applied ``(epoch, seq)`` stamp per ``(issuer, ref)`` so a
+delayed older state can never re-open a surrogate a newer notification
+or snapshot already closed.  The issuer of a delivery is the calling
+node's service, never a name in the request (section 2.8: identity comes
+from the channel); a call from a node with no attached service is
+refused.  A receiver acks nothing from an issuer it suspects (section
+4.10: records fed by a suspect sender are Unknown) or whose tail-sync
+snapshot it still awaits; those deliveries park at the issuer and come
+back after the snapshot, which the stamps order them against.
 
 Recovery protocol (driven by :meth:`JournalRelay.recover`): replay the
 local journal (fast, idempotent, zero messages), mask every surrogate
 Unknown (fail closed — the crash window is of unverifiable currency),
 then **tail-sync** from each issuer: one RPC pulls a stamped snapshot of
-every subscribed record, resolving all surrogates in a single cascade.
-Pending outbox entries and due dead letters then drain.
+every record the caller subscribes to, resolving all surrogates in a
+single cascade.  Pending outbox entries and due dead letters then drain.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from repro.core.credentials import RecordState
 from repro.errors import OasisError
-from repro.runtime.rpc import RetryPolicy, RpcEndpoint
+from repro.runtime.rpc import RpcEndpoint
 from repro.runtime.simulator import Timer
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -65,11 +72,10 @@ if TYPE_CHECKING:  # pragma: no cover
 # One outbound notification: (ref, state, destination service names).
 Notice = tuple[int, RecordState, list[str]]
 
-# The relay's delivery RPC: a short retry budget, then the DLQ's seeded
-# exponential backoff takes over.
-RELAY_RETRY = RetryPolicy(max_attempts=3, base_delay=0.25, max_delay=2.0)
+# The relay sends each delivery once; a failed call parks its entries and
+# the DLQ's seeded exponential backoff is the only retry.
 RELAY_RPC_TIMEOUT = 2.0
-DLQ_BASE_DELAY = 2.0
+DLQ_BASE_DELAY = 0.25
 DLQ_MULTIPLIER = 2.0
 DLQ_MAX_DELAY = 30.0
 
@@ -360,17 +366,17 @@ class DurableStore:
 
 
 class JournalRelay:
-    """The retrying drain of one service's transactional outbox, plus
-    the inbound delivery / tail-sync endpoint peers talk to.
+    """The drain of one service's transactional outbox, plus the
+    inbound delivery / tail-sync endpoint peers talk to.
 
     Owns the RPC endpoint at the service's address, ``oasis:<name>``,
     which the service's subscribe requests and heartbeats share: a cut or
     a crash takes the whole event stream with it.  Outbound entries
     batch per destination into a single ``outbox-deliver`` call per
-    drain pass; the receiver acks every seq it has durably recorded, the
-    sender marks those DELIVERED, and anything the retry budget cannot
-    land, or the receiver refuses, is parked in the DLQ with seeded
-    exponential backoff.
+    drain pass, sent once; the receiver acks every seq it has durably
+    recorded, the sender marks those DELIVERED, and anything the call
+    does not land, or the receiver refuses, is parked in the DLQ with
+    seeded exponential backoff.
     """
 
     def __init__(
@@ -388,11 +394,7 @@ class JournalRelay:
         self.address = linkage.address_of(service.name)
         self._rng = random.Random(f"dlq:{service.name}:{seed}")
         self.rpc = RpcEndpoint(
-            self.network,
-            self.address,
-            default_timeout=RELAY_RPC_TIMEOUT,
-            retry=RELAY_RETRY,
-            seed=seed,
+            self.network, self.address, default_timeout=RELAY_RPC_TIMEOUT
         )
         self.rpc.register("outbox-deliver", self._on_deliver)
         self.rpc.register("tail-sync", self._on_tail_sync)
@@ -477,8 +479,7 @@ class JournalRelay:
 
     def _send(self, dest: str, entries: list[OutboxEntry], from_dlq: bool) -> None:
         payload = [[e.seq, e.ref, e.state, list(e.stamp)] for e in entries]
-        future = self.rpc.call(self.linkage.address_of(dest), "outbox-deliver",
-                               self.service.name, payload)
+        future = self.rpc.call(self.linkage.address_of(dest), "outbox-deliver", payload)
         future.on_done(
             lambda f, d=dest, es=entries, q=from_dlq: self._on_drain_done(d, es, f, q)
         )
@@ -568,17 +569,27 @@ class JournalRelay:
 
     # -------------------------------------------------------------- receiving
 
-    def _on_deliver(self, issuer: str, items) -> dict:
-        """Apply a delivery batch exactly once.
+    def _caller(self, address: str) -> str:
+        """The attached service at ``address``: the channel names the
+        peer.  A node with no attached service is refused."""
+        name = self.linkage.name_at.get(address)
+        if name is None:
+            raise OasisError(f"no attached service at {address!r}")
+        return name
+
+    def _on_deliver(self, caller: str, items) -> dict:
+        """Apply a delivery batch from the service at ``caller`` exactly
+        once.
 
         Every seq is acked — including duplicates and stamp-stale
         entries, which are *settled* (recorded as applied, dropped from
         the table update) rather than lost — unless the batch is refused
-        whole: while this service suspects ``issuer``, or awaits its
+        whole: while this service suspects the issuer, or awaits its
         tail-sync snapshot, nothing is acked and the issuer parks the
         entries for redelivery.  The "applied" record is journaled
         BEFORE the table mutation: WAL discipline, and the dedup ledger
         survives a crash landing between the two."""
+        issuer = self._caller(caller)
         journal = self.journal
         # any delivery for a ref proves the issuer has the subscription:
         # the subscribe retry can stand down
@@ -631,9 +642,10 @@ class JournalRelay:
                 )
         return items
 
-    def _on_tail_sync(self, subscriber: str) -> dict:
-        """Serve a restarted subscriber its snapshot in one reply instead
-        of one message per ref."""
+    def _on_tail_sync(self, caller: str) -> dict:
+        """Serve the restarted subscriber at ``caller`` its snapshot in
+        one reply instead of one message per ref."""
+        subscriber = self._caller(caller)
         self.journal.stats.tail_syncs_served += 1
         return {"epoch": self.service.boot_epoch, "items": self.snapshot_for(subscriber)}
 
@@ -650,9 +662,7 @@ class JournalRelay:
         if not self._up():
             return  # crashed again; the next recover() re-pulls
         self._awaiting.add(issuer_name)
-        future = self.rpc.call(
-            self.linkage.address_of(issuer_name), "tail-sync", self.service.name
-        )
+        future = self.rpc.call(self.linkage.address_of(issuer_name), "tail-sync")
         future.on_done(lambda f, i=issuer_name: self._on_tail_reply(i, f))
 
     def _on_tail_reply(self, issuer: str, future) -> None:

@@ -15,9 +15,10 @@ Two implementations:
   Modified events: a settle round's notifications are one outbox
   transaction, drained as one ``outbox-deliver`` RPC per destination,
   applied exactly once at the receiver or parked for redelivery, and
-  ordered by stamps.  It is also the one recovery path: a restart
-  replays the journal, masks every surrogate Unknown and tail-syncs each
-  issuer.  Optional heartbeat pairs (created with
+  ordered by stamps.  Its undelivered depth per destination is the one
+  queue bound admission sheds on.  It is also the one recovery path: a
+  restart replays the journal, masks every surrogate Unknown and
+  tail-syncs each issuer.  Optional heartbeat pairs (created with
   :meth:`SimLinkage.monitor`) carry liveness, boot epoch and event
   horizon: a missed heartbeat marks every surrogate of the silent
   service Unknown (fail closed), exactly as section 4.10 prescribes, the
@@ -39,7 +40,7 @@ from repro.errors import OasisError
 from repro.runtime import wire
 from repro.runtime.heartbeat import HeartbeatMonitor, HeartbeatSender
 from repro.runtime.network import Network
-from repro.runtime.wire import BatchedChannel, ChannelPool, WirePolicy
+from repro.runtime.wire import BatchedChannel, ChannelPool
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.service import OasisService
@@ -62,18 +63,12 @@ class Linkage:
         raise NotImplementedError
 
     def backpressured_of(self, service_name: str) -> list:
-        """What of ``service_name``'s outbound notification path is at
-        its queue bound.  Admission paths (role entry, certificate issue)
-        consult this to shed early: a service whose notifications are
-        jammed must not take on new state whose revocations it could not
-        deliver.  Linkages without bounded queues report none."""
+        """The destinations of ``service_name``'s notifications whose
+        queue is at its bound.  Admission paths (role entry, certificate
+        issue) consult this to shed early: a service whose notifications
+        are jammed must not take on new state whose revocations it could
+        not deliver.  Linkages without bounded queues report none."""
         return []
-
-    def flush_of(self, service_name: str) -> None:
-        """Put ``service_name``'s queued notifications on the wire now.
-        The cross-shard settle calls this at each commit so one hop's
-        consequences are in flight before the next hop's batch windows
-        open.  Linkages without batching deliver eagerly: no-op."""
 
 
 class LocalLinkage(Linkage):
@@ -109,18 +104,22 @@ class SimLinkage(Linkage):
     Each attached service gets one network node, ``oasis:<name>``, where
     its journal relay serves the RPCs that carry every Modified event
     through the transactional outbox, and a :class:`ChannelPool` of
-    batched per-destination channels sends its subscribe requests and
+    per-destination channels sends its subscribe requests and
     heartbeats.  Optional heartbeat pairs (created with :meth:`monitor`)
     drive Unknown marking and piggyback on data batches.
+
+    ``outbox_bound`` is the one queue bound: while a service has that
+    many undelivered outbox entries for one destination, its admissions
+    shed (None = never).
     """
 
-    def __init__(self, network: Network, policy: Optional[WirePolicy] = None):
+    def __init__(self, network: Network, outbox_bound: Optional[int] = None):
         self.network = network
-        self.policy = policy or WirePolicy()
+        self.outbox_bound = outbox_bound
         self._services: dict[str, "OasisService"] = {}
-        # address -> attached service name: a subscribe names no
-        # subscriber, the sending node's address does
-        self._name_at: dict[str, str] = {}
+        # address -> attached service name: the channel, never the
+        # message, names the peer (subscribes, relay RPCs)
+        self.name_at: dict[str, str] = {}
         self._monitors: dict[tuple[str, str], HeartbeatMonitor] = {}
         self._senders: dict[tuple[str, str], HeartbeatSender] = {}
         self._pools: dict[str, ChannelPool] = {}
@@ -145,7 +144,7 @@ class SimLinkage(Linkage):
     def attach(self, service: "OasisService") -> None:
         self._services[service.name] = service
         address = self.address_of(service.name)
-        self._name_at[address] = service.name
+        self.name_at[address] = service.name
         journal = self.durable.journal(service.name)
         journal.now = lambda: service.clock.now()
         journal.epoch = lambda: service.boot_epoch
@@ -157,10 +156,10 @@ class SimLinkage(Linkage):
         )
         node = self.network.node(address)
         node.handler = self._make_handler(service, node.handler)
-        self._pools[service.name] = ChannelPool(self.network, address, policy=self.policy)
+        self._pools[service.name] = ChannelPool(self.network, address)
 
     def channel(self, source_name: str, dest_name: str) -> BatchedChannel:
-        """The batched channel carrying ``source_name``'s traffic to
+        """The channel carrying ``source_name``'s traffic to
         ``dest_name`` (created on first use)."""
         return self._pools[source_name].to(self.address_of(dest_name))
 
@@ -184,7 +183,7 @@ class SimLinkage(Linkage):
 
     def drain_journal_of(self, service_name: str) -> None:
         """Drain ``service_name``'s pending outbox entries onto the wire
-        now (the settle's per-commit analogue of :meth:`flush_of`)."""
+        now."""
         relay = self._relays.get(service_name)
         if relay is not None:
             relay.drain()
@@ -192,8 +191,23 @@ class SimLinkage(Linkage):
     def journal_quiescent(self) -> bool:
         """No outbox entry anywhere is pending or in flight.  Parked
         dead letters do NOT count: they are accounted work awaiting
-        backoff toward a dead peer, and a settle must not wedge on them."""
+        backoff toward a dead peer, and a quiesce must not wedge on them."""
         return all(relay.quiescent() for relay in self._relays.values())
+
+    def quiesce(self, timeout: float = 60.0) -> float:
+        """Step the kernel until :meth:`journal_quiescent` holds and no
+        message is in flight; returns the virtual seconds it took.  A
+        cascade crossing N services settles in N link delays.  Raises
+        :class:`~repro.errors.OasisError` if that takes more than
+        ``timeout`` virtual seconds."""
+        sim = self.network.simulator
+        started = sim.now
+        while not (self.journal_quiescent() and self.network.in_flight == 0):
+            next_at = sim.peek_time()
+            if next_at is None or next_at - started > timeout:
+                raise OasisError(f"not quiescent within {timeout}s")
+            sim.step()
+        return sim.now - started
 
     def arm_journal_crash(self, service_name: str, point: str, trigger) -> None:
         """Arm a one-shot crash trigger at a journal fault point
@@ -217,42 +231,15 @@ class SimLinkage(Linkage):
         )
         return monitor is not None and monitor.suspect
 
-    def flush_all(self) -> None:
-        """Put every queued wire item on the wire now."""
-        for pool in self._pools.values():
-            pool.flush_all()
-
-    def flush_of(self, service_name: str) -> None:
-        """Flush only ``service_name``'s outbound pool (per-shard commit)."""
-        pool = self._pools.get(service_name)
-        if pool is not None:
-            pool.flush_all()
-
-    def all_channels(self) -> list[BatchedChannel]:
-        """Every live batched channel across every attached service —
-        what an :class:`~repro.runtime.faults.InvariantChecker` sweeps
-        for the queue-bound invariant."""
-        return [
-            channel for pool in self._pools.values() for channel in pool.channels()
-        ]
-
-    def backpressured(self) -> list[BatchedChannel]:
-        """Channels currently at their queue bound, across all services."""
-        return [channel for channel in self.all_channels() if channel.backpressure]
-
-    def backpressured_of(self, service_name: str) -> list:
-        """``service_name``'s outbound channels at their queue bound, then
-        the destinations whose undelivered outbox entries have reached
-        ``policy.max_queue`` (the admission-control signal for that
-        service's entry paths)."""
-        pool = self._pools.get(service_name)
-        jammed: list = pool.backpressured() if pool is not None else []
-        bound = self.policy.max_queue
+    def backpressured_of(self, service_name: str) -> list[str]:
+        """The destinations for which ``service_name`` holds at least
+        ``outbox_bound`` undelivered outbox entries (the
+        admission-control signal for that service's entry paths)."""
+        bound = self.outbox_bound
         relay = self._relays.get(service_name)
-        if bound is not None and relay is not None:
-            depth = relay.journal.depth
-            jammed += [dest for dest, count in depth.items() if count >= bound]
-        return jammed
+        if bound is None or relay is None:
+            return []
+        return [dest for dest, count in relay.journal.depth.items() if count >= bound]
 
     def _make_handler(self, service: "OasisService", serve_rpc):
         address = self.address_of(service.name)
@@ -268,7 +255,7 @@ class SimLinkage(Linkage):
                 monitor = self._monitors.get((source, address))
                 if monitor is not None:
                     monitor.handle_message("heartbeat", hb)
-            sender = self._name_at.get(source)
+            sender = self.name_at.get(source)
             for item in wire.unpack(message):
                 if item.kind == "subscribe" and sender is not None:
                     # the channel, not the message, names the subscriber;

@@ -151,7 +151,6 @@ class OasisService:
         watchable: Optional[dict[str, Callable[..., tuple[Any, Any]]]] = None,
         signature_cache_size: int = 4096,
         validity_cache_size: int = 4096,
-        shed_on_overload: bool = True,
         admission: Optional[PrincipalAdmission] = None,
     ):
         self.name = name
@@ -165,10 +164,8 @@ class OasisService:
         self.linkage = linkage or LocalLinkage()
         self.groups = groups
         self.cert_lifetime = cert_lifetime
-        # admission control: refuse new entries while the outbound
-        # notification channels are at their queue bound (section 4.9
-        # coherence depends on being able to deliver revocations)
-        self.shed_on_overload = shed_on_overload
+        # per-principal admission budget (None = off); the outbox-depth
+        # shed is the linkage's (backpressured_of)
         self.admission = admission
         # write-ahead journal (set by attach_journal; None without one)
         self.journal = None
@@ -448,18 +445,17 @@ class OasisService:
         return cert
 
     def _shed_if_overloaded(self, operation: str, principal: Optional[str] = None) -> None:
-        """Admission control (ROADMAP overload follow-on): refuse work
-        that would *create* credential state while this service's
-        outbound notification channels sit at their queue bound.  A new
-        membership whose revocation could not be delivered is a coherence
-        debt; shedding before any state exists is free.  Validation and
-        revocation paths never shed — revocations must always land.
+        """Admission control: refuse work that would *create* credential
+        state while the linkage reports this service's outbound
+        notifications at their queue bound (section 4.9 coherence depends
+        on being able to deliver revocations).  A new membership whose
+        revocation could not be delivered is a coherence debt; shedding
+        before any state exists is free.  Validation and revocation paths
+        never shed — revocations must always land.
 
         With a :class:`PrincipalAdmission` budget configured, the caller's
         principal is checked first: one noisy tenant sheds on its own
         budget before global backpressure punishes everyone."""
-        if not self.shed_on_overload:
-            return
         if (
             self.admission is not None
             and principal is not None

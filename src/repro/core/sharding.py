@@ -22,18 +22,13 @@ namespaces horizontally:
   :class:`~repro.core.cache.PinnedCache` pinned to the leader's records
   plus the leader reference: a revocation cascade invalidates every
   replica's entry in the same settling pass that fires the leader's
-  own invalidation;
-* a :class:`ShardCoordinator` extends the batch-cascade windows
-  (``begin_batch``/``end_batch``) and ``update_external_many`` into a
-  **cross-shard two-phase settle**: each hop opens a batch window on
-  every shard (phase 1, *prepare*), lets the batched wire channels
-  deliver the in-flight Modified notifications into the open windows,
-  then closes the windows (phase 2, *commit*) so each shard settles the
-  hop's entire inflow in ONE cascade and flushes its own outflow for
-  the next hop.  A revocation crossing N shard boundaries converges in
-  at most N+1 hops, and the coordinator drives both phases over the
-  retrying at-most-once RPC layer so a lossy control plane cannot wedge
-  the fleet.
+  own invalidation.
+
+Across shards on a :class:`~repro.core.linkage.SimLinkage`, a revocation
+travels through each leader's journal outbox: every hop's notifications
+leave in one zero-delay drain, so a cascade crossing N shard boundaries
+settles in N link delays (:meth:`SimLinkage.quiesce` steps the kernel
+until it has).
 
 Fail-closed invariants carry over unchanged: a follower replica's warm
 hit runs the same :meth:`PinnedCache.check` as the leader's (expiry,
@@ -47,20 +42,17 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Optional, Sequence
 
 from repro.core.cache import CacheCounters, PinnedCache
 from repro.errors import OasisError
-from repro.runtime.rpc import RetryPolicy, RpcEndpoint
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.certificates import RoleMembershipCertificate
-    from repro.core.linkage import SimLinkage
     from repro.core.service import OasisService
     from repro.mssa.custode import Custode, FileRecord
     from repro.mssa.ids import FileId
-    from repro.runtime.network import Network
 
 
 def stable_digest(key: Any) -> int:
@@ -555,162 +547,3 @@ class StorageFleet:
             for name, snapshot in shard.cache_counters().items():
                 counters[f"{shard.name}/{name}"] = snapshot
         return counters
-
-
-# ----------------------------------------------------- cross-shard settle
-
-
-@dataclass
-class SettleStats:
-    """Outcome of one cross-shard two-phase settle."""
-
-    hops: int = 0                              # prepare/commit rounds driven
-    records_changed: int = 0                   # fleet-wide net state changes
-    per_hop: list[int] = field(default_factory=list)
-    rpc_calls: int = 0
-    encoded_bytes: int = 0                     # wire bytes the settle put in flight
-    # journal head (WAL position) per journaled shard at settle end:
-    # the durable high-water mark replicas replay up to
-    journal_heads: dict = field(default_factory=dict)
-
-
-class ShardCoordinator:
-    """Drives the cross-shard two-phase settle over retrying RPC.
-
-    Each hop:
-
-    1. **prepare** — every shard opens a batch window on its credential
-       table, so Modified notifications arriving over the wire merely
-       queue their seeds;
-    2. the simulator runs one hop window, letting the batched wire
-       channels deliver everything in flight into the open windows;
-    3. **commit** — every shard closes its window (the whole inflow
-       settles in ONE cascade), then flushes its outbound channels so
-       the next hop's prepare finds this hop's consequences in flight.
-
-    The settle is quiescent when a full hop changes no record anywhere
-    and nothing is pending in a wire channel or in flight on the
-    network.  Both phases ride :meth:`RpcEndpoint.broadcast` with a
-    retry policy, so a lost control message is retried (server-side
-    dedup makes the retry safe) rather than wedging the fleet.
-    """
-
-    def __init__(
-        self,
-        network: "Network",
-        linkage: "SimLinkage",
-        services: Sequence["OasisService"],
-        address: str = "shard-coordinator",
-        retry: Optional[RetryPolicy] = None,
-        rpc_timeout: float = 5.0,
-    ):
-        self.network = network
-        self.sim = network.simulator
-        self.linkage = linkage
-        self.services = list(services)
-        self.rpc = RpcEndpoint(
-            network,
-            address,
-            default_timeout=rpc_timeout,
-            retry=retry or RetryPolicy(max_attempts=4, base_delay=0.2, max_delay=2.0),
-        )
-        self._marks: dict[str, int] = {}
-        self._agents: dict[str, RpcEndpoint] = {}
-        for service in self.services:
-            agent_address = f"settle:{service.name}"
-            agent = RpcEndpoint(network, agent_address, default_timeout=rpc_timeout)
-            agent.register("settle-prepare", self._prepare_handler(service))
-            agent.register("settle-commit", self._commit_handler(service))
-            self._agents[service.name] = agent
-
-    # -- shard-side handlers --------------------------------------------------
-
-    def _prepare_handler(self, service: "OasisService"):
-        def prepare() -> dict:
-            service.credentials.begin_batch()
-            return {"service": service.name}
-
-        return prepare
-
-    def _commit_handler(self, service: "OasisService"):
-        def commit() -> dict:
-            service.credentials.end_batch()
-            # everything this hop's cascade published must be in flight
-            # before the next hop's windows open — both the wire channels
-            # and, for a journaled leader, the transactional outbox
-            self.linkage.flush_of(service.name)
-            drain = getattr(self.linkage, "drain_journal_of", None)
-            if drain is not None:
-                drain(service.name)
-            total = service.credentials.cascade_totals.records_changed
-            changed = total - self._marks.get(service.name, total)
-            self._marks[service.name] = total
-            reply = {"service": service.name, "changed": changed}
-            journal = getattr(service, "journal", None)
-            if journal is not None:
-                reply["journal_head"] = journal.head()
-            return reply
-
-        return commit
-
-    # -- coordinator side -----------------------------------------------------
-
-    def settle(
-        self,
-        max_hops: int = 16,
-        hop_window: float = 1.0,
-    ) -> SettleStats:
-        """Run prepare/commit hops until the fleet quiesces.
-
-        Raises :class:`~repro.errors.OasisError` if convergence takes
-        more than ``max_hops`` hops — the caller's bound is an asserted
-        property of the subscription graph (its shard-hop diameter plus
-        one detection hop), not a tuning knob.
-        """
-        stats = SettleStats()
-        self._marks = {
-            service.name: service.credentials.cascade_totals.records_changed
-            for service in self.services
-        }
-        bytes_mark = self.network.stats.encoded_bytes
-        while True:
-            stats.hops += 1
-            self._phase("settle-prepare", stats)
-            self.sim.run_until(self.sim.now + hop_window)
-            replies = self._phase("settle-commit", stats)
-            changed = sum(reply.get("changed", 0) for reply in replies)
-            for reply in replies:
-                if "journal_head" in reply:
-                    stats.journal_heads[reply["service"]] = reply["journal_head"]
-            stats.per_hop.append(changed)
-            stats.records_changed += changed
-            stats.encoded_bytes = self.network.stats.encoded_bytes - bytes_mark
-            if changed == 0 and self._quiescent():
-                return stats
-            if stats.hops >= max_hops:
-                raise OasisError(
-                    f"cross-shard settle did not converge within {max_hops} hops "
-                    f"(per-hop changes: {stats.per_hop})"
-                )
-
-    def _phase(self, method: str, stats: SettleStats) -> list[dict]:
-        dests = [f"settle:{service.name}" for service in self.services]
-        futures = self.rpc.broadcast(dests, method)
-        stats.rpc_calls += len(futures)
-        deadline = self.sim.now + 60.0
-        while not all(f.done for f in futures.values()) and self.sim.now < deadline:
-            self.sim.run_until(self.sim.now + 0.05)
-        replies = []
-        for dest, future in futures.items():
-            if not future.done or future.failed:
-                raise OasisError(f"settle phase {method!r} failed at {dest}")
-            replies.append(future.result())
-        return replies
-
-    def _quiescent(self) -> bool:
-        if any(channel.pending for channel in self.linkage.all_channels()):
-            return False
-        journal_quiescent = getattr(self.linkage, "journal_quiescent", None)
-        if journal_quiescent is not None and not journal_quiescent():
-            return False
-        return self.network.in_flight == 0

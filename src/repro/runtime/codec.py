@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 
-VERSION = 4
+VERSION = 5
 
 # The published vocabulary: every word this package puts on the wire, by
 # id.  It is part of the frame format — changing it means bumping
@@ -74,11 +74,10 @@ VOCABULARY = (
     "subscribe", "badge-seen", "badge-left", "badge-naming",
     "proxied-event", "proxied-horizon",
     # RPC methods
-    "outbox-deliver", "tail-sync", "settle-prepare", "settle-commit",
+    "outbox-deliver", "tail-sync",
     # payload field names ("event" is also the Event extension's name)
     "ref", "items", "kind", "payload", "hb", "seq", "horizon", "epoch",
-    "id", "method", "args", "kwargs", "value", "error",
-    "acked", "service", "changed", "journal_head",
+    "id", "method", "args", "kwargs", "value", "error", "acked",
     "badge", "site", "home_site", "user", "event",
 )
 _VOCAB_IDS = {word: sid for sid, word in enumerate(VOCABULARY)}
@@ -93,7 +92,7 @@ F_BATCH = 0x02         # wire batch envelope (items + optional heartbeat)
 F_HEARTBEAT = 0x03     # {"horizon", "epoch"}
 F_RPC_REQUEST = 0x04
 F_RPC_REPLY = 0x05
-F_DELIVER = 0x06       # outbox-deliver request: call id, issuer, run of rows
+F_DELIVER = 0x06       # outbox-deliver request: call id, run of rows
 F_ACKED = 0x07         # its reply {"acked": seqs}
 F_TAIL_REPLY = 0x08    # tail-sync reply {"epoch", "items": run of rows}
 
@@ -566,8 +565,8 @@ def _relay_frame(kind: str, payload: Any) -> int:
         return F_DELIVER if (
             payload.keys() == {"id", "method", "args", "kwargs"}
             and payload["method"] == "outbox-deliver" and payload["kwargs"] == {}
-            and isinstance(args, (tuple, list)) and len(args) == 2
-            and isinstance(args[0], str) and _fits_rows(args[1], 4)
+            and isinstance(args, (tuple, list)) and len(args) == 1
+            and _fits_rows(args[0], 4)
         ) else 0
     if kind != "rpc-reply" or payload.keys() != {"id", "value"} or type(value) is not dict:
         return 0
@@ -698,7 +697,7 @@ def _read_frame(fd: _FrameDecoder) -> Any:
     if ftype in (F_DELIVER, F_ACKED, F_TAIL_REPLY):
         call_id = fd.u()
         if ftype == F_DELIVER:
-            args = (fd.string(), _read_run(fd, True))
+            args = (_read_run(fd, True),)
             return {"id": call_id, "method": "outbox-deliver", "args": args, "kwargs": {}}
         if ftype == F_ACKED:
             return {"id": call_id, "value": {"acked": _seq_list(fd)}}
@@ -769,8 +768,7 @@ class WireCodec:
             fe.begin(relay)
             fe.u(payload["id"])
             if relay == F_DELIVER:
-                fe.string(payload["args"][0])
-                _write_run(fe, payload["args"][1], True)
+                _write_run(fe, payload["args"][0], True)
             elif relay == F_ACKED:
                 _write_seq_list(fe, payload["value"]["acked"])
             else:

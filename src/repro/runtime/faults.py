@@ -14,13 +14,17 @@ rather than assumed:
   doubles as the network's fault injector (duplication/reordering/loss
   act per message, below the link's own loss model);
 * an :class:`InvariantChecker` watches every service's credential table
-  and asserts the two chaos invariants:
+  and asserts the chaos invariants:
 
   1. **fail closed** — no surrogate record stays TRUE materially longer
      than its issuer's truth has been non-TRUE (bounded by the
      notification pipeline: heartbeat grace + wire flush + link delay);
   2. **convergence** — once faults cease, every surrogate settles to
-     its issuer's brute-force ground truth within a bounded settle time.
+     its issuer's brute-force ground truth within a bounded settle time;
+  3. **conservation** — every outbox entry is applied exactly once at
+     its destination, or still pending, in flight or parked;
+  4. **bounded degradation** — no degraded decision is served staler
+     than its policy allows.
 
 Everything is seeded; a failing run replays exactly.
 """
@@ -39,7 +43,6 @@ from repro.runtime.simulator import PeriodicTimer
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.service import OasisService
     from repro.mssa.custode import Custode
-    from repro.runtime.wire import BatchedChannel
 
 
 # --------------------------------------------------------------- fault events
@@ -130,9 +133,9 @@ class OverloadBurst:
     """Synthetic traffic spike: ``rate`` messages per virtual second from
     ``source`` toward ``dest`` for ``duration``.
 
-    Drives the overload-resilience machinery (bounded wire queues,
-    breakers, degradation) the way the other events drive fail-closed:
-    the burst competes with real traffic for the same links and queues.
+    Drives the overload-resilience machinery (outbox-depth shedding,
+    degradation) the way the other events drive fail-closed: the burst
+    competes with real traffic for the same links.
     """
 
     at: float
@@ -493,7 +496,7 @@ class Violation:
 
 
 class InvariantChecker:
-    """Watches a set of services and checks the two chaos invariants.
+    """Watches a set of services and checks the chaos invariants.
 
     ``stale_bound`` is the allowance for in-flight propagation: a
     surrogate may read TRUE while its issuer's truth is non-TRUE for at
@@ -501,13 +504,12 @@ class InvariantChecker:
     plus margin).  ``is_down`` lets the checker skip consumers that are
     currently crashed — a dead process grants nothing.
 
-    Overload invariants: pass ``channels`` (a sequence of bounded
-    :class:`~repro.runtime.wire.BatchedChannel` instances, or a callable
-    returning one — e.g. ``linkage.all_channels``) to have
-    :meth:`check_queue_bounds` assert no queue ever outgrew its
-    ``max_queue``; pass ``custodes`` to have
-    :meth:`check_degradation_bounds` assert no degraded decision was ever
-    served staler than its policy's ``max_staleness``.
+    Pass ``journals`` (the linkage's
+    :class:`~repro.core.journal.DurableStore`) to have
+    :meth:`check_outbox_conservation` sweep every outbox, and
+    ``custodes`` to have :meth:`check_degradation_bounds` assert no
+    degraded decision was ever served staler than its policy's
+    ``max_staleness``.
     """
 
     def __init__(
@@ -515,7 +517,6 @@ class InvariantChecker:
         services: Sequence["OasisService"],
         stale_bound: float,
         is_down: Optional[Callable[[str], bool]] = None,
-        channels: "Sequence[BatchedChannel] | Callable[[], Sequence[BatchedChannel]]" = (),
         custodes: Sequence["Custode"] = (),
         journals: Optional[Any] = None,
     ):
@@ -524,7 +525,6 @@ class InvariantChecker:
         self.services = list(services)
         self.stale_bound = stale_bound
         self.is_down = is_down or (lambda name: False)
-        self._channels = channels
         self.custodes = list(custodes)
         # a DurableStore, for the outbox conservation sweep
         self.journals = journals
@@ -642,37 +642,10 @@ class InvariantChecker:
     def converged(self) -> bool:
         return not self.divergences()
 
-    # -- overload invariants -------------------------------------------------
-
-    def channels(self) -> "Sequence[BatchedChannel]":
-        return self._channels() if callable(self._channels) else self._channels
-
-    def check_queue_bounds(self) -> list[str]:
-        """Invariant 3: no bounded wire queue ever exceeds ``max_queue``.
-
-        Checks both the instantaneous backlog and the high-water mark, so
-        a sweep that lands after a flush still catches a past breach.
-        Returns human-readable breach descriptions (empty = clean).
-        """
-        breaches: list[str] = []
-        for channel in self.channels():
-            bound = channel.policy.max_queue
-            if bound is None:
-                continue
-            label = f"{channel.source}->{channel.dest}"
-            if channel.pending > bound:
-                breaches.append(
-                    f"queue {label} holds {channel.pending} > bound {bound}"
-                )
-            if channel.stats.max_pending > bound:
-                breaches.append(
-                    f"queue {label} peaked at {channel.stats.max_pending}"
-                    f" > bound {bound}"
-                )
-        return breaches
+    # -- outbox and degradation invariants -----------------------------------
 
     def check_outbox_conservation(self) -> list[str]:
-        """Invariant 5 (durability): every journaled notification is
+        """Invariant 3 (durability): every journaled notification is
         exactly-once-applied at its destination or parked in the DLQ —
         never vanished, never double-applied.  Delegates to the
         :class:`~repro.core.journal.DurableStore` sweep; empty list when

@@ -76,7 +76,6 @@ class NetworkStats:
     dropped_by_fault: int = 0
     dropped_decode: int = 0          # undecodable frames (bad version, dangling ref)
     duplicated: int = 0
-    spilled_overflow: int = 0        # payloads shed by a bounded wire queue
 
     def offered(self) -> int:
         """Delivery attempts this side of the fabric created: every send
@@ -85,8 +84,7 @@ class NetworkStats:
 
     def accounted(self) -> int:
         """Delivery attempts with a known fate (delivered or counted in
-        one of the drop counters).  ``spilled_overflow`` is a payload
-        counter for the wire layer above and is deliberately excluded."""
+        one of the drop counters)."""
         return (
             self.delivered
             + self.dropped_by_loss
@@ -300,8 +298,8 @@ class Network:
         """Register ``callback(source, dest)`` for down->up transitions.
 
         Fired when the last down-cause of a link is removed (a heal, a
-        flap ending, an explicit live ``set_link``).  The wire layer uses
-        this to flush payloads held while the link was down.
+        flap ending, an explicit live ``set_link``).  RPC endpoints use
+        this to send toward a peer again.
         """
         self._link_up_callbacks.append(callback)
 
@@ -375,11 +373,6 @@ class Network:
         """Record payloads elided before send (wire-layer coalescing)."""
         self.stats.coalesced += count
         self.link_stats(source, dest).coalesced += count
-
-    def note_spilled(self, source: str, dest: str, count: int = 1) -> None:
-        """Record payloads shed by a bounded wire queue before send."""
-        self.stats.spilled_overflow += count
-        self.link_stats(source, dest).spilled_overflow += count
 
     def unaccounted(self) -> int:
         """Delivery attempts with no recorded fate.
@@ -519,8 +512,8 @@ class Network:
         except CodecError:
             # An unverifiable frame (wrong version, dangling symbol ref,
             # truncation, leftover bytes) is dropped with accounting; the
-            # layers above treat this exactly like message loss (RPC
-            # retry and the outbox DLQ send again).
+            # layers above treat this exactly like message loss (the
+            # outbox DLQ sends again).
             self.stats.dropped_decode += 1
             self.link_stats(message.source, node.address).dropped_decode += 1
             return

@@ -13,8 +13,9 @@ cost:
   ``max_batch`` payloads are pending or ``max_delay`` virtual seconds
   after the first enqueue, whichever comes first.  ``max_delay=0`` still
   batches: the flush runs as a zero-delay simulator event, after the
-  enqueuing cascade finishes but before any later-time event, so a whole
-  revocation cascade ships as one message with zero added latency.
+  enqueuing cascade finishes but before any later-time event, so a
+  burst sent in one instant ships as one message with zero added
+  latency.
 * **coalescing** — a payload sent with a ``coalesce_key`` supersedes any
   pending payload with the same key (last-state-wins).  A badge seen in
   three rooms inside one batch window is reported once, in the last.
@@ -29,12 +30,15 @@ Ordering invariants (the "careful" part):
 * payloads flush in enqueue order; coalescing updates a pending payload
   in place, so the *final* state is never delayed past the flush
   deadline and never reordered after later-enqueued keys' first send;
-* an explicit :meth:`BatchedChannel.flush` empties the queue *now* —
-  callers must flush before any state transition that could mask an
-  undelivered revocation (fail-closed, PR 1 semantics);
+* an explicit :meth:`BatchedChannel.flush` empties the queue *now*;
 * ``max_delay`` should stay below the consumer's heartbeat period so a
-  queued notification always hits the wire before liveness machinery can
-  declare the link quiet and re-read around it.
+  queued payload always hits the wire before liveness machinery can
+  declare the link quiet.
+
+A channel holds nothing back: a batch bound for a dead link is sent and
+dropped with accounting, like any datagram.  The one queue bound in the
+system is the journal outbox's depth (what admission sheds on); a
+silent link starves heartbeats too, so its consumer has failed closed.
 """
 
 from __future__ import annotations
@@ -58,22 +62,11 @@ class WirePolicy:
     ``max_batch`` — flush when this many payloads are pending.
     ``max_delay`` — flush this many virtual seconds after the first
     payload of a batch was enqueued (0 = next simulator event at the
-    same virtual time).
-    ``max_queue`` — bound on the per-destination queue (None =
-    unbounded, the legacy fire-and-forget behaviour).  Setting a bound
-    switches the channel into *held-queue* mode: while the link to the
-    destination is down, batches are held rather than emitted into the
-    dead link, and once the backlog exceeds ``max_queue`` the oldest
-    payloads spill (with accounting) so memory stays bounded — spilling
-    while down is safe because the silent link also starves heartbeats,
-    so the consumer has already failed closed.  ``max_queue`` should be
-    at least ``max_batch``; on a live link the queue never outgrows
-    ``max_batch`` anyway.
+    same virtual time).  The queue never outgrows ``max_batch``.
     """
 
     max_batch: int = 64
     max_delay: float = 0.0
-    max_queue: Optional[int] = None
 
 
 @dataclass
@@ -83,9 +76,6 @@ class ChannelStats:
     batches: int = 0                # envelopes put on the wire
     explicit_flushes: int = 0
     piggybacked_heartbeats: int = 0
-    spilled: int = 0                # payloads shed by the queue bound
-    held_flushes: int = 0           # emits deferred because the link was down
-    max_pending: int = 0            # high-water mark of the queue
 
 
 class BatchedChannel:
@@ -112,9 +102,6 @@ class BatchedChannel:
         self._flush_timer = Timer(
             self.sim, self._emit, name=f"flush:{source}->{dest}"
         )
-        if self.policy.max_queue is not None:
-            # held-queue mode: release the backlog when the link restores
-            network.on_link_up(self._on_link_up)
 
     def attach_heartbeat(self, sender: "HeartbeatSender") -> None:
         """Piggyback ``sender``'s liveness on every departing batch."""
@@ -123,17 +110,6 @@ class BatchedChannel:
     @property
     def pending(self) -> int:
         return len(self._pending)
-
-    @property
-    def backpressure(self) -> bool:
-        """True while the bounded queue is at capacity.
-
-        Senders that can shed or defer work should consult this before
-        enqueueing more: the next non-coalescing send will spill the
-        oldest queued payload.
-        """
-        max_queue = self.policy.max_queue
-        return max_queue is not None and len(self._pending) >= max_queue
 
     def send(
         self,
@@ -169,35 +145,9 @@ class BatchedChannel:
             self.flush()
         elif not self._flush_timer.armed:
             self._flush_timer.arm(self.policy.max_delay)
-        self._enforce_queue_bound()
-        if len(self._pending) > self.stats.max_pending:
-            self.stats.max_pending = len(self._pending)
-
-    def _enforce_queue_bound(self) -> None:
-        """Spill the oldest queued payloads past ``max_queue``.
-
-        Oldest-first keeps the freshest state in the queue (the
-        last-state-wins spirit); the spill is visible in the channel and
-        network stats so a chaos run can assert nothing vanished.
-        """
-        max_queue = self.policy.max_queue
-        if max_queue is None:
-            return
-        while len(self._pending) > max_queue:
-            item = self._pending.pop(0)
-            key = item.get("key")
-            if key is not None and self._keyed.get(key) is item:
-                del self._keyed[key]
-            self.stats.spilled += 1
-            self.network.note_spilled(self.source, self.dest)
 
     def flush(self) -> None:
-        """Put everything pending on the wire now.
-
-        Fail-closed contract: call this before any state transition that
-        could mask an undelivered revocation — the queue must be empty
-        before a consumer is allowed to conclude "nothing changed".
-        """
+        """Put everything pending on the wire now."""
         self._flush_timer.disarm()
         if self._pending:
             self.stats.explicit_flushes += 1
@@ -215,22 +165,8 @@ class BatchedChannel:
         self._flush_timer.disarm()
         return dropped
 
-    def _on_link_up(self, source: str, dest: str) -> None:
-        if source == self.source and dest == self.dest and self._pending:
-            self.flush()
-
     def _emit(self) -> None:
         if not self._pending:
-            return
-        if (
-            self.policy.max_queue is not None
-            and not self.network.link(self.source, self.dest).up
-        ):
-            # Held-queue mode with the link down: emitting now would only
-            # feed the drop counters.  Hold the batch (still coalescing in
-            # place) until the link-up notification releases it; the queue
-            # bound keeps the backlog finite.
-            self.stats.held_flushes += 1
             return
         items, self._pending = self._pending, []
         self._keyed = {}
@@ -271,17 +207,9 @@ class ChannelPool:
             )
         return channel
 
-    def channels(self) -> list[BatchedChannel]:
-        return list(self._channels.values())
-
     def flush_all(self) -> None:
         for channel in self._channels.values():
             channel.flush()
-
-    def backpressured(self) -> list[BatchedChannel]:
-        """Channels currently at their queue bound (senders that can
-        shed or defer should do so for these destinations)."""
-        return [ch for ch in self._channels.values() if ch.backpressure]
 
     def discard_all(self) -> int:
         """Drop all queued payloads on every channel (crash semantics)."""

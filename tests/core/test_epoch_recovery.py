@@ -96,10 +96,9 @@ def test_restart_resyncs_under_new_epoch():
 
 def test_delayed_pre_crash_retransmission_rejected_after_restart():
     """A pre-crash revocation delivery gets a ghost copy delayed past the
-    issuer's crash-restart.  When it finally arrives, the receiver's RPC
-    dedup window answers it without running the delivery again, and
-    nothing changes (past the window, the journal's ``(issuer, seq)``
-    ledger drops it: ``test_replayed_stale_frame_never_applies``)."""
+    issuer's crash-restart.  When it finally arrives, the receiver's
+    journal has applied its ``(issuer, seq)`` before, so it drops the
+    entry as a duplicate and nothing changes."""
     sim, net, linkage, login, files, cert_a, cert_b = make_world()
     sender, monitor = linkage.monitor(login, files, period=1.0, grace=2.0)
     sim.run_until(3.0)
@@ -124,11 +123,11 @@ def test_delayed_pre_crash_retransmission_rejected_after_restart():
     assert monitor.sender_epoch == 2
     states = surrogate_states(files)
     assert states == {cert_a.crr: RecordState.FALSE, cert_b.crr: RecordState.TRUE}
-    endpoint = linkage.relay_of("Files").rpc
-    suppressed = endpoint.stats.duplicates_suppressed
+    journal = linkage.relay_of("Files").journal
+    dropped = journal.stats.duplicates_dropped
     # the ghost copy of the pre-crash delivery lands around t=48
     sim.run_until(55.0)
-    assert endpoint.stats.duplicates_suppressed == suppressed + 1
+    assert journal.stats.duplicates_dropped == dropped + 1
     assert surrogate_states(files) == states
     assert linkage.durable.conservation_breaches() == []
     assert net.stats.dropped_decode == 0
@@ -138,9 +137,8 @@ def test_delayed_pre_crash_retransmission_rejected_after_restart():
 def test_replayed_stale_frame_never_applies():
     """Capture the pre-crash delivery that carried the subscribe replies
     (TRUE), revoke cert_b, crash and restart the issuer, then replay the
-    captured delivery under a fresh call id, past the RPC dedup window:
-    the receiver's journal has applied those ``(issuer, seq)`` before,
-    so they never apply again."""
+    captured delivery under a fresh call id: the receiver's journal has
+    applied those ``(issuer, seq)`` before, so they never apply again."""
     sim = Simulator()
     net = Network(sim, seed=11, default_delay=0.05)
     captured = []
@@ -156,8 +154,8 @@ def test_replayed_stale_frame_never_applies():
     sim.run_until(3.0)
     net.set_fault_injector(None)
     replay = net.codec.decode(captured[-1])
-    issuer, rows = replay["args"]
-    assert issuer == "Login" and [row[1] for row in rows] == [cert_a.crr, cert_b.crr]
+    (rows,) = replay["args"]
+    assert [row[1] for row in rows] == [cert_a.crr, cert_b.crr]
     assert {row[2] for row in rows} == {"true"}
     login.exit_role(cert_b)
     linkage.crash(login)

@@ -20,9 +20,8 @@ from repro.core.credentials import CredentialRecordTable, RecordState
 from repro.core.journal import DEAD, DELIVERED, INFLIGHT, PENDING, ServiceJournal
 from repro.core.linkage import SimLinkage
 from repro.core.service import PrincipalAdmission
-from repro.core.sharding import ShardCoordinator
 from repro.core.types import ObjectType
-from repro.errors import OverloadError
+from repro.errors import OasisError, OverloadError, RevokedError
 from repro.runtime.clock import SimClock
 from repro.runtime.faults import InvariantChecker
 from repro.runtime.network import Network
@@ -193,7 +192,7 @@ def test_undeliverable_notifications_park_in_dlq_and_redeliver():
     sim.run_until(2.0)
 
     linkage.crash(files)
-    login.exit_role(cert)  # the dest is down; the RPC retry budget fails
+    login.exit_role(cert)  # the dest is down; the delivery call fails
     sim.run_until(20.0)
     login_journal = linkage.durable.journal("Login")
     assert login_journal.stats.parked >= 1
@@ -219,7 +218,7 @@ def test_undeliverable_notifications_park_in_dlq_and_redeliver():
 def test_an_ack_redelivers_the_parked_backlog_at_once():
     """No monitor: the first delivery Files acks after an outage shows it
     is back, so the entries parked for it go out at once instead of
-    waiting out their DLQ backoff (here due 8 s later)."""
+    waiting out their DLQ backoff (here due over a second later)."""
     sim, net, linkage, login, files = make_world(delay=0.01)
     pairs = populate(login, files, 4)
     sim.run_until(2.0)
@@ -230,7 +229,7 @@ def test_an_ack_redelivers_the_parked_backlog_at_once():
     login_journal = linkage.durable.journal("Login")
     parked = login_journal.dead_letters()
     assert len(parked) == 3
-    assert min(entry.next_attempt_at for entry in parked) > 28.0
+    assert min(entry.next_attempt_at for entry in parked) > 21.0
 
     net.set_link_state("oasis:Login", "oasis:Files", True)
     login.exit_role(pairs[3][0])
@@ -442,6 +441,70 @@ def test_tail_reply_from_a_suspect_issuer_leaves_surrogates_unknown():
     assert linkage.journal_quiescent()
 
 
+# ------------------------------------------- the channel names the issuer
+
+
+def spoof_world():
+    """Login, Files and Mirror on one linkage; one Files Reader whose
+    Login session is live, and Mirror's relay endpoint as the spoofer."""
+    sim, net, linkage, login, files = make_world(delay=0.01)
+    OasisService("Mirror", registry=login.registry, linkage=linkage, clock=login.clock)
+    (cert, reader), = populate(login, files, 1)
+    sim.run_until(1.0)
+    return sim, linkage, login, files, cert, reader, linkage.relay_of("Mirror").rpc
+
+
+def test_a_delivery_naming_another_issuer_cannot_revoke():
+    """Mirror claims to be Login in an ``outbox-deliver`` that revokes
+    a live session: the receiver takes the issuer from the calling node,
+    so Files' Login surrogate and its Login ledger stay untouched."""
+    sim, linkage, login, files, cert, reader, mirror = spoof_world()
+    files_journal = linkage.durable.journal("Files")
+    ledger = dict(files_journal.applied_counts)
+    mirror.call("oasis:Files", "outbox-deliver", "Login",
+                [[999, cert.crr, "false", [99, 999]]])
+    sim.run_until(2.0)
+    assert surrogate_states(files)[cert.crr] is RecordState.TRUE
+    assert files.validate(reader) is reader
+    assert ("Login", 999) not in files_journal.applied_counts
+    assert {k: v for k, v in files_journal.applied_counts.items()
+            if k[0] == "Login"} == {k: v for k, v in ledger.items() if k[0] == "Login"}
+
+
+def test_a_delivery_naming_another_issuer_cannot_swallow_its_next_revocation():
+    """Fail-open variant: Mirror sends a harmless row under Login's next
+    outbox seq, hoping Files records ``("Login", seq)`` and then drops
+    Login's real revocation under that seq as a duplicate.  The ledger
+    is not touched, so the revocation lands."""
+    sim, linkage, login, files, cert, reader, mirror = spoof_world()
+    login_journal = linkage.durable.journal("Login")
+    next_seq = max(login_journal.outbox) + 1
+    mirror.call("oasis:Files", "outbox-deliver", "Login",
+                [[next_seq, 123456789, "true", None]])
+    sim.run_until(2.0)
+    assert ("Login", next_seq) not in linkage.durable.journal("Files").applied_counts
+    login.exit_role(cert)
+    assert login_journal.outbox[next_seq].ref == cert.crr
+    sim.run_until(9.0)
+    with pytest.raises(RevokedError):
+        files.validate(reader)
+    assert linkage.durable.journal("Files").stats.duplicates_dropped == 0
+    assert linkage.durable.conservation_breaches() == []
+
+
+def test_tail_sync_serves_the_callers_own_snapshot():
+    """A tail-sync names no subscriber: Mirror asking on Files' behalf
+    learns nothing of Files' subscriptions, and its own pull returns
+    its own (empty) snapshot."""
+    sim, linkage, login, files, cert, reader, mirror = spoof_world()
+    named = mirror.call("oasis:Login", "tail-sync", "Files")
+    own = mirror.call("oasis:Login", "tail-sync")
+    sim.run_until(2.0)
+    assert named.failed or named.result()["items"] == []
+    assert own.result()["items"] == []
+    assert linkage.relay_of("Login").snapshot_for("Files")   # Files does subscribe
+
+
 def test_one_round_is_one_outbox_transaction_across_a_crash():
     """A logoff of N sessions, each subscribed by two services, settles
     in one round: one ``notify`` record carrying all 2N outbox entries.
@@ -642,20 +705,19 @@ def test_principal_admission_window_slides():
     assert admission.admit("p", now=1.5)
 
 
-# ----------------------------------------------------- settle integration
+# ---------------------------------------------------- quiesce integration
 
 
-def test_settle_reports_journal_heads():
+def test_quiesce_lands_every_revocation_without_dead_letters():
+    """quiesce() returns once every outbox entry is acked: one delivery
+    and its ack, two link delays (0.1 s) after the revocations."""
     sim, net, linkage, login, files = make_world()
     pairs = populate(login, files, 10)
     sim.run_until(2.0)
-    coordinator = ShardCoordinator(net, linkage, [login, files])
     for cert, _reader in pairs[:4]:
         login.exit_role(cert)
-    stats = coordinator.settle(max_hops=8, hop_window=0.5)
-    assert stats.journal_heads.keys() == {"Login", "Files"}
-    assert stats.journal_heads["Login"] == linkage.durable.journal("Login").head()
-    assert all(head > 0 for head in stats.journal_heads.values())
+    assert linkage.quiesce() <= 2 * 0.05 + 1e-9
+    assert linkage.journal_quiescent() and net.in_flight == 0
     states = surrogate_states(files)
     for index, (cert, _reader) in enumerate(pairs):
         expected = RecordState.FALSE if index < 4 else RecordState.TRUE
@@ -664,3 +726,16 @@ def test_settle_reports_journal_heads():
     assert DEAD not in {
         e.status for e in linkage.durable.journal("Login").outbox.values()
     }
+
+
+def test_quiesce_raises_past_its_timeout():
+    """An entry that cannot land within the timeout (its destination is
+    down and the outbox still holds it in flight) is an error, not a
+    silent return."""
+    sim, net, linkage, login, files = make_world()
+    pairs = populate(login, files, 2)
+    sim.run_until(2.0)
+    net.node("oasis:Files").up = False      # silent: the call times out
+    login.exit_role(pairs[0][0])
+    with pytest.raises(OasisError, match="not quiescent within 0.5s"):
+        linkage.quiesce(timeout=0.5)

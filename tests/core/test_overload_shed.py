@@ -19,7 +19,6 @@ from repro.runtime.clock import SimClock
 from repro.runtime.faults import InvariantChecker
 from repro.runtime.network import Network
 from repro.runtime.simulator import Simulator
-from repro.runtime.wire import WirePolicy
 
 LOGIN_RDL = """
 def LoggedOn(u, h)  u: userid  h: string
@@ -34,14 +33,12 @@ Reader(u) <- Login.LoggedOn(u, h)*
 MAX_QUEUE = 3
 
 
-def build_world():
+def build_world(outbox_bound=MAX_QUEUE):
     sim = Simulator()
     net = Network(sim, seed=17, default_delay=0.01)
     clock = SimClock(sim)
     registry = ServiceRegistry()
-    linkage = SimLinkage(
-        net, policy=WirePolicy(max_batch=64, max_delay=0.05, max_queue=MAX_QUEUE)
-    )
+    linkage = SimLinkage(net, outbox_bound=outbox_bound)
     login = OasisService(
         "Login", registry=registry, linkage=linkage, clock=clock
     )
@@ -56,8 +53,8 @@ def build_world():
     return sim, net, linkage, login, files
 
 
-def jam_login(sim, net, linkage, login, files, host):
-    """Fill Login's outbox to Files to its queue bound: subscribe Files
+def jam_login(sim, net, linkage, login, files, host, expect=("Files",)):
+    """Fill Login's outbox to Files past the queue bound: subscribe Files
     to a handful of records, cut the link to it, revoke them all."""
     sessions = []
     for index in range(MAX_QUEUE + 2):
@@ -70,7 +67,8 @@ def jam_login(sim, net, linkage, login, files, host):
     for cert in sessions:
         login.exit_role(cert)
     sim.run_until(sim.now + 1.0)     # the deliveries fail into the dead link
-    assert linkage.backpressured_of("Login") == ["Files"], "setup failed to jam the outbox"
+    assert linkage.relay_of("Login").journal.depth["Files"] == MAX_QUEUE + 2
+    assert linkage.backpressured_of("Login") == list(expect)
 
 
 def test_role_entry_sheds_when_outbound_channels_are_jammed():
@@ -115,10 +113,10 @@ def test_entry_recovers_after_link_restores_and_queue_drains():
 
 
 def test_shedding_can_be_disabled():
-    sim, net, linkage, login, files = build_world()
+    """``outbox_bound=None``: the same jammed outbox sheds nothing."""
+    sim, net, linkage, login, files = build_world(outbox_bound=None)
     host = HostOS("shed-host")
-    jam_login(sim, net, linkage, login, files, host)
-    login.shed_on_overload = False
+    jam_login(sim, net, linkage, login, files, host, expect=())
     domain = host.create_domain()
     cert = login.enter_role(domain.client_id, "LoggedOn", ("forced", "h"))
     assert cert is not None
@@ -144,7 +142,7 @@ def test_partitioned_issuer_sheds_admissions_at_the_outbox_bound():
     net = Network(sim, seed=17, default_delay=PROBE_RTT / 2)
     clock = SimClock(sim)
     registry = ServiceRegistry()
-    linkage = SimLinkage(net, policy=WirePolicy(max_batch=16, max_queue=PROBE_BOUND))
+    linkage = SimLinkage(net, outbox_bound=PROBE_BOUND)
     login = OasisService("Login", registry=registry, linkage=linkage, clock=clock)
     login.export_type(ObjectType("Login.userid"), "userid")
     login.add_rolefile("main", LOGIN_RDL)

@@ -3,8 +3,8 @@
 Ring placement must be deterministic and minimal-movement; the router
 must mask crashed shards and snap back; follower replicas must stay
 coherent with their leader's cascades (fail-closed on the very next
-call); the cross-shard settle must converge within the subscription
-graph's hop bound.
+call); a cross-shard revocation must quiesce within one link delay per
+shard boundary it crosses.
 """
 
 import pytest
@@ -16,7 +16,6 @@ from repro.core.sharding import (
     CredentialShard,
     HashRing,
     ServiceReplica,
-    ShardCoordinator,
     ShardRouter,
     StorageFleet,
     StorageShard,
@@ -28,7 +27,6 @@ from repro.mssa.acl import Acl
 from repro.mssa.byte_segment import ByteSegmentCustode
 from repro.runtime.clock import ManualClock, SimClock
 from repro.runtime.network import Network
-from repro.runtime.rpc import RpcEndpoint
 from repro.runtime.simulator import Simulator
 
 LOGIN_RDL = """
@@ -417,37 +415,26 @@ def test_settle_converges_within_chain_hop_bound():
         chains.append((base, cert))
     sim.run_until(sim.now + 3.0)
 
-    coordinator = ShardCoordinator(net, linkage, leaders)
+    def changed():
+        return sum(svc.credentials.cascade_totals.records_changed for svc in leaders)
+
+    before = changed()
     for base, _leaf in chains:
         leaders[0].exit_role(base)
-    stats = coordinator.settle(max_hops=depth + 3)
-    assert stats.hops <= depth + 2
-    assert stats.per_hop[-1] == 0
-    assert stats.records_changed >= len(chains) * depth
+    # each shard boundary costs one link delay (0.01 s): the outbox
+    # drains every hop's notifications in one zero-delay event
+    assert linkage.quiesce() <= (depth + 1) * 0.01 + 1e-9
+    assert changed() - before >= len(chains) * (depth + 1)
     for _base, leaf in chains:
         with pytest.raises(OasisError):
             leaders[depth].validate(leaf)
 
 
 def test_settle_on_quiet_fleet_is_one_hop():
+    """Nothing to deliver: quiesce returns once the heartbeats in flight
+    land, within one link delay, and changes no record."""
     sim, net, linkage, leaders = build_chain(depth=1)
-    coordinator = ShardCoordinator(net, linkage, leaders)
-    stats = coordinator.settle()
-    assert stats.hops == 1
-    assert stats.records_changed == 0
-
-
-def test_rpc_broadcast_collects_per_destination_futures():
-    sim = Simulator()
-    net = Network(sim, seed=3, default_delay=0.01)
-    servers = []
-    for index in range(3):
-        server = RpcEndpoint(net, f"server{index}")
-        server.register("whoami", lambda index=index: index)
-        servers.append(server)
-    client = RpcEndpoint(net, "client")
-    futures = client.broadcast([f"server{i}" for i in range(3)], "whoami")
-    sim.run()
-    assert {dest: f.result() for dest, f in futures.items()} == {
-        "server0": 0, "server1": 1, "server2": 2
-    }
+    before = [svc.credentials.cascade_totals.records_changed for svc in leaders]
+    assert linkage.quiesce() <= 0.01 + 1e-9
+    assert linkage.journal_quiescent() and net.in_flight == 0
+    assert [svc.credentials.cascade_totals.records_changed for svc in leaders] == before

@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from repro.core import HostOS, OasisService, ServiceRegistry
 from repro.core.credentials import CredentialRecordTable
 from repro.core.linkage import SimLinkage
-from repro.core.sharding import ShardCoordinator
 from repro.core.types import ObjectType
 from repro.errors import CodecError
 from repro.runtime import codec as codec_module
@@ -418,7 +417,7 @@ def reference_values(max_leaves, long_leaves):
 def _frames(payload):
     return [
         ("generic", payload),
-        ("rpc-request", {"id": 300, "method": "outbox-deliver", "args": ("Login", payload),
+        ("rpc-request", {"id": 300, "method": "outbox-deliver", "args": (payload,),
                          "kwargs": {}}),
         ("rpc-reply", {"id": 5, "value": {"acked": payload}}),
     ]
@@ -510,15 +509,16 @@ class TestTypedFrames:
         """Real CRRs are ``index << 24 | magic``: a dense revocation's ref
         deltas are 2**24, four bytes each.  With a one-byte seq delta, the
         flags, the stamp epoch and its zero delta, an outbox row costs
-        eight bytes after the issuer, which is defined once."""
+        eight bytes; the frame names no issuer (the caller's address
+        does)."""
         codec = WireCodec()
         for n, measured in ((64, MEASURED_64), (1000, MEASURED_1000)):
             rows = [[i + 1, ref, "false", [1, i + 1]] for i, ref in enumerate(dense_crrs(n))]
-            payload = deliver(3, "Login", rows)
+            payload = deliver(3, rows)
             data = codec.encode("rpc-request", payload).data
             assert len(data) <= measured
             assert len(data) < len(repr(payload)) / 4
-            assert codec.decode(data)["args"] == ("Login", rows)
+            assert codec.decode(data)["args"] == (rows,)
 
     def test_heartbeat_with_a_stray_horizon_or_epoch_takes_the_generic_frame(self):
         """As in every other typed branch, a heartbeat body the frame
@@ -532,7 +532,7 @@ class TestTypedFrames:
 
 
 # the bytes the delta-coded run takes for 64 and 1000 dense revocations
-MEASURED_64, MEASURED_1000 = 520, 8009
+MEASURED_64, MEASURED_1000 = 513, 8002
 
 
 def dense_crrs(n):
@@ -546,8 +546,8 @@ def dense_crrs(n):
 RELAY_FRAMES = {codec_module.F_DELIVER, codec_module.F_ACKED, codec_module.F_TAIL_REPLY}
 
 
-def deliver(call_id, issuer, rows):
-    return {"id": call_id, "method": "outbox-deliver", "args": (issuer, rows), "kwargs": {}}
+def deliver(call_id, rows):
+    return {"id": call_id, "method": "outbox-deliver", "args": (rows,), "kwargs": {}}
 
 
 def acked(call_id, seqs):
@@ -576,7 +576,7 @@ OUTBOX_ROW = st.builds(lambda seq, ref, state: [seq, ref, state, [1, seq]], UINT
 DELIVER_ROWS = runs(st.tuples(UINTS, REFS, STATES, STAMPS).map(list) | OUTBOX_ROW)
 TAIL_ROWS = runs(st.tuples(REFS, STATES, STAMPS).map(list))
 RELAY_PAYLOADS = st.one_of(
-    st.tuples(st.just("rpc-request"), st.builds(deliver, UINTS, SYMBOLS, DELIVER_ROWS)),
+    st.tuples(st.just("rpc-request"), st.builds(deliver, UINTS, DELIVER_ROWS)),
     st.tuples(st.just("rpc-reply"), st.builds(acked, UINTS, runs(UINTS))),
     st.tuples(st.just("rpc-reply"), st.builds(tail_reply, UINTS, UINTS, TAIL_ROWS)),
 )
@@ -621,26 +621,26 @@ def test_every_strict_prefix_of_a_relay_frame_is_a_codec_error(relay):
 
 ROWS = [[7, 2**24, "false", [1, 7]], [8, 2**25, "true", None]]
 MISFITS = {
-    "extra request key": ("rpc-request", {**deliver(1, "Login", ROWS), "trace": 3}),
+    "extra request key": ("rpc-request", {**deliver(1, ROWS), "trace": 3}),
     "extra reply key": ("rpc-reply", {**acked(1, [7, 8]), "error": "late"}),
     "extra value key": ("rpc-reply", {"id": 1, "value": {"acked": [7], "more": 1}}),
-    "kwargs": ("rpc-request", {**deliver(1, "Login", ROWS), "kwargs": {"urgent": True}}),
-    "tuple stamp": ("rpc-request", deliver(1, "Login", [[7, 2**24, "false", (1, 7)]])),
+    "kwargs": ("rpc-request", {**deliver(1, ROWS), "kwargs": {"urgent": True}}),
+    "tuple stamp": ("rpc-request", deliver(1, [[7, 2**24, "false", (1, 7)]])),
     "tuple row": ("rpc-reply", tail_reply(1, 1, [(2**24, "false", [1, 7])])),
-    "short row": ("rpc-request", deliver(1, "Login", [[7, 2**24, "false"]])),
-    "negative seq": ("rpc-request", deliver(1, "Login", [[-7, 2**24, "false", [1, 7]]])),
-    "negative stamp": ("rpc-request", deliver(1, "Login", [[7, 2**24, "false", [1, -7]]])),
+    "short row": ("rpc-request", deliver(1, [[7, 2**24, "false"]])),
+    "negative seq": ("rpc-request", deliver(1, [[-7, 2**24, "false", [1, 7]]])),
+    "negative stamp": ("rpc-request", deliver(1, [[7, 2**24, "false", [1, -7]]])),
     "negative ack": ("rpc-reply", acked(1, [7, -8])),
     "negative epoch": ("rpc-reply", tail_reply(1, -1, [])),
-    "negative id": ("rpc-request", deliver(-1, "Login", ROWS)),
-    "unknown state": ("rpc-request", deliver(1, "Login", [[7, 2**24, "revoked", None]])),
+    "negative id": ("rpc-request", deliver(-1, ROWS)),
+    "unknown state": ("rpc-request", deliver(1, [[7, 2**24, "revoked", None]])),
     "no state": ("rpc-reply", tail_reply(1, 1, [[2**24, None, None]])),
-    "float seq": ("rpc-request", deliver(1, "Login", [[7.0, 2**24, "false", [1, 7]]])),
-    "str ref": ("rpc-request", deliver(1, "Login", [[7, "16777216", "false", None]])),
-    "bool stamp part": ("rpc-request", deliver(1, "Login", [[7, 2**24, "false", [True, 7]]])),
+    "float seq": ("rpc-request", deliver(1, [[7.0, 2**24, "false", [1, 7]]])),
+    "str ref": ("rpc-request", deliver(1, [[7, "16777216", "false", None]])),
+    "bool stamp part": ("rpc-request", deliver(1, [[7, 2**24, "false", [True, 7]]])),
     "bool ack": ("rpc-reply", acked(1, [True, 8])),
     "float epoch": ("rpc-reply", tail_reply(1, 1.0, [])),
-    "int issuer": ("rpc-request", deliver(1, 42, ROWS)),
+    "int issuer": ("rpc-request", {**deliver(1, ROWS), "args": (42, ROWS)}),
 }
 
 
@@ -655,16 +655,15 @@ def test_shapes_that_do_not_fit_keep_the_generic_frame(shape):
 
 # -- symbols: one published vocabulary, frame-scoped definitions ---------------
 
-# A literal copy of the version-4 vocabulary.  Ids are part of the frame
+# A literal copy of the version-5 vocabulary.  Ids are part of the frame
 # format: a change here without a VERSION bump breaks every peer.
-PUBLISHED_V4 = (
+PUBLISHED_V5 = (
     "true", "false", "unknown",
     "subscribe", "badge-seen", "badge-left", "badge-naming",
     "proxied-event", "proxied-horizon",
-    "outbox-deliver", "tail-sync", "settle-prepare", "settle-commit",
+    "outbox-deliver", "tail-sync",
     "ref", "items", "kind", "payload", "hb", "seq", "horizon", "epoch",
-    "id", "method", "args", "kwargs", "value", "error",
-    "acked", "service", "changed", "journal_head",
+    "id", "method", "args", "kwargs", "value", "error", "acked",
     "badge", "site", "home_site", "user", "event",
 )
 
@@ -700,7 +699,7 @@ def deployment_frames():
     """Every frame a small deployment puts on the wire, as (kind, source,
     dest, bytes): Login with two subscribers, Files and Mirror
     (subscribes, outbox deliveries, heartbeats, a subscriber restart's
-    tail-sync, one settle)."""
+    tail-sync, one more revocation quiesced)."""
     sim = Simulator()
     net = Network(sim, seed=5, default_delay=0.01)
     frames = []
@@ -736,15 +735,16 @@ def deployment_frames():
     sim.run_until(4.0)
     linkage.restart(files)
     sim.run_until(6.0)
-    ShardCoordinator(net, linkage, [login, files]).settle(max_hops=4, hop_window=0.5)
+    login.exit_role(certs[1])
+    linkage.quiesce()
     assert net.unaccounted() == 0
     return frames
 
 
 class TestFrameSymbols:
     def test_vocabulary_is_pinned_to_its_version(self):
-        assert codec_module.VERSION == 4
-        assert VOCABULARY == PUBLISHED_V4
+        assert codec_module.VERSION == 5
+        assert VOCABULARY == PUBLISHED_V5
         assert len(set(VOCABULARY)) == len(VOCABULARY) < 128
         for sid, word in enumerate(VOCABULARY):
             # a two-byte ref, defining nothing
@@ -773,8 +773,6 @@ class TestFrameSymbols:
             "subscribe", "heartbeat",
             "outbox-deliver", "outbox-deliver reply",
             "tail-sync", "tail-sync reply",
-            "settle-prepare", "settle-prepare reply",
-            "settle-commit", "settle-commit reply",
         }
 
     def test_relay_messages_take_their_typed_frames(self):
@@ -917,7 +915,7 @@ class TestNetworkIntegration:
         frames = [
             self.wire_frame(net, "rpc-reply", {"id": 4, "value": "Login"}),
             self.wire_frame(net, "heartbeat", {"horizon": 1.5, "epoch": 1}),
-            self.wire_frame(net, "rpc-request", deliver(1, "Login", rows)),
+            self.wire_frame(net, "rpc-request", deliver(1, rows)),
             self.wire_frame(net, "rpc-reply", acked(1, [5, 6, 7])),
             self.wire_frame(net, "rpc-reply", tail_reply(2, 1, [row[1:] for row in rows])),
         ]
@@ -934,11 +932,11 @@ class TestNetworkIntegration:
     def test_other_versions_are_a_decode_drop(self):
         sim, net, got = self.make()
         frame = self.wire_frame(net, "data", {"issuer": "Login", "refs": [1, 2]})
-        for version in (0, 1, 2, 3, 0xFF):
+        for version in (0, 1, 2, 3, 4, 0xFF):
             net.send("a", "b", "data", Encoded(bytes([version]) + frame[1:]))
         net.send("a", "b", "data", Encoded(frame))
         sim.run()
         assert [m.payload for m in got] == [{"issuer": "Login", "refs": [1, 2]}]
-        assert net.stats.dropped_decode == 5
-        assert net.codec.stats.decode_errors == 5
+        assert net.stats.dropped_decode == 6
+        assert net.codec.stats.decode_errors == 6
         assert net.unaccounted() == 0

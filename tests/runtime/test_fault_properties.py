@@ -22,7 +22,6 @@ from repro.errors import OasisError, RevokedError
 from repro.runtime.clock import SimClock
 from repro.runtime.faults import ChaosController, FaultPlan, InvariantChecker
 from repro.runtime.network import Network
-from repro.runtime.rpc import RetryPolicy, RpcEndpoint
 from repro.runtime.simulator import Simulator
 
 LOGIN_RDL = """
@@ -156,48 +155,3 @@ def test_fail_closed_holds_and_quiesces_to_ground_truth(seed, ops):
         else:
             with pytest.raises(RevokedError):
                 files.validate(session["reader"])
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=10_000),
-    calls=st.integers(min_value=1, max_value=15),
-    dup_p=st.floats(min_value=0.0, max_value=0.9),
-    loss_p=st.floats(min_value=0.0, max_value=0.5),
-)
-def test_rpc_executes_at_most_once_per_logical_call(seed, calls, dup_p, loss_p):
-    """Under random duplication and loss with retries, a counting handler
-    never executes more than once per logical call, and every call that
-    reports success executed exactly once."""
-    sim = Simulator()
-    net = Network(sim, seed=seed)
-    server = RpcEndpoint(net, "server", seed=seed)
-    policy = RetryPolicy(max_attempts=5, base_delay=0.5, multiplier=2.0, jitter=0.2)
-    client = RpcEndpoint(net, "client", retry=policy, seed=seed)
-    count = [0]
-
-    def bump(i):
-        count[0] += 1
-        return i
-
-    server.register("bump", bump)
-    rng = random.Random(f"rpc-prop:{seed}")
-
-    def injector(message, delay):
-        if rng.random() < loss_p:
-            return None
-        delays = [delay]
-        if rng.random() < dup_p:
-            delays.append(delay + rng.uniform(0.0, 0.5))
-        return delays
-
-    net.set_fault_injector(injector)
-    futures = [client.call("server", "bump", i, timeout=1.0) for i in range(calls)]
-    sim.run()
-    succeeded = [i for i, f in enumerate(futures) if not f.failed]
-    for i in succeeded:
-        assert futures[i].result() == i
-    # at-most-once: dedup caps executions at one per logical call, and a
-    # success implies its execution happened
-    assert count[0] == server.stats.executions
-    assert len(succeeded) <= server.stats.executions <= calls

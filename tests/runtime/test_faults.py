@@ -375,22 +375,3 @@ def test_random_plan_includes_overload_bursts():
         seed=5, duration=60.0, addresses=("a", "b", "c"), overload_bursts=3
     )
     assert replay.events == plan.events
-
-
-def test_checker_queue_bound_invariant():
-    from repro.runtime.wire import BatchedChannel, WirePolicy
-
-    sim, net, _linkage, login, files, _user = make_world()
-    collector(net, "a")
-    collector(net, "b")
-    channel = BatchedChannel(
-        net, "a", "b", policy=WirePolicy(max_delay=1.0, max_queue=3)
-    )
-    checker = InvariantChecker([login, files], stale_bound=10.0, channels=[channel])
-    net.set_link_state("a", "b", False)
-    for i in range(10):
-        channel.send("note", i)
-    assert checker.check_queue_bounds() == []     # bound held: spill kept it
-    channel._pending.append({"kind": "x", "payload": 0})   # force a breach
-    breaches = checker.check_queue_bounds()
-    assert breaches and "holds 4 > bound 3" in breaches[0]

@@ -293,195 +293,3 @@ class TestHeartbeatPiggyback:
         assert not monitor.suspect
         # bare heartbeats resumed at period cadence after the burst
         assert sender.stats.heartbeats_sent >= 8
-
-
-class TestBoundedQueue:
-    """WirePolicy.max_queue (ISSUE 6): held-queue mode with spill-oldest
-    overflow, a backpressure signal, and flush-on-link-up release."""
-
-    def make_bounded(self, max_queue=4, max_batch=64, **net_kwargs):
-        sim, net, got = make_world(**net_kwargs)
-        channel = BatchedChannel(
-            net, "a", "b",
-            policy=WirePolicy(max_batch=max_batch, max_delay=1.0, max_queue=max_queue),
-        )
-        return sim, net, got, channel
-
-    def test_held_while_down_then_released_on_link_up(self):
-        sim, net, got, channel = self.make_bounded(max_queue=8)
-        net.set_link_state("a", "b", False)
-        for i in range(3):
-            channel.send("note", i)
-        sim.run_until(5.0)
-        assert got == []                         # held, not emitted into the dead link
-        assert channel.stats.held_flushes >= 1
-        assert net.stats.dropped_while_down == 0
-        net.set_link_state("a", "b", True)       # link-up releases the backlog
-        sim.run_until(10.0)
-        assert [payload for _kind, payload in got] == [0, 1, 2]
-        assert channel.pending == 0
-
-    def test_overflow_spills_oldest_with_accounting(self):
-        sim, net, got, channel = self.make_bounded(max_queue=4)
-        net.set_link_state("a", "b", False)
-        for i in range(10):
-            channel.send("note", i)
-        assert channel.pending == 4
-        assert channel.stats.spilled == 6
-        assert net.stats.spilled_overflow == 6
-        assert channel.stats.max_pending <= 5    # bound enforced on every send
-        net.set_link_state("a", "b", True)
-        sim.run_until(5.0)
-        # the freshest payloads survived the spill (last-state-wins spirit)
-        assert [payload for _kind, payload in got] == [6, 7, 8, 9]
-
-    def test_backpressure_signal(self):
-        sim, net, got, channel = self.make_bounded(max_queue=3)
-        net.set_link_state("a", "b", False)
-        assert not channel.backpressure
-        for i in range(3):
-            channel.send("note", i)
-        assert channel.backpressure
-        net.set_link_state("a", "b", True)
-        sim.run_until(5.0)
-        assert not channel.backpressure
-
-    def test_coalescing_continues_while_held(self):
-        """A held queue still coalesces keyed payloads in place, so the
-        backlog carries final states, not history."""
-        sim, net, got, channel = self.make_bounded(max_queue=8)
-        net.set_link_state("a", "b", False)
-        for state in ("TRUE", "UNKNOWN", "FALSE"):
-            channel.send("modified", {"ref": 7, "state": state}, coalesce_key=7)
-        sim.run_until(2.0)
-        assert channel.pending == 1
-        net.set_link_state("a", "b", True)
-        sim.run_until(5.0)
-        assert got == [("modified", {"ref": 7, "state": "FALSE"})]
-
-    def test_spilled_keyed_item_can_be_resent(self):
-        """Spilling a keyed payload must unindex it: a later send under
-        the same key starts a fresh queue entry rather than updating a
-        ghost."""
-        sim, net, got, channel = self.make_bounded(max_queue=2)
-        net.set_link_state("a", "b", False)
-        channel.send("modified", {"ref": 1, "state": "A"}, coalesce_key=1)
-        channel.send("note", "x")
-        channel.send("note", "y")                # spills the keyed item
-        assert channel.stats.spilled == 1
-        channel.send("modified", {"ref": 1, "state": "B"}, coalesce_key=1)
-        net.set_link_state("a", "b", True)
-        sim.run_until(5.0)
-        payloads = [payload for _kind, payload in got]
-        assert {"ref": 1, "state": "B"} in payloads
-        assert {"ref": 1, "state": "A"} not in payloads
-
-    def test_unbounded_channel_keeps_legacy_fire_and_forget(self):
-        """Without max_queue the channel emits into a down link exactly
-        as before (the datagram drop is the accounting record)."""
-        sim, net, got, channel_holder = self.make_bounded()
-        channel = BatchedChannel(net, "a", "b", policy=WirePolicy(max_delay=0.0))
-        net.set_link_state("a", "b", False)
-        channel.send("note", 1)
-        sim.run_until(1.0)
-        assert net.stats.dropped_while_down == 1
-        assert channel.pending == 0
-
-    def test_pool_backpressured_lists_channels_at_bound(self):
-        sim = Simulator()
-        net = Network(sim, seed=13)
-        net.add_node("a", lambda m: None)
-        net.add_node("b", lambda m: None)
-        net.add_node("c", lambda m: None)
-        pool = ChannelPool(
-            net, "a", policy=WirePolicy(max_delay=1.0, max_queue=2)
-        )
-        net.set_link_state("a", "b", False)
-        pool.to("b").send("note", 1)
-        pool.to("b").send("note", 2)
-        pool.to("c").send("note", 3)
-        assert pool.backpressured() == [pool.to("b")]
-
-
-class TestSpillInterleave:
-    """ISSUE 7 satellite: spill accounting and the backpressure signal
-    must stay exact under interleaved flush / link-down / link-up, and
-    every payload must be accounted for exactly once —
-    ``delivered + pending + spilled`` equals sends at every step."""
-
-    def make_bounded(self, max_queue=4):
-        sim, net, got = make_world()
-        channel = BatchedChannel(
-            net, "a", "b",
-            policy=WirePolicy(max_batch=64, max_delay=1.0, max_queue=max_queue),
-        )
-        return sim, net, got, channel
-
-    def test_conservation_across_interleaved_flush_and_link_flaps(self):
-        sim, net, got, channel = self.make_bounded(max_queue=4)
-        sends = 0
-
-        def account():
-            assert len(got) + channel.pending + channel.stats.spilled == sends
-
-        # burst while up, explicit flush mid-burst
-        for i in range(3):
-            channel.send("note", sends); sends += 1
-        channel.flush()
-        sim.run_until(sim.now + 1.0)
-        account()
-        # link drops; queue fills to the bound, then spills oldest
-        net.set_link_state("a", "b", False)
-        for i in range(7):
-            channel.send("note", sends); sends += 1
-            account()
-        assert channel.backpressure
-        assert channel.stats.spilled == 3
-        # a flush while down must hold, not leak into the dead link
-        held_before = channel.stats.held_flushes
-        channel.flush()
-        assert channel.stats.held_flushes > held_before
-        account()
-        # link restores mid-send: backlog drains, late sends ride along
-        net.set_link_state("a", "b", True)
-        channel.send("note", sends); sends += 1
-        sim.run_until(sim.now + 3.0)
-        account()
-        assert channel.pending == 0
-        assert not channel.backpressure
-        # the freshest payloads survived; nothing delivered twice
-        delivered = [payload for _kind, payload in got]
-        assert len(delivered) == len(set(delivered)) == sends - channel.stats.spilled
-
-    def test_pool_backpressured_tracks_flap_cycles(self):
-        sim = Simulator()
-        net = Network(sim, seed=13)
-        for node in ("a", "b", "c"):
-            net.add_node(node, lambda m: None)
-        pool = ChannelPool(net, "a", policy=WirePolicy(max_delay=1.0, max_queue=2))
-        for cycle in range(3):
-            net.set_link_state("a", "b", False)
-            pool.to("b").send("note", (cycle, 0))
-            pool.to("b").send("note", (cycle, 1))
-            pool.to("c").send("note", (cycle, 2))
-            assert pool.backpressured() == [pool.to("b")]
-            net.set_link_state("a", "b", True)
-            sim.run_until(sim.now + 3.0)
-            assert pool.backpressured() == []
-            assert pool.to("b").pending == 0
-
-    def test_spill_accounting_survives_flush_during_outage(self):
-        """Interleaving explicit flushes with an outage must not double
-        count spills or revive spilled payloads on link-up."""
-        sim, net, got, channel = self.make_bounded(max_queue=2)
-        net.set_link_state("a", "b", False)
-        for i in range(5):
-            channel.send("note", i)
-            channel.flush()                  # held every time: link is down
-        assert channel.pending == 2
-        assert channel.stats.spilled == 3
-        spilled_before = channel.stats.spilled
-        net.set_link_state("a", "b", True)
-        sim.run_until(sim.now + 3.0)
-        assert [payload for _kind, payload in got] == [3, 4]
-        assert channel.stats.spilled == spilled_before

@@ -27,7 +27,6 @@ import pytest
 from repro.core import HostOS, OasisService, ServiceRegistry
 from repro.core.credentials import RecordState
 from repro.core.linkage import SimLinkage
-from repro.core.sharding import ShardCoordinator
 from repro.core.types import ObjectType
 from repro.errors import OasisError
 from repro.runtime.clock import SimClock
@@ -143,8 +142,8 @@ class CascadeCrashRun:
         linkage.restart(login)
         sim.run_until(sim.now + 20.0)
 
-        self.coordinator = ShardCoordinator(net, linkage, [login, files])
-        self.settle_stats = self.coordinator.settle(max_hops=6, hop_window=0.5)
+        self.quiesce_s = linkage.quiesce()
+        self.heads = {name: self.store.journal(name).head() for name in ("Login", "Files")}
         sim.run_until(45.0)
         self.changed_total = (
             login.credentials.cascade_totals.records_changed
@@ -207,11 +206,13 @@ def test_cascade_crash_conserves_every_notification(cascade):
     assert delivered == len(login_journal.outbox)
 
 
-def test_cascade_settle_carries_journal_heads(cascade):
-    heads = cascade.settle_stats.journal_heads
-    assert heads.keys() == {"Login", "Files"}
-    assert heads["Login"] == cascade.store.journal("Login").head()
-    assert heads["Files"] == cascade.store.journal("Files").head()
+def test_cascade_quiesces_after_recovery(cascade):
+    """20 s after the restart the recovered cascade has landed: quiesce
+    finds nothing pending or in flight beyond a heartbeat's link delay,
+    and the journals stop growing."""
+    assert cascade.quiesce_s <= 0.05
+    assert cascade.heads["Login"] == cascade.store.journal("Login").head()
+    assert cascade.heads["Files"] == cascade.store.journal("Files").head()
 
 
 # ------------------------------------------------- seeded journal-crash soak

@@ -2,15 +2,16 @@
 
 The ISSUE-5 soak proves fail-closed *correctness* under faults; this one
 proves bounded *liveness* under load.  The same three-service world runs
-with the overload-resilience layer switched on — bounded held-queue wire
-channels, a degradation-enabled custode — while the fault plan drives
+with the overload-resilience layer switched on — an outbox bound on
+admission, a degradation-enabled custode — while the fault plan drives
 traffic spikes (OverloadBurst), a Login partition long enough to trip
 suspicion, link flaps, loss, duplication, reordering and a crash-restart.
 
 Swept invariants, on top of fail-closed:
 
-* **queue bounds** — no wire queue ever outgrows ``max_queue`` (spills
-  are accounted, not silent);
+* **outbox bound** — while Login's undelivered notifications to one
+  destination sit at the bound, Login sheds admissions; its revocations
+  are never shed, and every one lands exactly once after the heal;
 * **degradation staleness** — no degraded decision is ever served
   staler than the policy's ``max_staleness``;
 * **conservation** — every message offered to the network is delivered,
@@ -45,7 +46,6 @@ from repro.runtime.faults import (
 )
 from repro.runtime.network import Network
 from repro.runtime.simulator import Simulator
-from repro.runtime.wire import WirePolicy
 
 LOGIN_RDL = """
 def LoggedOn(u, h)  u: userid  h: string
@@ -65,7 +65,7 @@ HEARTBEAT_PERIOD = 1.0
 HEARTBEAT_GRACE = 2.0
 MAX_OUTAGE = 12.0
 STALE_BOUND = MAX_OUTAGE + (HEARTBEAT_GRACE + 1.0) * HEARTBEAT_PERIOD + 5.0
-MAX_QUEUE = 4          # deliberately tight so the soak exercises spilling
+OUTBOX_BOUND = 2       # deliberately tight so the partition makes Login shed
 MAX_STALENESS = 6.0    # degradation bound, well inside the partition window
 PINNED_SESSIONS = 3    # long-lived readers that stay logged in across faults
 
@@ -76,7 +76,7 @@ def build_plan():
         # a traffic spike on a healthy link: queues absorb it
         OverloadBurst(at=10.0, duration=3.0, source=files, dest=ffc, rate=300.0),
         # the centrepiece: Login partitioned long enough for suspicion,
-        # degradation, degradation *expiry*, and queue overflow
+        # degradation, degradation *expiry*, and an outbox jam
         PartitionWindow(
             at=20.0,
             group_a=frozenset({login}),
@@ -101,10 +101,7 @@ class OverloadWorld:
         self.net = Network(self.sim, seed=seed, default_delay=0.01)
         self.clock = SimClock(self.sim)
         self.registry = ServiceRegistry()
-        self.linkage = SimLinkage(
-            self.net,
-            policy=WirePolicy(max_batch=16, max_delay=0.05, max_queue=MAX_QUEUE),
-        )
+        self.linkage = SimLinkage(self.net, outbox_bound=OUTBOX_BOUND)
         self.login = OasisService(
             "Login", registry=self.registry, linkage=self.linkage, clock=self.clock
         )
@@ -145,7 +142,8 @@ class OverloadWorld:
         self.degraded_reads = 0
         self.next_user = 0
         self.ops_done = 0
-        self.queue_breaches = []
+        self.admitted_while_jammed = 0
+        self.max_depth = 0
         self.staleness_breaches = []
 
     # ------------------------------------------------------------- operations
@@ -190,7 +188,9 @@ class OverloadWorld:
         user = f"u{self.next_user}"
         self.next_user += 1
         domain = self.host.create_domain()
+        jammed = bool(self.linkage.backpressured_of("Login"))
         cert = self.login.enter_role(domain.client_id, "LoggedOn", (user, "overload-host"))
+        self.admitted_while_jammed += jammed
         self.sessions.append(
             {"user": user, "client": domain.client_id,
              "login_cert": cert, "reader": None, "use_acl": None}
@@ -241,7 +241,8 @@ class OverloadWorld:
 
     def sweep(self):
         self.checker.check_fail_closed()
-        self.queue_breaches.extend(self.checker.check_queue_bounds())
+        depth = self.linkage.relay_of("Login").journal.depth
+        self.max_depth = max(self.max_depth, *depth.values(), 0)
         self.staleness_breaches.extend(self.checker.check_degradation_bounds())
 
     def run(self):
@@ -256,7 +257,6 @@ class OverloadWorld:
             list(self.services.values()),
             stale_bound=STALE_BOUND,
             is_down=self.chaos.is_down,
-            channels=self.linkage.all_channels,
             custodes=[self.ffc],
             journals=self.linkage.durable,
         )
@@ -286,12 +286,9 @@ def test_soak_exercised_overload_machinery(soak):
     assert soak.ops_done >= 350
     assert stats.overload_bursts == 2
     assert stats.overload_messages >= 1000     # the spikes really fired
-    # the held-queue machinery ran: batches were held on the dead link,
-    # the backlog hit the bound and spilled with accounting
-    channels = soak.linkage.all_channels()
-    assert sum(ch.stats.held_flushes for ch in channels) >= 1
-    assert soak.net.stats.spilled_overflow >= 1
-    assert sum(ch.stats.spilled for ch in channels) == soak.net.stats.spilled_overflow
+    # the partition jammed Login's outbox at its bound: Login shed
+    # admissions (and only admissions: no record was created for them)
+    assert soak.login.stats.entries_shed >= 1
     # the degradation tier served real traffic during the partition
     assert soak.degraded_reads >= 1
     assert soak.ffc.storage.degraded_hits >= 1
@@ -305,12 +302,10 @@ def test_soak_never_violates_fail_closed(soak):
 
 
 def test_soak_respects_queue_bounds(soak):
-    assert soak.queue_breaches == []
-    # and the high-water marks confirm the bound was actually tested
-    assert any(
-        ch.stats.max_pending >= ch.policy.max_queue
-        for ch in soak.linkage.all_channels()
-    )
+    """No admission got past the outbox bound, and the bound was really
+    reached (revocations, never shed, may queue beyond it)."""
+    assert soak.admitted_while_jammed == 0
+    assert soak.max_depth >= OUTBOX_BOUND
 
 
 def test_soak_respects_degradation_staleness_bound(soak):
@@ -352,7 +347,7 @@ def test_soak_replays_identically():
             world.denials,
             world.degraded_reads,
             world.net.stats.messages_sent,
-            world.net.stats.spilled_overflow,
+            world.login.stats.entries_shed,
             world.chaos.stats,
             len(world.checker.violations),
         )
