@@ -4,11 +4,14 @@
         [--out-dir DIR] [--parent-dir DIR]
 
 The *change* is the checkout this script lives in, as it stands on disk;
-the *parent* is ``PARENT_REV``, checked out into a temporary
-``git worktree`` (made where ``tempfile`` puts temporary directories,
-``$TMPDIR`` if set) that is removed at the end.  ``--parent-dir`` runs
-an existing checkout of the parent instead, such as a ``git archive``
-copy, and leaves it in place.
+the *parent* is ``PARENT_REV``.  Both sides run from sibling directories
+of one temporary root (made where ``tempfile`` puts temporary
+directories, ``$TMPDIR`` if set, and removed at the end), so neither
+side runs from a path of its own: ``ROOT/parent`` is a ``git worktree``
+of ``PARENT_REV``, or a copy of ``--parent-dir`` (an existing checkout of
+the parent, such as a ``git archive`` copy, which is left in place), and
+``ROOT/change`` is a copy of this checkout's working tree.  Copies skip
+``.git`` and every cache directory, so both sides compile from source.
 
 Each pair runs ``benchmarks/request/run.py --workload W --seed N`` once
 on each side, with the benchmark's own settings; odd pairs run the
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -32,6 +36,8 @@ from pathlib import Path
 from statistics import median
 
 ROOT = Path(__file__).resolve().parents[1]
+_SKIP = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis",
+                               ".benchmarks")
 
 
 def _run(side: Path, workload: str, seed: int, out: Path) -> None:
@@ -71,7 +77,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out-dir", default=".")
     parser.add_argument("--parent-dir", default=None,
-                        help="an existing checkout of the parent (no worktree)")
+                        help="an existing checkout of the parent, copied (no worktree)")
     args = parser.parse_args(argv)
 
     stem = Path(args.out_dir) / f"{args.workload}-s{args.seed}"
@@ -79,27 +85,28 @@ def main(argv=None) -> int:
     for out in outs.values():
         if out.exists():
             parser.error(f"{out} exists; pairs are read back by position")
-    worktree = None
+    root = Path(tempfile.mkdtemp(prefix="ab-pairs-"))
+    sides = {"parent": root / "parent", "change": root / "change"}
+    worktree = False
     try:
         if args.parent_dir is not None:
-            parent_root = Path(args.parent_dir).resolve()
+            shutil.copytree(Path(args.parent_dir).resolve(), sides["parent"], ignore=_SKIP)
         else:
-            worktree = parent_root = Path(tempfile.mkdtemp(prefix="ab-parent-"))
             subprocess.run(["git", "-C", str(ROOT), "worktree", "add", "--detach",
-                            str(worktree), args.parent], check=True)
-        sides = {"parent": parent_root, "change": ROOT}
+                            str(sides["parent"]), args.parent], check=True)
+            worktree = True
+        shutil.copytree(ROOT, sides["change"], ignore=_SKIP)
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
                 _run(sides[side], args.workload, args.seed, outs[side].resolve())
             print(f"pair {pair + 1}/{args.pairs} done ({order[0]} first)", flush=True)
     finally:
-        if worktree is not None:
+        if worktree:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force",
-                            str(worktree)], check=False)
+                            str(sides["parent"])], check=False)
             subprocess.run(["git", "-C", str(ROOT), "worktree", "prune"], check=False)
-            if worktree.exists() and not any(worktree.iterdir()):
-                worktree.rmdir()   # the add itself failed
+        shutil.rmtree(root, ignore_errors=True)
 
     compared = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "request" / "compare.py"),

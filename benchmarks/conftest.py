@@ -78,15 +78,7 @@ class Counted:
         return self.seconds / self.calls
 
 
-# --------------------------------------------- hot-path results (BENCH_hotpath)
-
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-
-def hotpath_out_path():
-    return os.environ.get(
-        "BENCH_HOTPATH_OUT", os.path.join(_REPO_ROOT, "BENCH_hotpath.json")
-    )
 
 
 def bench_quick():
@@ -113,92 +105,17 @@ def alternating_pairs(measure_a, measure_b, pairs=5):
     return results
 
 
-def record_hotpath(name, **data):
-    """Merge one experiment's results into BENCH_hotpath.json.
+def record_bench(kind, name, **data):
+    """Merge one experiment's results into ``BENCH_<kind>.json`` at the
+    repo root, or into ``$BENCH_<KIND>_OUT`` when that is set.
 
-    Each hot-path benchmark calls this once; the file accumulates a
-    ``{experiment: {series...}}`` mapping that CI uploads as an artifact,
-    so results stay machine-readable across separate pytest runs."""
-    _record_json(hotpath_out_path(), "hotpath", name, data)
-
-
-# ------------------------------------------ fault/recovery results (BENCH_faults)
-
-
-def faults_out_path():
-    return os.environ.get(
-        "BENCH_FAULTS_OUT", os.path.join(_REPO_ROOT, "BENCH_faults.json")
+    The file accumulates a ``{experiment: {series...}}`` mapping that CI
+    uploads as an artifact, so results stay machine-readable across
+    separate pytest runs.  ``kind`` is one of ``hotpath``, ``faults``,
+    ``codec``, ``shard``, ``durability`` and ``runtime``."""
+    path = os.environ.get(
+        f"BENCH_{kind.upper()}_OUT", os.path.join(_REPO_ROOT, f"BENCH_{kind}.json")
     )
-
-
-def record_faults(name, **data):
-    """Merge one fault/recovery experiment's results into BENCH_faults.json
-    (same accumulate-and-merge contract as :func:`record_hotpath`)."""
-    _record_json(faults_out_path(), "faults", name, data)
-
-
-# --------------------------------------------------- codec results (BENCH_codec)
-
-
-def codec_out_path():
-    return os.environ.get(
-        "BENCH_CODEC_OUT", os.path.join(_REPO_ROOT, "BENCH_codec.json")
-    )
-
-
-def record_codec(name, **data):
-    """Merge one wire-codec experiment's results into BENCH_codec.json
-    (same accumulate-and-merge contract as :func:`record_hotpath`)."""
-    _record_json(codec_out_path(), "codec", name, data)
-
-
-# ------------------------------------------------ sharding results (BENCH_shard)
-
-
-def shard_out_path():
-    return os.environ.get(
-        "BENCH_SHARD_OUT", os.path.join(_REPO_ROOT, "BENCH_shard.json")
-    )
-
-
-def record_shard(name, **data):
-    """Merge one sharding experiment's results into BENCH_shard.json
-    (same accumulate-and-merge contract as :func:`record_hotpath`)."""
-    _record_json(shard_out_path(), "shard", name, data)
-
-
-# ------------------------------------- durability results (BENCH_durability)
-
-
-def durability_out_path():
-    return os.environ.get(
-        "BENCH_DURABILITY_OUT", os.path.join(_REPO_ROOT, "BENCH_durability.json")
-    )
-
-
-def record_durability(name, **data):
-    """Merge one durability/recovery experiment's results into
-    BENCH_durability.json (same accumulate-and-merge contract as
-    :func:`record_hotpath`)."""
-    _record_json(durability_out_path(), "durability", name, data)
-
-
-# ------------------------------------------------ kernel results (BENCH_runtime)
-
-
-def runtime_out_path():
-    return os.environ.get(
-        "BENCH_RUNTIME_OUT", os.path.join(_REPO_ROOT, "BENCH_runtime.json")
-    )
-
-
-def record_runtime(name, **data):
-    """Merge one kernel experiment's results into BENCH_runtime.json
-    (same accumulate-and-merge contract as :func:`record_hotpath`)."""
-    _record_json(runtime_out_path(), "runtime", name, data)
-
-
-def _record_json(path, kind, name, data):
     results = {}
     if os.path.exists(path):
         try:

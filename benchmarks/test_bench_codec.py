@@ -23,7 +23,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from benchmarks.conftest import bench_quick, record_codec
+from benchmarks.conftest import bench_quick, record_bench
 from benchmarks.test_bench_wire import build_linked_world
 from repro.errors import RevokedError
 from repro.events.model import Event
@@ -143,8 +143,8 @@ def _cascade_bytes(strawman):
     deliveries = requests.requests_sent - mark_deliveries
     assert deliveries > 0
     assert misses == 0
-    record_codec(
-        "codec_cascade",
+    record_bench(
+        "codec", "codec_cascade",
         cascade_records=CASCADE,
         encoded_bytes=encoded,
         repr_bytes=baseline,
@@ -207,8 +207,8 @@ def test_badge_stream_bytes_reduced():
     assert 0.0 < ratio <= 0.5, f"badge stream only reached ratio {ratio:.3f}"
     assert net.stats.dropped_decode == 0
     assert net.unaccounted() == 0
-    record_codec(
-        "codec_badge_stream",
+    record_bench(
+        "codec", "codec_badge_stream",
         sightings=STREAM,
         encoded_bytes=net.stats.encoded_bytes,
         repr_bytes=strawman.bytes,
@@ -242,8 +242,8 @@ def test_encode_decode_throughput():
     encode_rate = rounds * CASCADE / encode_seconds
     decode_rate = rounds * CASCADE / decode_seconds
     assert encode_rate > 0 and decode_rate > 0
-    record_codec(
-        "codec_throughput",
+    record_bench(
+        "codec", "codec_throughput",
         items_per_frame=CASCADE,
         rounds=rounds,
         encode_items_per_second=int(encode_rate),
@@ -289,8 +289,8 @@ def test_relay_cascade_is_one_typed_delivery():
             files.validate(reader)
     assert net.stats.dropped_decode == 0
     assert net.unaccounted() == 0
-    record_codec(
-        "codec_relay_cascade",
+    record_bench(
+        "codec", "codec_relay_cascade",
         entries=RELAY,
         request_bytes=request_bytes,
         reply_bytes=reply_bytes,

@@ -17,7 +17,7 @@ artifact for tracking.
 
 import time
 
-from benchmarks.conftest import bench_quick, record_durability
+from benchmarks.conftest import bench_quick, record_bench
 from repro.core import HostOS, OasisService, ServiceRegistry
 from repro.core.credentials import RecordState
 from repro.core.linkage import SimLinkage
@@ -117,8 +117,8 @@ def test_crash_recovery_by_replay_and_tail_sync():
         f"recovery of {SURROGATES} surrogates used {messages} messages"
     )
     assert replayed >= SURROGATES     # recovery really came from the log
-    record_durability(
-        "crash_recovery",
+    record_bench(
+        "durability", "crash_recovery",
         surrogates=SURROGATES,
         journal_messages=messages,
         journal_virtual_s=round(virtual, 3),
@@ -155,8 +155,8 @@ def test_outbox_drain_throughput():
         f"{delivered} notifications took {envelopes} envelopes "
         f"({per_envelope:.1f}/envelope)"
     )
-    record_durability(
-        "outbox_drain",
+    record_bench(
+        "durability", "outbox_drain",
         revoked=REVOKED,
         notifications_delivered=delivered,
         wire_envelopes=envelopes,

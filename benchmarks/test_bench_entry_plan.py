@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import bench_quick, record, record_hotpath
+from benchmarks.conftest import bench_quick, record, record_bench
 from repro.core import HostOS, OasisService
 from repro.errors import RevokedError
 from repro.runtime.clock import ManualClock
@@ -66,8 +66,8 @@ def test_entry_plan_flat_under_wide_rolefile():
         f"role entry not flat: {t_small:.4f}s @ {SMALL} statements vs "
         f"{t_large:.4f}s @ {LARGE} statements"
     )
-    record_hotpath(
-        "entry_plan",
+    record_bench(
+        "hotpath", "entry_plan",
         statements_small=SMALL,
         statements_large=LARGE,
         entries=ENTRIES,
@@ -100,8 +100,8 @@ def test_warm_validate_avoids_hmac_until_revoked():
     with pytest.raises(RevokedError):
         svc.validate(cert)
 
-    record_hotpath(
-        "warm_validate",
+    record_bench(
+        "hotpath", "warm_validate",
         warm_rounds=rounds,
         seconds=elapsed,
         hmacs_recomputed=0,

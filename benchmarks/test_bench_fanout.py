@@ -12,7 +12,7 @@ noisy CI machines.  Raw timings go to BENCH_hotpath.json.
 
 import time
 
-from benchmarks.conftest import bench_quick, record, record_hotpath
+from benchmarks.conftest import bench_quick, record, record_bench
 from repro.events.broker import EventBroker
 from repro.events.model import WILDCARD, Event, Var, template
 from repro.runtime.clock import ManualClock
@@ -61,8 +61,8 @@ def test_signal_flat_under_nonmatching_load():
         f"signal() not flat: {t_small:.4f}s @ {SMALL} regs vs "
         f"{t_large:.4f}s @ {LARGE} regs"
     )
-    record_hotpath(
-        "signal_fanout",
+    record_bench(
+        "hotpath", "signal_fanout",
         registrations_small=SMALL,
         registrations_large=LARGE,
         signals=SIGNALS,
@@ -112,8 +112,8 @@ def test_close_session_proportional_to_own_registrations():
     assert t_large < 8 * t_small, (
         f"close_session scans the table: {t_small:.4f}s vs {t_large:.4f}s"
     )
-    record_hotpath(
-        "close_session",
+    record_bench(
+        "hotpath", "close_session",
         other_registrations_small=SMALL,
         other_registrations_large=LARGE,
         seconds_small=t_small,
@@ -142,8 +142,8 @@ def test_retro_replay_bisect():
     assert 0 < len(replay) <= 6
     # the bisect means almost nothing before the cutoff was examined
     assert broker.stats.replay_scanned <= len(replay) + 1
-    record_hotpath(
-        "retro_replay",
+    record_bench(
+        "hotpath", "retro_replay",
         buffered=buffered,
         replayed=len(replay),
         scanned=broker.stats.replay_scanned,

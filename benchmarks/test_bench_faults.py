@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import bench_quick, record_faults
+from benchmarks.conftest import bench_quick, record_bench
 from repro.core import HostOS, OasisService, ServiceRegistry
 from repro.core.linkage import SimLinkage
 from repro.core.types import ObjectType
@@ -118,8 +118,8 @@ def test_partition_reconvergence_time():
     with pytest.raises(RevokedError):
         files.validate(pairs[0][1])
     files.validate(pairs[1][1])
-    record_faults(
-        "partition_reconvergence",
+    record_bench(
+        "faults", "partition_reconvergence",
         surrogates=SURROGATES,
         revoked_during_split=len(pairs[:: 3]),
         virtual_seconds_to_converge=round(virtual, 4),
@@ -163,8 +163,8 @@ def test_relay_amplification_under_loss():
     assert all(applied[("Login", entry.seq)] == 1 for entry in journal.outbox.values())
     assert all(record.state.name == "FALSE" for record in files.credentials.externals_of("Login"))
     assert amplification < 1.8
-    record_faults(
-        "relay_amplification",
+    record_bench(
+        "faults", "relay_amplification",
         revocations=REVOCATIONS,
         loss_probability=loss,
         requests_sent=requests,
@@ -193,8 +193,8 @@ def test_crash_recovery_time():
     assert virtual <= PERIOD + 1.0
     assert login.boot_epoch == 2
     files.validate(pairs[0][1])
-    record_faults(
-        "crash_recovery",
+    record_bench(
+        "faults", "crash_recovery",
         surrogates=SURROGATES,
         virtual_seconds_to_converge=round(virtual, 4),
         new_boot_epoch=login.boot_epoch,

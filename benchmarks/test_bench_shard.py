@@ -31,7 +31,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import alternating_pairs, bench_quick, record_shard
+from benchmarks.conftest import alternating_pairs, bench_quick, record_bench
 from repro.core import HostOS, OasisService, ServiceRegistry
 from repro.core.linkage import LocalLinkage, SimLinkage
 from repro.core.sharding import (
@@ -212,8 +212,8 @@ def test_warm_read_throughput_scales_with_shards():
         shard.replicas[0].stats.warm_hits
         for shard in fleet4.shards.values()
     )
-    record_shard(
-        "warm_read_throughput",
+    record_bench(
+        "shard", "warm_read_throughput",
         cache_capacity=CACHE_CAP,
         working_set=WORKING_SET,
         pairs=PAIRS,
@@ -308,8 +308,8 @@ def test_cross_shard_revocation_converges_in_bounded_hops():
             still_valid += 1
         except OasisError:
             pass
-    record_shard(
-        "revocation_convergence",
+    record_bench(
+        "shard", "revocation_convergence",
         chain_depth=CHAIN_DEPTH,
         records=records,
         records_changed=changed() - changed_before,
@@ -398,8 +398,8 @@ def test_warm_read_p99_flat_under_chaos():
     chaos_p50 = _percentile(stormy, 0.50)
     chaos_p99 = _percentile(stormy, 0.99)
     ratio = chaos_p99 / calm_p99 if calm_p99 else 1.0
-    record_shard(
-        "p99_under_chaos",
+    record_bench(
+        "shard", "p99_under_chaos",
         ops_per_phase=P99_OPS,
         calm_p50_us=round(calm_p50 * 1e6, 2),
         calm_p99_us=round(calm_p99 * 1e6, 2),

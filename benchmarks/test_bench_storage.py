@@ -16,7 +16,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import bench_quick, record_hotpath
+from benchmarks.conftest import bench_quick, record_bench
 from repro.errors import RevokedError
 from repro.mssa.acl import Acl
 from repro.mssa.byte_segment import ByteSegmentCustode
@@ -63,8 +63,8 @@ def test_warm_read_segment_speedup(bench_world):
         f"warm path not fast enough: cold {t_cold:.4f}s vs warm {t_warm:.4f}s "
         f"({t_cold / t_warm:.1f}x) over {ROUNDS} reads"
     )
-    record_hotpath(
-        "storage_warm_read",
+    record_bench(
+        "hotpath", "storage_warm_read",
         acl_entries=ACL_ENTRIES,
         rounds=ROUNDS,
         seconds_cold=t_cold,
@@ -93,8 +93,8 @@ def test_remote_acl_check_reduction(bench_world):
     assert reads == 1
     assert ffc.storage.surrogate_hits == REMOTE_CHECKS - 1
     assert reduction >= 10
-    record_hotpath(
-        "storage_remote_checks",
+    record_bench(
+        "hotpath", "storage_remote_checks",
         checks=REMOTE_CHECKS,
         remote_acl_reads=reads,
         reduction=round(reduction, 1),
@@ -127,8 +127,8 @@ def test_revocation_visible_next_call(bench_world):
     with pytest.raises(RevokedError):
         bsc.read_segment(cert, fid)
 
-    record_hotpath(
-        "storage_revocation",
+    record_bench(
+        "hotpath", "storage_revocation",
         revocation_visible_next_call=True,
         acl_modify_visible_next_call=True,
         invalidated_by_record=bsc.storage.invalidated_by_record,

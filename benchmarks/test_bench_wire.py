@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import bench_quick, record_hotpath
+from benchmarks.conftest import bench_quick, record_bench
 from repro.core import HostOS, OasisService, ServiceRegistry
 from repro.core.linkage import SimLinkage
 from repro.core.types import ObjectType
@@ -75,8 +75,8 @@ def test_cascade_messages_on_wire_reduced_5x():
     assert notifications == CASCADE   # every notification delivered
     ratio = notifications / messages  # one message each in the seed scheme
     assert ratio >= 5.0, f"only {ratio:.1f}x: {notifications} -> {messages} messages"
-    record_hotpath(
-        "wire_cascade",
+    record_bench(
+        "hotpath", "wire_cascade",
         cascade_records=CASCADE,
         messages_unbatched=notifications,
         messages_batched=messages,
@@ -109,8 +109,8 @@ def test_revocation_visible_one_link_delay_after_the_revoke():
     link_delay = 0.001
     latency = _revocation_latency(link_delay=link_delay)
     assert latency <= link_delay + 1e-9
-    record_hotpath(
-        "wire_revocation_latency",
+    record_bench(
+        "hotpath", "wire_revocation_latency",
         link_delay=link_delay,
         latency=latency,
     )
@@ -155,8 +155,8 @@ def test_busy_link_heartbeats_all_piggybacked():
     net.partition({"svc"}, {"cli"})
     sim.run_until(cut_at + 10.0)
     assert monitor.suspect
-    record_hotpath(
-        "wire_heartbeat_piggyback",
+    record_bench(
+        "hotpath", "wire_heartbeat_piggyback",
         window_seconds=30.0,
         bare_heartbeats_in_window=bare_in_window,
         piggybacked=piggybacked,

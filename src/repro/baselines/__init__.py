@@ -10,23 +10,15 @@
   that must be continually refreshed (section 4.14: "capabilities must
   be continually refreshed"), whose background cost OASIS's event-driven
   updates avoid.
-
-It also keeps infrastructure baselines the runtime is benchmarked against:
-
-* :mod:`repro.baselines.heap_kernel` — the heap-only virtual-time kernel
-  the hierarchical timer-wheel kernel replaced, kept for throughput
-  benchmarks and cross-kernel determinism checks.
 """
 
 from repro.baselines.chaining import CapabilityChain, ChainedCapabilityScheme
-from repro.baselines.heap_kernel import HeapSimulator
 from repro.baselines.icap import ICapScheme
 from repro.baselines.refresh import RefreshScheme
 
 __all__ = [
     "ChainedCapabilityScheme",
     "CapabilityChain",
-    "HeapSimulator",
     "ICapScheme",
     "RefreshScheme",
 ]

@@ -1,24 +1,20 @@
-"""Deterministic discrete-event simulator on a hierarchical timer wheel.
+"""Deterministic discrete-event simulator on one ``(time, seq)`` heap.
 
 This is the virtual-time kernel underneath every distributed experiment in
 the repository.  Events are callbacks scheduled at absolute virtual times;
-ties are broken by insertion order so runs are fully deterministic.
+ties are broken by insertion order, so execution order is exactly
+``(time, seq)`` and runs are fully deterministic.
 
-The kernel keeps the near-future timer population in a three-level hashed
-timer wheel (256 slots per level, one tick = 2**-10 virtual seconds) and
-spills far-future timers into an overflow heap.  Virtual times are
-quantised to integer ticks *only* to pick a slot; within a slot events are
-ordered by their exact ``(time, seq)`` key, so execution order is
-identical to a single global heap ordered by ``(time, seq)``.  The wheel
-cursor ``_base`` only ever moves forward and every insert clamps its slot
-tick to ``max(tick, _base)``, which keeps the "no pending event is ever
-behind the cursor" invariant without ever reordering two events: clamping
-can only merge slots, and merged slots still sort by exact key.
+The queue is a single ``heapq`` of ``(time, seq, entry)`` tuples.  No two
+tuples share a ``(time, seq)`` key, so comparisons never reach the entry
+and stay inside the C tuple compare.
 
 Cancellation is O(1): the entry is flagged dead and its callback released
 immediately (a cancelled RPC timeout must not pin its closure until its
-scheduled time arrives).  Dead entries are reclaimed lazily when popped,
-with a compaction pass once they dominate the live population.
+scheduled time arrives).  A tuple is dead once its entry is no longer
+queued, or has been re-armed under a newer ``seq``.  Dead tuples are
+dropped lazily when they reach the top of the heap, with a compaction
+pass once they dominate the live population.
 
 :class:`Timer` and :class:`PeriodicTimer` are first-class re-armable
 timers that reuse one kernel entry across arms/fires instead of
@@ -34,37 +30,11 @@ services are plain objects whose methods are invoked either directly
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from time import perf_counter
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-
-# One tick is 2**-10 s (~0.98 ms).  A power-of-two ticks-per-second makes
-# the float multiply in tick quantisation exact for the common case of
-# times that are themselves small binary fractions.
-_TICK_BITS = 10
-_TICKS_PER_SEC = float(1 << _TICK_BITS)
-
-# 256 slots per level, 8 bits of tick per level:
-#   level 0 spans 2**8  ticks ~ 0.25 s  at one-tick resolution,
-#   level 1 spans 2**16 ticks ~ 64 s    at 256-tick resolution,
-#   level 2 spans 2**24 ticks ~ 4.5 h   at 65536-tick resolution,
-# and anything beyond the level-2 page lives in the overflow heap.
-_SLOT_BITS = 8
-_SLOTS = 1 << _SLOT_BITS
-_SLOT_MASK = _SLOTS - 1
-_L1_BITS = 2 * _SLOT_BITS
-_L2_BITS = 3 * _SLOT_BITS
-
-# Ticks are capped so pathological times (inf, 1e300) still index the
-# overflow heap instead of overflowing int conversion.
-_TICK_CAP = 1 << 62
-
-# Times below this are safe for the inline int() fast path in _insert
-# (no overflow possible); NaN and negatives fail the range check and
-# take the guarded slow path.
-_TICK_SAFE_TIME = float(_TICK_CAP >> _TICK_BITS)
 
 # Compact once this many cancelled entries linger AND they outnumber the
 # live ones.  Long-running workloads that cancel most of what they
@@ -74,25 +44,22 @@ _COMPACT_MIN_CANCELLED = 256
 
 
 class _Entry:
-    """One scheduled callback.  Reused across arms when owned by a Timer."""
+    """One scheduled callback.  Reused across arms when owned by a Timer;
+    ``seq`` is the key of its one live tuple while ``queued``."""
 
-    __slots__ = ("time", "seq", "fn", "args", "name", "cancelled", "queued", "reusable")
+    __slots__ = ("seq", "fn", "args", "name", "queued", "reusable")
 
     def __init__(
         self,
-        time: float,
-        seq: int,
         fn: Optional[Callable[..., Any]],
         args: tuple,
         name: str,
         reusable: bool = False,
     ):
-        self.time = time
-        self.seq = seq
+        self.seq = 0
         self.fn = fn
         self.args = args
         self.name = name
-        self.cancelled = False
         self.queued = False
         self.reusable = reusable
 
@@ -123,18 +90,7 @@ class Simulator:
     def __init__(self, start_time: float = 0.0):
         self._now = start_time
         self._seq = 0
-        self._base = self._tick_of(start_time)
-        # Level-0 slots are heaps of (time, seq, entry) tuples — exact-key
-        # ordered, and tuple comparison never reaches the entry because
-        # (time, seq) is unique.  Levels 1/2 are unsorted staging lists
-        # that cascade down as the cursor reaches them.
-        self._l0: list[list] = [[] for _ in range(_SLOTS)]
-        self._l1: list[list] = [[] for _ in range(_SLOTS)]
-        self._l2: list[list] = [[] for _ in range(_SLOTS)]
-        self._bm0 = 0
-        self._bm1 = 0
-        self._bm2 = 0
-        self._overflow: list = []
+        self._queue: list[tuple[float, int, _Entry]] = []
         self._live = 0
         self._dead = 0
         self._profile = None
@@ -156,31 +112,12 @@ class Simulator:
         name: str = "",
     ) -> ScheduledEvent:
         """Schedule ``fn(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         time = self._now + delay
-        self._seq += 1
-        seq = self._seq
-        entry = _Entry(time, seq, fn, args, name)
-        # Inlined _insert fast path (keep in sync with schedule_at /
-        # _insert): delegating through schedule_at would re-pack *args on
-        # every call, which is measurable at fleet scale.
-        if 0.0 <= time < _TICK_SAFE_TIME:
-            tick = int(time * _TICKS_PER_SEC)
-        else:
-            tick = self._tick_of(time)
-        base = self._base
-        if tick < base:
-            tick = base
-        if (tick >> _SLOT_BITS) == (base >> _SLOT_BITS):
-            i = tick & _SLOT_MASK
-            heappush(self._l0[i], (time, seq, entry))
-            self._bm0 |= 1 << i
-            entry.queued = True
-        else:
-            self._insert_slow(tick, time, seq, entry)
-        self._live += 1
-        return ScheduledEvent(time, seq, name, entry)
+        entry = _Entry(fn, args, name)
+        self._arm_entry(entry, time)
+        return ScheduledEvent(time, entry.seq, name, entry)
 
     def schedule_at(
         self,
@@ -190,80 +127,47 @@ class Simulator:
         name: str = "",
     ) -> ScheduledEvent:
         """Schedule ``fn(*args)`` to run at absolute virtual time ``time``."""
-        if time < self._now:
-            raise SimulationError(
-                f"cannot schedule at {time} < current time {self._now}"
-            )
-        self._seq += 1
-        seq = self._seq
-        entry = _Entry(time, seq, fn, args, name)
-        # Inlined _insert fast path (keep in sync): level-0 inserts are
-        # the overwhelmingly common case and each call layer costs real
-        # wall time at fleet scale.
-        if 0.0 <= time < _TICK_SAFE_TIME:
-            tick = int(time * _TICKS_PER_SEC)
-        else:
-            tick = self._tick_of(time)
-        base = self._base
-        if tick < base:
-            tick = base
-        if (tick >> _SLOT_BITS) == (base >> _SLOT_BITS):
-            i = tick & _SLOT_MASK
-            heappush(self._l0[i], (time, seq, entry))
-            self._bm0 |= 1 << i
-            entry.queued = True
-        else:
-            self._insert_slow(tick, time, seq, entry)
-        self._live += 1
-        return ScheduledEvent(time, seq, name, entry)
+        entry = _Entry(fn, args, name)
+        self._arm_entry(entry, time)
+        return ScheduledEvent(time, entry.seq, name, entry)
 
     def cancel(self, handle: ScheduledEvent) -> bool:
         """Cancel a scheduled event.  Returns False if already run/cancelled.
 
         O(1): the entry is flagged dead and its callback and arguments are
         released immediately — a cancelled timeout must not pin its
-        closure (or the state it captures) until the wheel reaches the
-        event's scheduled time.  The dead entry itself is reclaimed
-        lazily, with a compaction pass once dead entries dominate.
+        closure (or the state it captures) until the event's scheduled
+        time arrives.  The dead tuple itself is reclaimed lazily, with a
+        compaction pass once dead tuples dominate.
         """
         entry = handle.entry
-        if (
-            entry is None
-            or entry.cancelled
-            or not entry.queued
-            or entry.seq != handle.seq
-        ):
+        if entry is None or entry.seq != handle.seq or not self._cancel_entry(entry):
             return False
-        entry.cancelled = True
-        entry.queued = False
         entry.fn = None
         entry.args = ()
-        self._live -= 1
-        self._dead += 1
-        if self._dead >= _COMPACT_MIN_CANCELLED and self._dead > self._live:
-            self._compact()
         return True
 
-    # ------------------------------------------------- timer entry fast path
+    # ------------------------------------------- the one insert and cancel
 
     def _arm_entry(self, entry: _Entry, time: float) -> None:
-        """Re-arm a reusable timer-owned entry (no handle allocation)."""
-        if time < self._now:
+        """Queue an idle entry at ``time`` under a fresh ``seq``.  A timer
+        re-arms its one entry this way, with no handle allocated; the
+        tuple an earlier arm left no longer matches it and is dead."""
+        # ``not >=`` also refuses NaN, which has no place in the heap order
+        if not time >= self._now:
             raise SimulationError(
                 f"cannot schedule at {time} < current time {self._now}"
             )
         self._seq += 1
         entry.seq = self._seq
-        entry.time = time
-        entry.cancelled = False
-        self._insert(time, entry.seq, entry)
+        entry.queued = True
+        heappush(self._queue, (time, entry.seq, entry))
         self._live += 1
 
     def _cancel_entry(self, entry: _Entry) -> bool:
-        """Disarm a timer-owned entry; its callback is kept for re-arming."""
-        if entry.cancelled or not entry.queued:
+        """Disarm a queued entry; its callback is kept for re-arming."""
+        if not entry.queued:
             return False
-        entry.cancelled = True
         entry.queued = False
         self._live -= 1
         self._dead += 1
@@ -271,166 +175,13 @@ class Simulator:
             self._compact()
         return True
 
-    # ----------------------------------------------------------- wheel guts
-
-    @staticmethod
-    def _tick_of(time: float) -> int:
-        try:
-            tick = int(time * _TICKS_PER_SEC)
-        except (OverflowError, ValueError):
-            return _TICK_CAP
-        if tick < 0:
-            return 0
-        if tick > _TICK_CAP:
-            return _TICK_CAP
-        return tick
-
-    def _insert(self, time: float, seq: int, entry: _Entry) -> None:
-        # Inline quantisation on the hot path: almost every time is a
-        # small non-negative finite float.  NaN, infinities and huge
-        # magnitudes fail the range check and fall back to _tick_of.
-        if 0.0 <= time < _TICK_SAFE_TIME:
-            tick = int(time * _TICKS_PER_SEC)
-        else:
-            tick = self._tick_of(time)
-        base = self._base
-        if tick < base:
-            # The cursor may sit past this event's quantised tick (it only
-            # moves forward, and peeks can advance it early).  Clamping to
-            # the cursor slot is order-preserving: slots sort by exact
-            # (time, seq), and everything at/before the cursor is by
-            # definition the next thing to run.
-            tick = base
-        if (tick >> _SLOT_BITS) == (base >> _SLOT_BITS):
-            i = tick & _SLOT_MASK
-            heappush(self._l0[i], (time, seq, entry))
-            self._bm0 |= 1 << i
-            entry.queued = True
-        else:
-            self._insert_slow(tick, time, seq, entry)
-
-    def _insert_slow(self, tick: int, time: float, seq: int, entry: _Entry) -> None:
-        """Insert beyond the current level-0 page (``tick`` already
-        clamped to the cursor)."""
-        base = self._base
-        if (tick >> _L1_BITS) == (base >> _L1_BITS):
-            i = (tick >> _SLOT_BITS) & _SLOT_MASK
-            self._l1[i].append((time, seq, entry))
-            self._bm1 |= 1 << i
-        elif (tick >> _L2_BITS) == (base >> _L2_BITS):
-            i = (tick >> _L1_BITS) & _SLOT_MASK
-            self._l2[i].append((time, seq, entry))
-            self._bm2 |= 1 << i
-        else:
-            heappush(self._overflow, (time, seq, entry))
-        entry.queued = True
-
-    def _cascade(self, tuples: list) -> None:
-        """Re-insert staged tuples relative to the (re-based) cursor."""
-        for time, seq, entry in tuples:
-            if entry.cancelled or entry.seq != seq:
-                self._dead -= 1
-                continue
-            self._insert(time, seq, entry)
-
-    def _find_min(self) -> Optional[list]:
-        """Advance the cursor to the next live event's level-0 slot.
-
-        Returns the slot (a heap whose top is the global minimum live
-        event) or None when nothing is pending.  Dead and stale tuples
-        encountered along the way are discarded.
-        """
-        while True:
-            base = self._base
-            # Level 0: first occupied slot at/after the cursor in this page.
-            idx = base & _SLOT_MASK
-            bits = self._bm0 >> idx
-            while bits:
-                i = idx + ((bits & -bits).bit_length() - 1)
-                slot = self._l0[i]
-                while slot:
-                    _, seq, entry = slot[0]
-                    if entry.cancelled or entry.seq != seq:
-                        heappop(slot)
-                        self._dead -= 1
-                    else:
-                        self._base = (base & ~_SLOT_MASK) | i
-                        return slot
-                self._bm0 &= ~(1 << i)
-                bits = self._bm0 >> idx
-            # Level 1: cascade the next occupied slot into level 0.
-            idx1 = (base >> _SLOT_BITS) & _SLOT_MASK
-            bits = self._bm1 >> (idx1 + 1)
-            if bits:
-                i = idx1 + 1 + ((bits & -bits).bit_length() - 1)
-                self._bm1 &= ~(1 << i)
-                staged = self._l1[i]
-                self._l1[i] = []
-                self._base = (base >> _L1_BITS << _L1_BITS) | (i << _SLOT_BITS)
-                self._cascade(staged)
-                continue
-            # Level 2: cascade the next occupied slot into levels 0/1.
-            idx2 = (base >> _L1_BITS) & _SLOT_MASK
-            bits = self._bm2 >> (idx2 + 1)
-            if bits:
-                i = idx2 + 1 + ((bits & -bits).bit_length() - 1)
-                self._bm2 &= ~(1 << i)
-                staged = self._l2[i]
-                self._l2[i] = []
-                self._base = (base >> _L2_BITS << _L2_BITS) | (i << _L1_BITS)
-                self._cascade(staged)
-                continue
-            # Overflow: re-base the wheel at the overflow minimum and pull
-            # every entry in its level-2 page back into the wheel.
-            ovf = self._overflow
-            while ovf:
-                _, seq, entry = ovf[0]
-                if entry.cancelled or entry.seq != seq:
-                    heappop(ovf)
-                    self._dead -= 1
-                else:
-                    break
-            if not ovf:
-                return None
-            tick = self._tick_of(ovf[0][0])
-            if tick < base:
-                tick = base
-            self._base = tick
-            page = tick >> _L2_BITS
-            moved = []
-            while ovf:
-                time, seq, entry = ovf[0]
-                if entry.cancelled or entry.seq != seq:
-                    heappop(ovf)
-                    self._dead -= 1
-                    continue
-                entry_tick = self._tick_of(time)
-                if entry_tick < tick:
-                    entry_tick = tick
-                if (entry_tick >> _L2_BITS) != page:
-                    break
-                moved.append(heappop(ovf))
-            self._cascade(moved)
-
     def _compact(self) -> None:
-        """Rebuild the wheel and overflow heap without dead entries."""
-        survivors = []
-        for level in (self._l0, self._l1, self._l2):
-            for slot in level:
-                for tup in slot:
-                    if not tup[2].cancelled and tup[2].seq == tup[1]:
-                        survivors.append(tup)
-        for tup in self._overflow:
-            if not tup[2].cancelled and tup[2].seq == tup[1]:
-                survivors.append(tup)
-        self._l0 = [[] for _ in range(_SLOTS)]
-        self._l1 = [[] for _ in range(_SLOTS)]
-        self._l2 = [[] for _ in range(_SLOTS)]
-        self._bm0 = self._bm1 = self._bm2 = 0
-        self._overflow = []
+        """Rebuild the heap from its live tuples."""
+        self._queue = [
+            tup for tup in self._queue if tup[2].queued and tup[2].seq == tup[1]
+        ]
+        heapify(self._queue)
         self._dead = 0
-        for time, seq, entry in survivors:
-            self._insert(time, seq, entry)
 
     # ------------------------------------------------------------- execution
 
@@ -442,10 +193,22 @@ class Simulator:
         """Dead (cancelled, not yet reclaimed) entries still queued."""
         return self._dead
 
+    def _head(self) -> Optional[tuple[float, int, _Entry]]:
+        """The next live tuple, dropping the dead ones above it."""
+        queue = self._queue
+        while queue:
+            head = queue[0]
+            entry = head[2]
+            if entry.queued and entry.seq == head[1]:
+                return head
+            heappop(queue)
+            self._dead -= 1
+        return None
+
     def peek_time(self) -> Optional[float]:
         """Virtual time of the next pending event, or None if queue empty."""
-        slot = self._find_min()
-        return slot[0][0] if slot else None
+        head = self._head()
+        return None if head is None else head[0]
 
     def set_profile(self, profile) -> None:
         """Attach a :class:`repro.runtime.profile.SimProfile` (or None)."""
@@ -455,10 +218,9 @@ class Simulator:
         """Attach a ``tracer(time, name)`` hook called at each dispatch."""
         self._tracer = tracer
 
-    def _exec(self, slot: list) -> None:
-        time, _, entry = heappop(slot)
-        if not slot:
-            self._bm0 &= ~(1 << (self._base & _SLOT_MASK))
+    def _dispatch(self) -> None:
+        """Pop the head tuple, which :meth:`_head` found live, and run it."""
+        time, _, entry = heappop(self._queue)
         entry.queued = False
         self._live -= 1
         self._now = time
@@ -481,31 +243,9 @@ class Simulator:
 
     def step(self) -> bool:
         """Run the single next event.  Returns False if nothing is pending."""
-        slot = self._find_min()
-        if slot is None:
+        if self._head() is None:
             return False
-        # Inlined _exec (keep in sync): step() is the kernel's innermost
-        # loop body and the extra call layer is measurable at fleet scale.
-        time, _, entry = heappop(slot)
-        if not slot:
-            self._bm0 &= ~(1 << (self._base & _SLOT_MASK))
-        entry.queued = False
-        self._live -= 1
-        self._now = time
-        self.events_processed += 1
-        fn = entry.fn
-        args = entry.args
-        if not entry.reusable:
-            entry.fn = None
-            entry.args = ()
-        if self._tracer is not None:
-            self._tracer(time, entry.name)
-        if self._profile is None:
-            fn(*args)
-        else:
-            started = perf_counter()
-            fn(*args)
-            self._profile.record(entry.name, perf_counter() - started)
+        self._dispatch()
         return True
 
     def run(self, max_events: int = 10_000_000) -> int:
@@ -528,12 +268,12 @@ class Simulator:
             raise SimulationError(f"cannot run backwards to {time}")
         count = 0
         while True:
-            slot = self._find_min()
-            if slot is None or slot[0][0] > time:
+            head = self._head()
+            if head is None or head[0] > time:
                 break
             if count >= max_events:
                 raise SimulationError(f"exceeded max_events={max_events}")
-            self._exec(slot)
+            self._dispatch()
             count += 1
         self._now = max(self._now, time)
         return count
@@ -546,9 +286,9 @@ class Simulator:
 class Timer:
     """A re-armable one-shot timer that reuses a single kernel entry.
 
-    On the wheel kernel, arming and disarming go through an O(1) fast
+    On :class:`Simulator`, arming and disarming go through an O(1) fast
     path with no handle or entry allocation; on kernels without the fast
-    path (the heap-only baseline) it falls back to plain
+    path (the tests' reference heap) it falls back to plain
     ``schedule_at``/``cancel``.  Both paths allocate sequence numbers
     from the kernel's one counter, so execution order is identical.
     """
@@ -561,7 +301,7 @@ class Timer:
         self.args = args
         self.name = name
         if hasattr(sim, "_arm_entry"):
-            self._entry = _Entry(0.0, 0, fn, args, name, reusable=True)
+            self._entry = _Entry(fn, args, name, reusable=True)
         else:
             self._entry = None
         self._handle: Optional[ScheduledEvent] = None

@@ -99,6 +99,18 @@ def test_schedule_at_in_past_rejected():
         sim.schedule_at(4.0, lambda: None)
 
 
+def test_nan_times_rejected():
+    """A NaN time has no place in the (time, seq) order."""
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule(float("nan"), lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(float("nan"), lambda: None)
+    with pytest.raises(SimulationError):
+        Timer(sim, lambda: None).arm(float("nan"))
+    assert sim.pending() == 0
+
+
 def test_run_backwards_rejected():
     sim = Simulator(start_time=5.0)
     with pytest.raises(SimulationError):
@@ -173,12 +185,12 @@ def test_run_until_max_events_still_guards_runaways():
         sim.run_until(1000.0, max_events=100)
 
 
-# ------------------------------------------------- wheel-specific behaviour
+# ------------------------------------------- (time, seq) order, pinned
 
 
-def test_order_preserved_across_wheel_levels():
-    """Delays straddling every wheel level (sub-tick, level-0 page,
-    level-1/2 pages, overflow heap) still run in global time order."""
+def test_order_preserved_across_far_apart_delays():
+    """Delays from sub-millisecond to days, inserted latest first, run
+    in global time order."""
     sim = Simulator()
     order = []
     delays = [0.0001, 0.1, 0.25, 0.26, 1.0, 63.9, 64.0, 5000.0, 20000.0, 7e5]
@@ -189,7 +201,7 @@ def test_order_preserved_across_wheel_levels():
 
 
 def test_same_slot_ties_and_subtick_ordering():
-    """Events quantised into one wheel slot still sort by exact time, and
+    """Events a fraction of a millisecond apart sort by exact time, and
     exact-time ties by insertion order."""
     sim = Simulator()
     order = []
@@ -202,8 +214,8 @@ def test_same_slot_ties_and_subtick_ordering():
 
 
 def test_insert_behind_cursor_after_peek_still_runs_in_order():
-    """peek_time() may advance the wheel cursor; a later insert at an
-    earlier-quantising time must still run before later events."""
+    """An insert after peek_time() saw a later event still runs before
+    that event."""
     sim = Simulator()
     order = []
     sim.schedule(100.0, order.append, "far")

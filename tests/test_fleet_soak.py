@@ -1,23 +1,22 @@
-"""Fleet-scale kernel soaks (ISSUE 9 acceptance).
+"""Fleet-scale kernel soaks.
 
-Two complementary checks on the timer-wheel kernel at fleet scale:
+Two complementary checks on the simulation kernel at fleet scale:
 
 * a 200-service profiled chaos soak — one Login issuer and 199 consumer
   services with live surrogates, heartbeat monitoring and a seeded fault
   plan — asserting zero fail-closed violations and that the profiling
   layer attributes the full event stream to the expected subsystems;
 
-* byte-identical event ordering between the wheel kernel and the
-  heap-only baseline: the *existing* chaos soak (tests/test_chaos_soak.py,
-  same seed, same fault plan) and its invariant sweeps must replay
-  event-for-event on both kernels.
+* byte-identical event ordering between the kernel and the tests'
+  reference heap (tests/heap_kernel.py): the *existing* chaos soak
+  (tests/test_chaos_soak.py, same seed, same fault plan) and its
+  invariant sweeps must replay event-for-event on both kernels.
 """
 
 import hashlib
 
 import pytest
 
-from repro.baselines.heap_kernel import HeapSimulator
 from repro.core import HostOS, OasisService, ServiceRegistry
 from repro.core.linkage import SimLinkage
 from repro.core.types import ObjectType
@@ -27,6 +26,7 @@ from repro.runtime.network import Network
 from repro.runtime.profile import SimProfile
 from repro.runtime.simulator import Simulator
 
+from tests.heap_kernel import HeapSimulator
 from tests.test_chaos_soak import (
     HEARTBEAT_GRACE,
     HEARTBEAT_PERIOD,
@@ -231,16 +231,16 @@ def _traced_soak(sim_factory):
 
 
 def test_existing_chaos_soak_is_byte_identical_across_kernels():
-    """ISSUE 9 acceptance: same seed -> same events_processed, same event
-    ordering (digest over every dispatch), same invariant sweep results,
-    on the wheel kernel and the heap-only baseline."""
-    wheel, wheel_digest = _traced_soak(Simulator)
+    """Same seed -> same events_processed, same event ordering (digest
+    over every dispatch), same invariant sweep results, on the kernel
+    and the reference heap."""
+    kernel, kernel_digest = _traced_soak(Simulator)
     heap, heap_digest = _traced_soak(HeapSimulator)
-    assert wheel_digest == heap_digest
-    assert wheel.sim.events_processed == heap.sim.events_processed
-    assert wheel.checker.checks == heap.checker.checks
-    assert len(wheel.checker.violations) == len(heap.checker.violations)
-    assert wheel.checker.divergences() == heap.checker.divergences()
-    assert wheel.counts == heap.counts
-    assert wheel.denials == heap.denials
-    assert wheel.net.stats == heap.net.stats
+    assert kernel_digest == heap_digest
+    assert kernel.sim.events_processed == heap.sim.events_processed
+    assert kernel.checker.checks == heap.checker.checks
+    assert len(kernel.checker.violations) == len(heap.checker.violations)
+    assert kernel.checker.divergences() == heap.checker.divergences()
+    assert kernel.counts == heap.counts
+    assert kernel.denials == heap.denials
+    assert kernel.net.stats == heap.net.stats
