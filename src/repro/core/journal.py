@@ -160,8 +160,11 @@ class ServiceJournal:
         # an entry leaves it only through mark_delivered()
         self.undelivered: dict[int, OutboxEntry] = {}
         # destination -> its entries in ``undelivered`` (the overload
-        # signal: admission sheds while one reaches the queue bound)
+        # signal: admission sheds while one reaches the queue bound) ...
         self.depth: dict[str, int] = {}
+        # ... and how many of those are parked DEAD, so redelivery walks
+        # the undelivered view only when something is parked
+        self.parked: dict[str, int] = {}
         self.stats = JournalStats()
         # While replaying, mutations re-driven through the table must not
         # journal themselves again: append() is a no-op under this flag.
@@ -503,7 +506,7 @@ class JournalRelay:
                 missed.append(entry)
         if missed:
             self._park(missed)
-        elif acked and self.journal.depth[dest]:
+        elif acked:
             # the destination takes deliveries again: its parked backlog
             # need not wait out the backoff
             self.redeliver_to(dest)
@@ -513,8 +516,10 @@ class JournalRelay:
         seeded exponential-backoff redelivery time.  Parked, never
         dropped: the conservation sweep counts on it."""
         now = self.sim.now
+        parked = self.journal.parked
         for entry in entries:
             entry.status = DEAD
+            parked[entry.dest] = parked.get(entry.dest, 0) + 1
             delay = min(DLQ_BASE_DELAY * DLQ_MULTIPLIER ** entry.redeliveries, DLQ_MAX_DELAY)
             delay += self._rng.uniform(0.0, 0.5 * delay)
             entry.redeliveries += 1
@@ -523,9 +528,9 @@ class JournalRelay:
         self._schedule_redelivery()
 
     def _schedule_redelivery(self) -> None:
-        dead = self.journal.dead_letters()
-        if not dead or not self._up():
+        if not any(self.journal.parked.values()) or not self._up():
             return
+        dead = self.journal.dead_letters()
         due_at = min(entry.next_attempt_at for entry in dead)
         self._redeliver_timer.disarm()
         self._redeliver_timer.arm(max(0.0, due_at - self.sim.now))
@@ -535,14 +540,13 @@ class JournalRelay:
         is reachable (an ack, or its monitor's restore), and until its
         backlog drains the outbox depth keeps this service's admissions
         shed."""
+        if not self.journal.parked.get(dest):
+            return
         now = self.sim.now
-        due = False
         for entry in self.journal.undelivered.values():
             if entry.status == DEAD and entry.dest == dest:
                 entry.next_attempt_at = now
-                due = True
-        if due:
-            self._redeliver_due()
+        self._redeliver_due()
 
     def _redeliver_due(self) -> None:
         if not self._up():
@@ -552,10 +556,12 @@ class JournalRelay:
         for entry in self.journal.undelivered.values():
             if entry.status == DEAD and entry.next_attempt_at <= now + 1e-9:
                 batches.setdefault(entry.dest, []).append(entry)
+        parked = self.journal.parked
         for dest, entries in sorted(batches.items()):
             for entry in entries:
                 entry.status = INFLIGHT
                 entry.attempts += 1
+            parked[dest] -= len(entries)
             self._send(dest, entries, from_dlq=True)
         self._schedule_redelivery()
 

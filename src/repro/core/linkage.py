@@ -25,9 +25,10 @@ Two implementations:
   receiver refuses deliveries from a suspect issuer, and on reconnection
   the issuer's stamped snapshot is re-read.  Subscribe requests travel
   on batched wire channels (:mod:`repro.runtime.wire`), whose batches
-  also carry the heartbeat stamp.  All of it goes through the service's
-  one network node, so a fault that silences its heartbeats also stops
-  its notifications.
+  also carry the heartbeat stamp: a burst of admissions against one
+  issuer is one message, answered by one outbox transaction.  All of it
+  goes through the service's one network node, so a fault that silences
+  its heartbeats also stops its notifications.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from repro.errors import OasisError
 from repro.runtime import wire
 from repro.runtime.heartbeat import HeartbeatMonitor, HeartbeatSender
 from repro.runtime.network import Network
+from repro.runtime.simulator import Timer
 from repro.runtime.wire import BatchedChannel, ChannelPool
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -108,6 +110,15 @@ class SimLinkage(Linkage):
     heartbeats.  Optional heartbeat pairs (created with :meth:`monitor`)
     drive Unknown marking and piggyback on data batches.
 
+    A subscribe waits out its channel's batch window (zero-delay by
+    default), so the subscribes of one virtual instant to one issuer
+    leave as one batch, and the issuer answers the batch with one outbox
+    transaction: one ``notify`` record and one ``outbox-deliver`` per
+    subscriber.  Until a delivery or snapshot row for a ref arrives, one
+    timer per (subscriber, issuer) pair resends the ref
+    ``subscribe_retry_period`` after its last send, in one batch with
+    the pair's other overdue refs.
+
     ``outbox_bound`` is the one queue bound: while a service has that
     many undelivered outbox entries for one destination, its admissions
     shed (None = never).
@@ -127,12 +138,14 @@ class SimLinkage(Linkage):
         # Subscribe is a request that must eventually reach the issuer:
         # a copy lost to the network would leave the issuer unaware of
         # the subscriber, so later revocations would never be notified.
-        # Pending (subscriber, issuer, ref) keys are retried on a timer
-        # until any delivery for that ref arrives (the subscribe reply,
-        # or a notification — either proves registration).
+        # Per (subscriber, issuer) pair, each pending ref maps to its last
+        # send time (oldest first) until any delivery for it arrives (the
+        # subscribe reply, or a notification: either proves
+        # registration); one timer per pair resends the overdue ones.
         self.subscribe_retry_period = 2.0
         self.subscribe_retries = 0
-        self._sub_pending: dict[tuple[str, str, int], int] = {}
+        self._sub_pending: dict[tuple[str, str], dict[int, float]] = {}
+        self._sub_timers: dict[tuple[str, str], Timer] = {}
         # every attached service's journal (the world's disk) and relay
         self.durable = DurableStore()
         self._relays: dict[str, JournalRelay] = {}
@@ -195,14 +208,19 @@ class SimLinkage(Linkage):
         return all(relay.quiescent() for relay in self._relays.values())
 
     def quiesce(self, timeout: float = 60.0) -> float:
-        """Step the kernel until :meth:`journal_quiescent` holds and no
-        message is in flight; returns the virtual seconds it took.  A
-        cascade crossing N services settles in N link delays.  Raises
+        """Step the kernel until :meth:`journal_quiescent` holds, no
+        channel holds a queued payload and no message is in flight;
+        returns the virtual seconds it took.  A cascade crossing N
+        services settles in N link delays.  Raises
         :class:`~repro.errors.OasisError` if that takes more than
         ``timeout`` virtual seconds."""
         sim = self.network.simulator
         started = sim.now
-        while not (self.journal_quiescent() and self.network.in_flight == 0):
+        while not (
+            self.journal_quiescent()
+            and self.network.in_flight == 0
+            and not any(pool.pending for pool in self._pools.values())
+        ):
             next_at = sim.peek_time()
             if next_at is None or next_at - started > timeout:
                 raise OasisError(f"not quiescent within {timeout}s")
@@ -221,7 +239,9 @@ class SimLinkage(Linkage):
         """A state for ``remote_ref`` reached ``subscriber_name`` — the
         issuer evidently knows about the subscription, so stop retrying
         it.  Called by journal deliveries and snapshots."""
-        self._sub_pending.pop((subscriber_name, issuer_name, remote_ref), None)
+        pending = self._sub_pending.get((subscriber_name, issuer_name))
+        if pending:
+            pending.pop(remote_ref, None)
 
     def suspects(self, subscriber_name: str, issuer_name: str) -> bool:
         """Whether ``subscriber_name``'s heartbeat monitor currently
@@ -256,62 +276,77 @@ class SimLinkage(Linkage):
                 if monitor is not None:
                     monitor.handle_message("heartbeat", hb)
             sender = self.name_at.get(source)
+            replies: list[Notice] = []
             for item in wire.unpack(message):
                 if item.kind == "subscribe" and sender is not None:
-                    # the channel, not the message, names the subscriber;
-                    # the reply goes through the outbox like any Modified
+                    # the channel, not the message, names the subscriber
                     ref = item.payload["ref"]
                     credentials.subscribe(ref, sender)
-                    self._relays[service.name].enqueue(
-                        [(ref, credentials.state_of(ref), [sender])]
-                    )
+                    replies.append((ref, credentials.state_of(ref), [sender]))
                 elif item.kind == "heartbeat":
                     monitor = self._monitors.get((source, address))
                     if monitor is not None:
                         monitor.handle_message("heartbeat", item.payload)
+            if replies:
+                # the batch's replies go through the outbox like any
+                # Modified: one transaction, one delivery
+                self._relays[service.name].enqueue(replies)
 
         return handler
 
     def subscribe(self, subscriber: "OasisService", issuer_name: str, remote_ref: int) -> RecordState:
         # Subscription is asynchronous on the real network; the surrogate
-        # starts Unknown and is resolved by the issuer's state reply.
-        self._pools[subscriber.name].to(self.address_of(issuer_name)).send(
-            "subscribe", {"ref": remote_ref}, urgent=True
-        )
+        # starts Unknown and is resolved by the issuer's state reply.  The
+        # request waits out the channel's batch window (zero-delay by
+        # default), so a burst of admissions leaves as one message.
+        self.channel(subscriber.name, issuer_name).send("subscribe", {"ref": remote_ref})
         self._track_subscribe(subscriber.name, issuer_name, remote_ref)
         return RecordState.UNKNOWN
 
     def _track_subscribe(self, subscriber_name: str, issuer_name: str, remote_ref: int) -> None:
-        key = (subscriber_name, issuer_name, remote_ref)
-        if key not in self._sub_pending:
-            self._sub_pending[key] = 0
-            self.network.simulator.schedule(
-                self.subscribe_retry_period,
-                self._retry_subscribe,
-                key,
-                name="subscribe-retry",
+        pair = (subscriber_name, issuer_name)
+        pending = self._sub_pending.get(pair)
+        if pending is None:
+            pending = self._sub_pending[pair] = {}
+        # (re)inserted last, so the refs stay ordered by last send
+        pending.pop(remote_ref, None)
+        pending[remote_ref] = self.network.simulator.now
+        timer = self._sub_timers.get(pair)
+        if timer is None:
+            timer = self._sub_timers[pair] = Timer(
+                self.network.simulator,
+                self._retry_subscribes,
+                pair,
+                name=f"subscribe-retry:{subscriber_name}->{issuer_name}",
             )
+        if not timer.armed:
+            timer.arm(self.subscribe_retry_period)
 
-    def _retry_subscribe(self, key: tuple[str, str, int]) -> None:
-        if key not in self._sub_pending:
-            return  # acknowledged in the meantime
-        subscriber_name, issuer_name, ref = key
-        subscriber = self._services.get(subscriber_name)
-        if subscriber is None or subscriber.credentials.external(issuer_name, ref) is None:
-            # the surrogate is gone; nobody cares about the answer
-            self._sub_pending.pop(key, None)
-            return
-        self._sub_pending[key] += 1
-        self.subscribe_retries += 1
-        self._pools[subscriber_name].to(self.address_of(issuer_name)).send(
-            "subscribe", {"ref": ref}, urgent=True
-        )
-        self.network.simulator.schedule(
-            self.subscribe_retry_period,
-            self._retry_subscribe,
-            key,
-            name="subscribe-retry",
-        )
+    def _retry_subscribes(self, pair: tuple[str, str]) -> None:
+        """Resend, as one batch, every ref of ``pair`` that has gone a
+        full period since its last send unacknowledged, dropping those
+        whose surrogate is gone; then re-arm for the oldest still
+        pending."""
+        subscriber_name, issuer_name = pair
+        pending = self._sub_pending[pair]
+        period = self.subscribe_retry_period
+        now = self.network.simulator.now
+        overdue = []
+        for ref, sent_at in pending.items():
+            if sent_at + period > now:
+                break
+            overdue.append(ref)
+        credentials = self._services[subscriber_name].credentials
+        channel = self.channel(subscriber_name, issuer_name)
+        for ref in overdue:
+            del pending[ref]
+            if credentials.external(issuer_name, ref) is None:
+                continue  # the surrogate is gone; nobody cares about the answer
+            channel.send("subscribe", {"ref": ref})
+            pending[ref] = now
+            self.subscribe_retries += 1
+        if pending:
+            self._sub_timers[pair].arm_at(next(iter(pending.values())) + period)
 
     def publish(self, issuer: "OasisService", notices: list[Notice]) -> None:
         services = self._services

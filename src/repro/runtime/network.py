@@ -27,7 +27,7 @@ never as a silently-wrong byte count.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.errors import CodecError, NetworkError
@@ -161,8 +161,9 @@ class Network:
     >>> got = []
     >>> _ = net.add_node("a", lambda m: None)
     >>> _ = net.add_node("b", lambda m: got.append(m.payload))
-    >>> net.send("a", "b", "ping", 123)
+    >>> _ = net.send("a", "b", "ping", 123)
     >>> sim.run()
+    1
     >>> got
     [123]
     """
@@ -517,4 +518,13 @@ class Network:
             self.stats.dropped_decode += 1
             self.link_stats(message.source, node.address).dropped_decode += 1
             return
-        node.deliver(replace(message, payload=decoded))
+        node.deliver(
+            Message(
+                message.source,
+                message.dest,
+                message.kind,
+                decoded,
+                message.sent_at,
+                message.seq,
+            )
+        )

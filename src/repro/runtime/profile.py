@@ -16,7 +16,7 @@ full speed and flip profiling on for diagnosis.
 >>> from repro.runtime.simulator import Simulator
 >>> sim = Simulator()
 >>> prof = SimProfile()
->>> prof.attach(sim)
+>>> _ = prof.attach(sim)
 >>> _ = sim.schedule(1.0, lambda: None, name="hb:node-a")
 >>> _ = sim.schedule(2.0, lambda: None, name="deliver:rpc")
 >>> sim.run()

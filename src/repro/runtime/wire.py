@@ -111,19 +111,11 @@ class BatchedChannel:
     def pending(self) -> int:
         return len(self._pending)
 
-    def send(
-        self,
-        kind: str,
-        payload: Any,
-        coalesce_key: Any = None,
-        urgent: bool = False,
-    ) -> None:
+    def send(self, kind: str, payload: Any, coalesce_key: Any = None) -> None:
         """Queue one payload for the destination.
 
         With a ``coalesce_key``, a pending payload under the same key is
-        superseded in place (last-state-wins).  ``urgent=True`` flushes
-        immediately after enqueue — for latency-critical sends that must
-        not wait out the batch window.
+        superseded in place (last-state-wins).
         """
         if coalesce_key is not None:
             pending = self._keyed.get(coalesce_key)
@@ -132,8 +124,6 @@ class BatchedChannel:
                 pending["payload"] = payload
                 self.stats.coalesced += 1
                 self.network.note_coalesced(self.source, self.dest)
-                if urgent:
-                    self.flush()
                 return
         item = {"kind": kind, "payload": payload}
         if coalesce_key is not None:
@@ -141,7 +131,7 @@ class BatchedChannel:
             self._keyed[coalesce_key] = item
         self._pending.append(item)
         self.stats.sends += 1
-        if urgent or len(self._pending) >= self.policy.max_batch:
+        if len(self._pending) >= self.policy.max_batch:
             self.flush()
         elif not self._flush_timer.armed:
             self._flush_timer.arm(self.policy.max_delay)
@@ -206,6 +196,11 @@ class ChannelPool:
                 self.network, self.source, dest, policy=self.policy
             )
         return channel
+
+    @property
+    def pending(self) -> int:
+        """Payloads queued on all of this sender's channels."""
+        return sum(channel.pending for channel in self._channels.values())
 
     def flush_all(self) -> None:
         for channel in self._channels.values():

@@ -10,6 +10,8 @@ with it, every notification is exactly-once-applied or parked in the
 DLQ — checked by ``DurableStore.conservation_breaches``.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -248,9 +250,17 @@ def assert_outbox_view_matches_full_scan(linkage, name):
     assert journal.unsettled() == full
     assert [e.seq for e in full] == sorted(e.seq for e in full)
     assert journal.dead_letters() == [e for e in full if e.status == DEAD]
+    assert_parked_count_matches(journal)
     assert linkage.relay_of(name).quiescent() == all(
         e.status not in (PENDING, INFLIGHT) for e in journal.outbox.values()
     )
+
+
+def assert_parked_count_matches(journal):
+    """The per-destination parked count must equal a scan of the DEAD
+    entries of the full durable outbox."""
+    dead = Counter(e.dest for e in journal.outbox.values() if e.status == DEAD)
+    assert {dest: n for dest, n in journal.parked.items() if n} == dict(dead)
 
 
 def test_undelivered_view_tracks_crash_and_dlq():
@@ -289,6 +299,54 @@ def test_undelivered_view_tracks_crash_and_dlq():
     assert login_journal.unsettled() == []
     assert_outbox_view_matches_full_scan(linkage, "Login")
     assert_outbox_view_matches_full_scan(linkage, "Files")
+    assert linkage.durable.conservation_breaches() == []
+
+
+def test_parked_count_tracks_the_dead_letters_through_crash_and_recovery():
+    """The parked count that gates redelivery equals a scan of the DEAD
+    entries after every kernel event: entries park while Files is cut
+    off, their backoff redeliveries fail and park them again, an ack
+    redelivers the backlog at once, and a crash and recovery of the
+    issuer leave a parked entry parked until it is redelivered."""
+    sim, net, linkage, login, files = make_world(delay=0.01)
+    pairs = populate(login, files, 6)
+    journal = linkage.durable.journal("Login")
+
+    def run_until(time):
+        while (at := sim.peek_time()) is not None and at <= time:
+            sim.step()
+            assert_parked_count_matches(journal)
+        sim.run_until(time)
+
+    run_until(2.0)
+    net.set_link_state("oasis:Login", "oasis:Files", False)
+    for cert, _reader in pairs[:3]:
+        login.exit_role(cert)
+    run_until(10.0)
+    assert journal.parked["Files"] == 3
+    assert journal.stats.parked > 3      # redelivered into the cut, parked again
+
+    net.set_link_state("oasis:Login", "oasis:Files", True)
+    login.exit_role(pairs[3][0])
+    run_until(10.1)                      # its ack redelivers the backlog at once
+    assert journal.parked["Files"] == 0
+    assert journal.stats.outbox_redelivered == 3
+
+    net.set_link_state("oasis:Login", "oasis:Files", False)
+    login.exit_role(pairs[4][0])
+    run_until(12.0)
+    assert journal.parked["Files"] == 1
+    linkage.crash(login)
+    assert_parked_count_matches(journal)
+    run_until(14.0)
+    net.set_link_state("oasis:Login", "oasis:Files", True)
+    linkage.restart(login)
+    assert journal.parked["Files"] == 1
+    login.exit_role(pairs[5][0])
+    run_until(60.0)
+    assert journal.parked["Files"] == 0
+    assert journal.unsettled() == []
+    assert set(surrogate_states(files).values()) == {RecordState.FALSE}
     assert linkage.durable.conservation_breaches() == []
 
 
@@ -726,6 +784,19 @@ def test_quiesce_lands_every_revocation_without_dead_letters():
     assert DEAD not in {
         e.status for e in linkage.durable.journal("Login").outbox.values()
     }
+
+
+def test_quiesce_waits_for_a_subscribe_still_queued_in_its_channel():
+    """Right after an admission its subscribe sits in the channel until
+    the zero-delay flush: quiesce sends it and returns once the reply is
+    acked, three link delays (0.15 s) later: the subscribe, the reply's
+    delivery and its ack."""
+    sim, net, linkage, login, files = make_world()
+    (cert, _reader), = populate(login, files, 1)
+    assert net.in_flight == 0 and linkage.journal_quiescent()
+    assert linkage.quiesce() == pytest.approx(3 * 0.05)
+    assert login.credentials.get(cert.crr).subscribers == {"Files"}
+    assert linkage.durable.journal("Files").stats.applied == 1
 
 
 def test_quiesce_raises_past_its_timeout():

@@ -7,11 +7,14 @@ network, heartbeat-driven Unknown marking, and recovery.
 import pytest
 
 from repro.core import GroupService, HostOS, OasisService, ServiceRegistry
+from repro.core.credentials import RecordState
 from repro.core.linkage import SimLinkage
 from repro.core.types import ObjectType
 from repro.errors import RevokedError
+from repro.runtime import wire
 from repro.runtime.clock import SimClock
 from repro.runtime.network import Link, Network
+from repro.runtime.profile import SimProfile
 from repro.runtime.simulator import Simulator
 
 LOGIN_RDL = """
@@ -250,9 +253,9 @@ class TestWireEfficiency:
             files.validate(reader)
 
     def test_subscription_reply_is_not_held_for_a_batch(self):
-        """The subscribe and the reply that resolves a fail-closed Unknown
-        surrogate are both urgent: the surrogate is resolved two link
-        delays after entry."""
+        """The subscribe leaves in the channel's zero-delay flush and the
+        reply in the relay's zero-delay drain, so the surrogate is
+        resolved two link delays after entry."""
         from repro.core.credentials import RecordState
 
         sim = Simulator()
@@ -337,8 +340,9 @@ def test_lost_subscribe_is_retried_until_acknowledged():
 # -- the subscriber is whoever sent the subscribe -----------------------------
 
 
-def make_three_service_world():
-    """Login plus two subscribers, Files and Mirror, with two sessions."""
+def make_three_service_world(sessions=2):
+    """Login plus two subscribers, Files and Mirror, with ``sessions``
+    sessions; every link has the same fixed delay."""
     sim, net, linkage, login, files, user = make_distributed_world()
     mirror = OasisService(
         "Mirror", registry=files.registry, linkage=linkage, clock=files.clock
@@ -347,7 +351,7 @@ def make_three_service_world():
     host = HostOS("ely")
     certs = [
         login.enter_role(host.create_domain().client_id, "LoggedOn", (f"u{i}", "ely"))
-        for i in range(2)
+        for i in range(sessions)
     ]
     return sim, net, linkage, login, files, mirror, certs
 
@@ -369,7 +373,7 @@ def test_the_subscriber_is_whoever_sent_the_subscribe():
     sim.run()
     assert subscribers_of(login, certs[0]) == {"Files"}
     channel = linkage.channel("Files", "Login")
-    channel.send("subscribe", {"ref": certs[1].crr, "subscriber": "Mirror"}, urgent=True)
+    channel.send("subscribe", {"ref": certs[1].crr, "subscriber": "Mirror"})
     channel.flush()
     sim.run()
     assert subscribers_of(login, certs[0]) == {"Files"}
@@ -401,12 +405,198 @@ def test_a_subscribe_from_an_address_with_no_service_is_ignored():
     sim.run()
     net.add_node("oasis:Ghost", lambda message: None)
     ghost = BatchedChannel(net, "oasis:Ghost", "oasis:Login")
-    ghost.send("subscribe", {"ref": certs[0].crr}, urgent=True)
-    ghost.send("subscribe", {"ref": certs[1].crr, "subscriber": "Files"}, urgent=True)
+    ghost.send("subscribe", {"ref": certs[0].crr})
+    ghost.send("subscribe", {"ref": certs[1].crr, "subscriber": "Files"})
     ghost.flush()
     sent = net.stats.messages_sent
     sim.run()
     assert subscribers_of(login, certs[0]) == set()
     assert subscribers_of(login, certs[1]) == set()
     assert net.stats.messages_sent == sent   # no reply went anywhere
+    assert net.unaccounted() == 0
+
+
+# -- a burst of admissions: one batch, one transaction, one timer per pair ----
+
+
+def capture(net, lossy=()):
+    """Every message put on the wire from now on, as sent (encoded).
+    Those sent from an address in ``lossy`` are lost."""
+    frames = []
+
+    def inject(message, delay):
+        frames.append(message)
+        return None if message.source in lossy else [delay]
+
+    net.set_fault_injector(inject)
+    return frames
+
+
+def subscribe_batches(net, frames, source):
+    """The refs of each subscribe batch ``source`` sent, in send order."""
+    return [
+        [item["payload"]["ref"] for item in net.codec.decode(m.payload)["items"]]
+        for m in frames
+        if m.source == source and m.kind == wire.BATCH_KIND
+    ]
+
+
+def test_a_burst_of_admissions_is_one_subscribe_batch_and_one_delivery():
+    """Sixteen sessions enter at Files and at Mirror in one instant.
+    Each subscriber sends its subscribes as one batch, and the issuer
+    answers each batch with one notify record and one outbox-deliver.
+    On fixed-delay links the issuer knows every subscriber one link
+    delay later, and every reply has landed one delay after that."""
+    sim, net, linkage, login, files, mirror, certs = make_three_service_world(16)
+    sim.run()
+    delay = net.link("oasis:Files", "oasis:Login").base_delay
+    login_journal = linkage.durable.journal("Login")
+    applied = {s.name: linkage.durable.journal(s.name).stats.applied for s in (files, mirror)}
+    frames = capture(net)
+    profile = SimProfile().attach(sim)
+    t0 = sim.now
+    for cert in certs:
+        read_as(files, cert)
+        read_as(mirror, cert)
+    records = len(login_journal)
+    refs = [cert.crr for cert in certs]
+
+    sim.run_until(t0 + delay)
+    assert subscribe_batches(net, frames, "oasis:Files") == [refs]
+    assert subscribe_batches(net, frames, "oasis:Mirror") == [refs]
+    assert all(subscribers_of(login, cert) == {"Files", "Mirror"} for cert in certs)
+
+    sim.run_until(t0 + delay + delay)
+    assert [r.kind for r in login_journal.records[records:]] == ["notify", "notify"]
+    deliveries = [m for m in frames if m.source == "oasis:Login"]
+    assert sorted(m.dest for m in deliveries) == ["oasis:Files", "oasis:Mirror"]
+    for service in (files, mirror):
+        journal = linkage.durable.journal(service.name)
+        assert journal.stats.applied - applied[service.name] == len(certs)
+        assert {r.state for r in service.credentials.externals_of("Login")} == {
+            RecordState.TRUE
+        }
+    assert linkage.durable.conservation_breaches() == []
+
+    sim.run_until(t0 + 3 * linkage.subscribe_retry_period)
+    assert linkage.subscribe_retries == 0
+    assert len(frames) == 2 + 2 * 2      # two batches; a delivery and an ack each
+    # one retry timer per pair, which found nothing left to resend
+    assert profile.buckets["subscribe-retry"].events == 2
+    assert net.unaccounted() == 0
+
+
+def test_a_lost_burst_is_resent_as_one_batch_one_period_later():
+    """Files' burst of six subscribes is lost.  One period after it was
+    sent, the pair's one timer resends it as one batch, less the ref a
+    delivery acknowledged meanwhile and the ref whose surrogate is gone."""
+    sim, net, linkage, login, files, mirror, certs = make_three_service_world(6)
+    sim.run()
+    period = linkage.subscribe_retry_period
+    lossy = {"oasis:Files"}
+    frames = capture(net, lossy)
+    profile = SimProfile().attach(sim)
+    t0 = sim.now
+    for cert in certs:
+        read_as(files, cert)
+    sim.run_until(t0 + period / 4)
+    assert subscribe_batches(net, frames, "oasis:Files") == [[c.crr for c in certs]]
+    assert all(subscribers_of(login, cert) == set() for cert in certs)
+
+    lossy.clear()
+    # a delivery for certs[0] proves registration, as far as Files can tell
+    linkage.publish(login, [(certs[0].crr, RecordState.TRUE, ["Files"])])
+    # and Files drops its surrogate for certs[1]
+    gone = files.credentials.external("Login", certs[1].crr)
+    files.credentials.revoke(gone.ref)
+    files.credentials.sweep()
+    assert files.credentials.external("Login", certs[1].crr) is None
+    sim.run_until(t0 + period / 2)
+    assert linkage.subscribe_retries == 0
+
+    sim.run_until(t0 + period)
+    batches = subscribe_batches(net, frames, "oasis:Files")
+    assert batches[1:] == [[c.crr for c in certs[2:]]]
+    assert frames[-1].sent_at == t0 + period
+    assert linkage.subscribe_retries == 4
+
+    sim.run_until(t0 + 4 * period)     # the replies land: nothing more is resent
+    assert len(subscribe_batches(net, frames, "oasis:Files")) == 2
+    assert linkage.subscribe_retries == 4
+    # the pair's one timer fired twice: the resend, then nothing pending
+    assert profile.buckets["subscribe-retry"].events == 2
+    assert all(subscribers_of(login, cert) == {"Files"} for cert in certs[2:])
+    assert subscribers_of(login, certs[1]) == set()
+    assert linkage.durable.conservation_breaches() == []
+    assert net.unaccounted() == 0
+
+
+def test_each_ref_is_resent_one_period_after_its_own_last_send():
+    """Every subscribe from Files is lost.  Refs sent at different times
+    come due at different times: the pair's timer resends only the
+    overdue ones and re-arms for the oldest ref still pending, and a
+    second entry with the same credential (a fresh send) pushes its
+    ref's resend back."""
+    sim, net, linkage, login, files, mirror, certs = make_three_service_world(3)
+    sim.run()
+    period = linkage.subscribe_retry_period
+    a, b, c = (cert.crr for cert in certs)
+    frames = capture(net, lossy={"oasis:Files"})
+    profile = SimProfile().attach(sim)
+    t0 = sim.now
+    read_as(files, certs[0])
+    sim.run_until(t0 + period / 2)
+    read_as(files, certs[1])
+    read_as(files, certs[2])
+    sim.run_until(t0 + 3 * period / 4)
+    read_as(files, certs[0])
+    sim.run_until(t0 + 5 * period / 2)
+    sent = [
+        (m.sent_at - t0, [item["payload"]["ref"] for item in net.codec.decode(m.payload)["items"]])
+        for m in frames
+        if m.kind == wire.BATCH_KIND
+    ]
+    assert sent == [
+        (0.0, [a]),
+        (period / 2, [b, c]),
+        (3 * period / 4, [a]),
+        (3 * period / 2, [b, c]),
+        (7 * period / 4, [a]),
+        (5 * period / 2, [b, c]),
+    ]
+    assert linkage.subscribe_retries == 5
+    # fired at 1, 1.5, 1.75 and 2.5 periods; the first found nothing due
+    assert profile.buckets["subscribe-retry"].events == 4
+    assert net.unaccounted() == 0
+
+
+def test_a_subscribe_queued_at_a_crash_is_lost_and_resent_after_restart():
+    """The channel is volatile: a subscribe still queued for the flush
+    when its service crashes dies with it.  After the restart the
+    tail-sync cannot resolve the surrogate (the issuer never heard of
+    it); the pair's retry resends the subscribe and its reply does."""
+    sim, net, linkage, login, files, user = make_distributed_world()
+    login_cert = login.enter_role(user.client_id, "LoggedOn", ("dm", "ely"))
+    reader = files.enter_role(user.client_id, "Reader", credentials=(login_cert,))
+    channel = linkage.channel("Files", "Login")
+    assert channel.pending == 1          # waiting for the zero-delay flush
+    sent = net.stats.messages_sent
+    linkage.crash(files)
+    assert channel.pending == 0
+    sim.run_until(0.5)
+    assert net.stats.messages_sent == sent
+    assert subscribers_of(login, login_cert) == set()
+
+    linkage.restart(files)
+    sim.run_until(1.0)                   # the tail-sync has landed
+    with pytest.raises(RevokedError) as err:
+        files.validate(reader)
+    assert err.value.uncertain
+    assert linkage.subscribe_retries == 0
+
+    sim.run_until(linkage.subscribe_retry_period + 0.1)
+    assert linkage.subscribe_retries == 1
+    assert subscribers_of(login, login_cert) == {"Files"}
+    files.validate(reader)
+    assert linkage.durable.conservation_breaches() == []
     assert net.unaccounted() == 0

@@ -57,17 +57,6 @@ class TestBatching:
         sim.run_until(0.4 + 0.5)
         assert net.stats.messages_sent == 1
 
-    def test_urgent_send_flushes_immediately(self):
-        sim, net, got = make_world()
-        channel = BatchedChannel(
-            net, "a", "b", policy=WirePolicy(max_batch=1000, max_delay=10.0)
-        )
-        channel.send("item", 1)
-        channel.send("item", 2, urgent=True)
-        assert channel.pending == 0
-        sim.run_until(0.1)
-        assert [p for _, p in got] == [1, 2]
-
     def test_flush_is_idempotent_and_empty_flush_sends_nothing(self):
         sim, net, got = make_world()
         channel = BatchedChannel(net, "a", "b")
