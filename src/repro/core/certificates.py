@@ -18,15 +18,21 @@ Three kinds of signed statement are issued by an Oasis service:
 
 All certificates carry the signing-secret index and signature; the text
 signed is the deterministic encoding produced by ``signed_text()``.
+Issuers build each certificate signed, in one step (the ``signed``
+class methods): the text is encoded once, signed, and memoised on the
+certificate, so its first validation does not encode it again.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.identifiers import ClientId, VCI
+
+if TYPE_CHECKING:
+    from repro.core.secrets import Signer
 
 
 def _encode_str(text: str) -> bytes:
@@ -38,6 +44,52 @@ def _encode_client(client: Optional[ClientId]) -> bytes:
     if client is None:
         return b"\x00"
     return b"\x01" + _encode_str(client.host) + struct.pack(">qq", client.id, client.boot_time)
+
+
+def _memoised(cert, text: bytes):
+    """Attach ``text`` as ``cert``'s signed text.  The slot is not a
+    dataclass field, so equality, hashing and ``dataclasses.replace``
+    (which builds a copy without it) are untouched."""
+    object.__setattr__(cert, "_signed_text", text)
+    return cert
+
+
+def membership_text_prefix(
+    issuer: str, rolefile_id: str, role_bits: int, roles: frozenset[str]
+) -> bytes:
+    """The leading part of a role membership certificate's signed text:
+    everything fixed by the issuer, the rolefile and the role set, so an
+    issuer can encode it once per (rolefile, role set)."""
+    parts = [
+        b"RMC1",
+        _encode_str(issuer),
+        _encode_str(rolefile_id),
+        struct.pack(">I", role_bits),
+    ]
+    for name in sorted(roles):
+        parts.append(_encode_str(name))
+    return b"".join(parts)
+
+
+def _membership_text_suffix(
+    args_wire: bytes,
+    client: ClientId,
+    crr: int,
+    issued_at: float,
+    expires_at: Optional[float],
+    vci: Optional[VCI],
+) -> bytes:
+    """The rest of the signed text: what differs per certificate."""
+    if vci is None:
+        vci_part = b"\x00"
+    else:
+        vci_part = b"\x01" + _encode_str(vci.host) + struct.pack(">q", vci.number)
+    return b"".join((
+        args_wire,
+        _encode_client(client),
+        struct.pack(">Qdd", crr, issued_at, -1.0 if expires_at is None else expires_at),
+        vci_part,
+    ))
 
 
 @dataclass(frozen=True)
@@ -87,6 +139,38 @@ class RoleMembershipCertificate:
     secret_index: int = 0
     signature: bytes = b""
 
+    @classmethod
+    def signed(
+        cls,
+        signer: "Signer",
+        prefix: bytes,
+        *,
+        issuer: str,
+        rolefile_id: str,
+        roles: frozenset[str],
+        role_bits: int,
+        args: tuple,
+        args_wire: bytes,
+        client: ClientId,
+        crr: int,
+        issued_at: float,
+        expires_at: Optional[float],
+        vci: Optional[VCI] = None,
+    ) -> "RoleMembershipCertificate":
+        """Sign and build a certificate in one step.  ``prefix`` is
+        :func:`membership_text_prefix` of (issuer, rolefile_id,
+        role_bits, roles), which the issuer encodes once per role set;
+        the text signed is that prefix plus this certificate's suffix,
+        and it is memoised on the certificate."""
+        text = prefix + _membership_text_suffix(
+            args_wire, client, crr, issued_at, expires_at, vci
+        )
+        secret_index, signature = signer.sign(text)
+        return _memoised(cls(
+            issuer, rolefile_id, roles, role_bits, args, args_wire, client,
+            crr, issued_at, expires_at, vci, secret_index, signature,
+        ), text)
+
     def signed_text(self) -> bytes:
         """Deterministic bytes covered by the signature (fig 4.1: the
         certificate text, client id and rolefile are all bound in).
@@ -98,30 +182,14 @@ class RoleMembershipCertificate:
         cached = getattr(self, "_signed_text", None)
         if cached is not None:
             return cached
-        parts = [
-            b"RMC1",
-            _encode_str(self.issuer),
-            _encode_str(self.rolefile_id),
-            struct.pack(">I", self.role_bits),
-        ]
-        for name in sorted(self.roles):
-            parts.append(_encode_str(name))
-        parts.append(self.args_wire)
-        parts.append(_encode_client(self.client))
-        parts.append(struct.pack(">Q", self.crr))
-        parts.append(struct.pack(">d", self.issued_at))
-        parts.append(struct.pack(">d", -1.0 if self.expires_at is None else self.expires_at))
-        if self.vci is None:
-            parts.append(b"\x00")
-        else:
-            parts.append(b"\x01" + _encode_str(self.vci.host)
-                         + struct.pack(">q", self.vci.number))
-        text = b"".join(parts)
-        object.__setattr__(self, "_signed_text", text)
+        text = membership_text_prefix(
+            self.issuer, self.rolefile_id, self.role_bits, self.roles
+        ) + _membership_text_suffix(
+            self.args_wire, self.client, self.crr, self.issued_at,
+            self.expires_at, self.vci,
+        )
+        _memoised(self, text)
         return text
-
-    def with_signature(self, secret_index: int, signature: bytes) -> "RoleMembershipCertificate":
-        return replace(self, secret_index=secret_index, signature=signature)
 
     def names_role(self, role: str) -> bool:
         return role in self.roles
@@ -151,36 +219,87 @@ class DelegationCertificate:
     secret_index: int = 0
     signature: bytes = b""
 
+    @classmethod
+    def signed(
+        cls,
+        signer: "Signer",
+        *,
+        issuer: str,
+        rolefile_id: str,
+        role: str,
+        role_args: tuple,
+        required_roles: tuple[RoleTemplate, ...],
+        delegation_crr: int,
+        elector_crr: int,
+        elector_role: str,
+        expires_at: Optional[float],
+        revoke_on_exit: bool,
+        elector_args: tuple = (),
+        issued_at: float = 0.0,
+    ) -> "DelegationCertificate":
+        """Sign and build a delegation certificate in one step, its
+        signed text memoised."""
+        text = _delegation_text(
+            issuer, rolefile_id, role, role_args, required_roles,
+            delegation_crr, elector_crr, elector_role, elector_args,
+            expires_at, revoke_on_exit, issued_at,
+        )
+        secret_index, signature = signer.sign(text)
+        return _memoised(cls(
+            issuer, rolefile_id, role, role_args, required_roles,
+            delegation_crr, elector_crr, elector_role, expires_at,
+            revoke_on_exit, elector_args, issued_at, secret_index, signature,
+        ), text)
+
     def signed_text(self) -> bytes:
         cached = getattr(self, "_signed_text", None)
         if cached is not None:
             return cached
-        parts = [
-            b"DLG1",
-            _encode_str(self.issuer),
-            _encode_str(self.rolefile_id),
-            _encode_str(self.role),
-            struct.pack(">I", len(self.role_args)),
-        ]
-        for value in self.role_args:
-            parts.append(_encode_str(repr(value)))
-        parts.append(struct.pack(">I", len(self.required_roles)))
-        for template in self.required_roles:
-            parts.append(template.encode())
-        parts.append(struct.pack(">QQ", self.delegation_crr, self.elector_crr))
-        parts.append(_encode_str(self.elector_role))
-        parts.append(struct.pack(">I", len(self.elector_args)))
-        for value in self.elector_args:
-            parts.append(_encode_str(repr(value)))
-        parts.append(struct.pack(">d", -1.0 if self.expires_at is None else self.expires_at))
-        parts.append(b"\x01" if self.revoke_on_exit else b"\x00")
-        parts.append(struct.pack(">d", self.issued_at))
-        text = b"".join(parts)
-        object.__setattr__(self, "_signed_text", text)
+        text = _delegation_text(
+            self.issuer, self.rolefile_id, self.role, self.role_args,
+            self.required_roles, self.delegation_crr, self.elector_crr,
+            self.elector_role, self.elector_args, self.expires_at,
+            self.revoke_on_exit, self.issued_at,
+        )
+        _memoised(self, text)
         return text
 
-    def with_signature(self, secret_index: int, signature: bytes) -> "DelegationCertificate":
-        return replace(self, secret_index=secret_index, signature=signature)
+
+def _delegation_text(
+    issuer: str,
+    rolefile_id: str,
+    role: str,
+    role_args: tuple,
+    required_roles: tuple[RoleTemplate, ...],
+    delegation_crr: int,
+    elector_crr: int,
+    elector_role: str,
+    elector_args: tuple,
+    expires_at: Optional[float],
+    revoke_on_exit: bool,
+    issued_at: float,
+) -> bytes:
+    parts = [
+        b"DLG1",
+        _encode_str(issuer),
+        _encode_str(rolefile_id),
+        _encode_str(role),
+        struct.pack(">I", len(role_args)),
+    ]
+    for value in role_args:
+        parts.append(_encode_str(repr(value)))
+    parts.append(struct.pack(">I", len(required_roles)))
+    for template in required_roles:
+        parts.append(template.encode())
+    parts.append(struct.pack(">QQ", delegation_crr, elector_crr))
+    parts.append(_encode_str(elector_role))
+    parts.append(struct.pack(">I", len(elector_args)))
+    for value in elector_args:
+        parts.append(_encode_str(repr(value)))
+    parts.append(struct.pack(">d", -1.0 if expires_at is None else expires_at))
+    parts.append(b"\x01" if revoke_on_exit else b"\x00")
+    parts.append(struct.pack(">d", issued_at))
+    return b"".join(parts)
 
 
 @dataclass(frozen=True)
@@ -199,16 +318,45 @@ class RevocationCertificate:
     secret_index: int = 0
     signature: bytes = b""
 
-    def signed_text(self) -> bytes:
-        return (
-            b"RVK1"
-            + _encode_str(self.issuer)
-            + _encode_str(self.rolefile_id)
-            + struct.pack(">QQ", self.elector_crr, self.target_crr)
+    @classmethod
+    def signed(
+        cls,
+        signer: "Signer",
+        *,
+        issuer: str,
+        rolefile_id: str,
+        elector_crr: int,
+        target_crr: int,
+    ) -> "RevocationCertificate":
+        """Sign and build a revocation certificate in one step, its
+        signed text memoised."""
+        text = _revocation_text(issuer, rolefile_id, elector_crr, target_crr)
+        secret_index, signature = signer.sign(text)
+        return _memoised(
+            cls(issuer, rolefile_id, elector_crr, target_crr, secret_index, signature),
+            text,
         )
 
-    def with_signature(self, secret_index: int, signature: bytes) -> "RevocationCertificate":
-        return replace(self, secret_index=secret_index, signature=signature)
+    def signed_text(self) -> bytes:
+        cached = getattr(self, "_signed_text", None)
+        if cached is not None:
+            return cached
+        text = _revocation_text(
+            self.issuer, self.rolefile_id, self.elector_crr, self.target_crr
+        )
+        _memoised(self, text)
+        return text
+
+
+def _revocation_text(
+    issuer: str, rolefile_id: str, elector_crr: int, target_crr: int
+) -> bytes:
+    return (
+        b"RVK1"
+        + _encode_str(issuer)
+        + _encode_str(rolefile_id)
+        + struct.pack(">QQ", elector_crr, target_crr)
+    )
 
 
 def role_bitmask(role_order: list[str], roles: frozenset[str]) -> int:

@@ -17,11 +17,22 @@ is certified.
 The engine also computes the *dependency set* of the resulting membership:
 one entry per membership rule (starred condition), per section 4.7.  The
 service converts these into credential-record parents.
+
+Statements do not change between rolefile reloads (section 3.2), so the
+engine compiles each one, once, into a single closure: its head
+prebinding, a matcher per condition over literals already coerced to
+the condition's signature, its constraint as nested closures
+(:func:`~repro.core.rdl.constraints.compile_constraint`) and a builder
+per head argument with its coercion.  A per-role *entry plan* lists the
+closures of the statements that can contribute to the role, and
+:meth:`RoleEntryEngine.evaluate` runs them in rolefile order.  A
+rolefile reload builds a new engine, so nothing compiled outlives the
+policy it came from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.core.cache import CacheCounters
@@ -37,11 +48,9 @@ from repro.core.rdl.ast import (
 )
 from repro.core.rdl.constraints import (
     ConstraintContext,
-    FuncDep,
-    GroupDep,
     UnboundVariable,
-    eval_constraint,
-    eval_term,
+    compile_constraint,
+    compile_term,
 )
 from repro.core.rdl.typecheck import coerce_literal
 from repro.core.types import RdlType
@@ -123,6 +132,15 @@ class EntryResult:
 # signature lookup: (service or None for local, role) -> arg types or None
 SignatureLookup = Callable[[Optional[str], str], Optional[list[RdlType]]]
 
+# a compiled statement: apply(memberships, wanted, delegation) -> the
+# membership it grants, or None when it does not apply.  ``wanted`` is
+# the request's (already coerced) arguments when the statement's head is
+# the requested role, else None.
+Apply = Callable[
+    [list[Membership], Optional[tuple], Optional[DelegationCertificate]],
+    Optional[Membership],
+]
+
 
 # ------------------------------------------------------------ compiled plans
 
@@ -143,40 +161,33 @@ _NEVER = _Never()
 @dataclass
 class _DeferredCoercion:
     """A literal whose compile-time coercion raised; the error is replayed
-    only if evaluation actually reaches the position (matching the lazy
-    failure point of the uncompiled engine)."""
+    only if evaluation actually reaches the position (the lazy failure
+    point of interpreting the statement)."""
 
     exc: Exception
 
 
 @dataclass
 class _CompiledStatement:
-    """One rolefile statement with every per-request-invariant lookup done
-    once: the head signature, per-condition signatures, and pre-coerced
-    literal arguments (``coerce_literal`` of a source literal against a
-    fixed signature always yields the same value)."""
+    """One rolefile statement and the closure that applies it."""
 
     stmt: EntryStatement
-    head_sig: Optional[list[RdlType]]
-    # per head-arg position: coerced literal value, _NOT_LITERAL, _NEVER
-    # or a _DeferredCoercion
-    head_literals: tuple
-    # per condition: its signature and the same literal pre-coercion
-    cond_sigs: tuple
-    cond_literals: tuple
-    elector_sig: Optional[list[RdlType]] = None
+    apply: Apply
 
 
 @dataclass
 class EntryPlan:
-    """The compiled hot path for one requested role: the subset of
-    statements that can contribute to it (directly or through an
-    intermediate membership), in rolefile order, plus the request's own
-    argument signature."""
+    """The compiled hot path for one requested role: the statements that
+    can contribute to it (directly or through an intermediate
+    membership), in rolefile order, each as ``(apply, statement,
+    prebinds)`` where ``prebinds`` says whether the request's arguments
+    prebind its head; plus the request's own argument signature.
+    ``_plan_for`` compiles a plan on a cache miss."""
 
     role: str
-    candidates: list[_CompiledStatement]
+    steps: tuple
     request_sig: Optional[list[RdlType]]
+    skipped: int   # rolefile statements the plan leaves out
 
 
 @dataclass
@@ -225,6 +236,13 @@ class RoleEntryEngine:
         self.watchable = watchable or {}
         self.object_parser = object_parser
         self.stats = EngineStats()
+        # the lookups compiled constraints and head terms call through
+        self._context = ConstraintContext(
+            group_lookup=group_lookup,
+            functions=self.functions,
+            watchable=self.watchable,
+            object_parser=object_parser,
+        )
         # compiled-plan caches; see invalidate_plans()
         self._sig_cache: dict[tuple[Optional[str], str], Optional[list[RdlType]]] = {}
         self._compiled_all: Optional[list[_CompiledStatement]] = None
@@ -249,28 +267,33 @@ class RoleEntryEngine:
         supplied) run against the full statement list, because the
         delegation's ``required_roles`` may reference any local role.
         """
-        self.stats.evaluations += 1
-        compiled_all = self._compile_all()
+        stats = self.stats
+        stats.evaluations += 1
         if delegation is None:
-            plan = self._plan_for(requested_role)
-            candidates = plan.candidates
+            plan = self._plans.get(requested_role)
+            if plan is None:
+                plan = self._plan_for(requested_role)
+            else:
+                stats.plan_hits += 1
+            steps = plan.steps
             request_sig = plan.request_sig
+            stats.statements_skipped += plan.skipped
         else:
-            candidates = compiled_all
+            steps = [
+                (c.apply, c.stmt, c.stmt.head.name == requested_role)
+                for c in self._compile_all()
+            ]
             request_sig = self._sig(None, requested_role)
-        self.stats.statements_considered += len(candidates)
-        self.stats.statements_skipped += len(compiled_all) - len(candidates)
+        stats.statements_considered += len(steps)
         if requested_args is not None:
             requested_args = self._coerce_request(request_sig, requested_args)
         memberships: list[Membership] = list(credentials or [])
         applied: list[EntryStatement] = []
-        for compiled in candidates:
-            produced = self._try_apply(
-                compiled, memberships, requested_role, requested_args, delegation
-            )
+        for apply, stmt, prebinds in steps:
+            produced = apply(memberships, requested_args if prebinds else None, delegation)
             if produced is not None:
                 memberships.append(produced)
-                applied.append(compiled.stmt)
+                applied.append(stmt)
         for membership in memberships:
             if membership.service != self.service_name:
                 continue
@@ -310,35 +333,12 @@ class RoleEntryEngine:
     def _compile_all(self) -> list[_CompiledStatement]:
         if self._compiled_all is None:
             self._compiled_all = [
-                self._compile_statement(stmt) for stmt in self.rolefile.statements
+                _CompiledStatement(stmt, self._compile_statement(stmt))
+                for stmt in self.rolefile.statements
             ]
         return self._compiled_all
 
-    def _compile_statement(self, stmt: EntryStatement) -> _CompiledStatement:
-        head_sig = self._sig(None, stmt.head.name)
-        elector_sig = None
-        if stmt.elector is not None and stmt.elector.args:
-            elector_sig = self._sig(stmt.elector.service, stmt.elector.name)
-        return _CompiledStatement(
-            stmt=stmt,
-            head_sig=head_sig,
-            head_literals=_precoerce(stmt.head.args, head_sig),
-            cond_sigs=tuple(
-                self._sig(ref.service, ref.name) for ref in stmt.conditions
-            ),
-            cond_literals=tuple(
-                _precoerce(ref.args, self._sig(ref.service, ref.name),
-                           never_on_error=True)
-                for ref in stmt.conditions
-            ),
-            elector_sig=elector_sig,
-        )
-
     def _plan_for(self, role: str) -> EntryPlan:
-        plan = self._plans.get(role)
-        if plan is not None:
-            self.stats.plan_hits += 1
-            return plan
         compiled_all = self._compile_all()
         # fixpoint over the local role-dependency graph: a statement is a
         # candidate if its head is the requested role or a (transitive)
@@ -356,10 +356,15 @@ class RoleEntryEngine:
                     if ref.name not in relevant:
                         relevant.add(ref.name)
                         changed = True
+        steps = tuple(
+            (c.apply, c.stmt, c.stmt.head.name == role)
+            for c in compiled_all if c.stmt.head.name in relevant
+        )
         plan = EntryPlan(
             role=role,
-            candidates=[c for c in compiled_all if c.stmt.head.name in relevant],
+            steps=steps,
             request_sig=self._sig(None, role),
+            skipped=len(compiled_all) - len(steps),
         )
         self._plans[role] = plan
         self.stats.plans_compiled += 1
@@ -369,7 +374,9 @@ class RoleEntryEngine:
         self, sig: Optional[list[RdlType]], args: tuple
     ) -> tuple:
         """Coerce request argument literals to the role's signature types
-        (e.g. a userid string becomes the service's ObjectRef)."""
+        (e.g. a userid string becomes the service's ObjectRef).  This is
+        the only coercion the request's arguments get: they prebind
+        statement heads as they are."""
         if sig is None:
             return args
         coerced = []
@@ -379,193 +386,272 @@ class RoleEntryEngine:
             coerced.append(value)
         return tuple(coerced)
 
-    # -- statement application ---------------------------------------------------
+    # -- statement compilation ---------------------------------------------------
 
-    def _try_apply(
-        self,
-        compiled: _CompiledStatement,
-        memberships: list[Membership],
-        requested_role: str,
-        requested_args: Optional[tuple],
-        delegation: Optional[DelegationCertificate],
-    ) -> Optional[Membership]:
-        stmt = compiled.stmt
-        env: dict[str, Any] = {}
-        deps: list[Dep] = []
-
-        # Pre-bind head variables from the request so statements such as
-        # ``Login(0, u) <-`` (no conditions) can be satisfied, and so an
-        # explicit parameter request selects the right rule.
-        if stmt.head.name == requested_role and requested_args is not None:
-            if not self._prebind_head(compiled, requested_args, env):
-                return None
-
-        # Election-form statements only apply when a matching delegation
-        # certificate is supplied (section 3.2.2, election form).
+    def _compile_statement(self, stmt: EntryStatement) -> Apply:
+        head = stmt.head
+        head_sig = self._sig(None, head.name)
+        head_literals = _precoerce(head.args, head_sig)
+        prebind = _compile_prebind(head.args, head_sig, head_literals, coerce=False)
+        election = None
         if stmt.is_election:
-            if delegation is None:
-                return None
-            if not self._delegation_matches(compiled, delegation, memberships, env, deps):
-                return None
-
-        # Match candidate conditions against held memberships.  Matching
-        # proceeds in list order ("the first suitable one found will be
-        # used") but backtracks when a later condition or the constraint
-        # cannot be satisfied — required for quorum policies such as the
-        # golf club's two-distinct-recommenders rule (sec 3.4.5, e1 != e2).
-        solution = self._solve_conditions(compiled, memberships, env)
-        if solution is None:
-            return None
-        env, condition_deps = solution
-        deps.extend(condition_deps)
-
-        # Head arguments must now all be bound
-        head_args = []
-        head_sig = compiled.head_sig
-        for i, term in enumerate(stmt.head.args):
-            try:
-                value = self._term_value(term, env)
-            except UnboundVariable:
-                return None
-            if head_sig is not None and i < len(head_sig):
-                value = coerce_literal(value, head_sig[i])
-            head_args.append(value)
-
-        if stmt.revoker is not None:
-            deps.append(RevokerDep(stmt.head.name, tuple(head_args), stmt.revoker.name))
-
-        return Membership(
-            service=self.service_name,
-            roles=frozenset([stmt.head.name]),
-            args=tuple(head_args),
-            deps=tuple(deps),
-        )
-
-    def _prebind_head(
-        self, compiled: _CompiledStatement, requested_args: tuple, env: dict
-    ) -> bool:
-        head = compiled.stmt.head
-        if len(requested_args) != len(head.args):
-            return False
-        sig = compiled.head_sig
-        for i, (term, wanted) in enumerate(zip(head.args, requested_args)):
-            if wanted is None:
-                continue
-            if sig is not None and i < len(sig):
-                wanted = coerce_literal(wanted, sig[i])
-            pre = compiled.head_literals[i]
-            if pre is not _NOT_LITERAL:
-                if isinstance(pre, _DeferredCoercion):
-                    raise pre.exc
-                if pre != wanted:
-                    return False
-            elif isinstance(term, Variable):
-                if term.name in env and env[term.name] != wanted:
-                    return False
-                env[term.name] = wanted
-        return True
-
-    def _delegation_matches(
-        self,
-        compiled: _CompiledStatement,
-        delegation: DelegationCertificate,
-        memberships: list[Membership],
-        env: dict,
-        deps: list[Dep],
-    ) -> bool:
-        stmt = compiled.stmt
-        assert stmt.elector is not None
-        if delegation.role != stmt.head.name:
-            return False
-        if delegation.elector_role != stmt.elector.name:
-            return False
-        # the delegator may fix head arguments in the certificate
-        if delegation.role_args:
-            if not self._prebind_head(compiled, delegation.role_args, env):
-                return False
-        # unify the elector reference's arguments with the delegator's;
-        # an argument-less elector reference matches any instance
-        if stmt.elector.args:
-            if not _unify_args(stmt.elector.args, delegation.elector_args, env,
-                               compiled.elector_sig):
-                return False
-        # the delegator's extra "required roles" must be held by the candidate
-        for template in delegation.required_roles:
-            if not any(
-                template.matches(m.service, m.roles, m.args) for m in memberships
-            ):
-                return False
-        if stmt.delegation_starred:
-            deps.append(DelegationDep(delegation.delegation_crr))
-        if stmt.elector.starred:
-            deps.append(CertDep(self.service_name, delegation.elector_crr))
-        return True
-
-    def _solve_conditions(
-        self,
-        compiled: _CompiledStatement,
-        memberships: list[Membership],
-        env: dict,
-    ) -> Optional[tuple[dict, list[Dep]]]:
-        """Depth-first search over condition matches: each condition tries
-        memberships in list order; on failure of a later condition or the
-        constraint, earlier choices are revisited."""
-        stmt = compiled.stmt
-        conditions = stmt.conditions
-
-        def check_constraint(bound_env: dict) -> Optional[tuple[dict, list[Dep]]]:
-            if stmt.constraint is None:
-                return bound_env, []
-            ctx = ConstraintContext(
-                env=bound_env,
-                group_lookup=self.group_lookup,
-                functions=self.functions,
-                watchable=self.watchable,
-                object_parser=self.object_parser,
+            election = self._compile_election(
+                stmt, _compile_prebind(head.args, head_sig, head_literals, coerce=True)
             )
+        solve = self._compile_conditions(stmt)
+        build_args = self._compile_head_args(head.args, head_sig, head_literals)
+        service, name = self.service_name, head.name
+        roles = frozenset([name])
+        revoker = None if stmt.revoker is None else stmt.revoker.name
+
+        def apply(
+            memberships: list[Membership],
+            wanted: Optional[tuple],
+            delegation: Optional[DelegationCertificate],
+        ) -> Optional[Membership]:
+            env: dict[str, Any] = {}
+            deps: list[Dep] = []
+            # Pre-bind head variables from the request so statements such
+            # as ``Login(0, u) <-`` (no conditions) can be satisfied, and
+            # so an explicit parameter request selects the right rule.
+            if wanted is not None and not prebind(wanted, env):
+                return None
+            # Election-form statements only apply when a matching
+            # delegation certificate is supplied (section 3.2.2).
+            if election is not None:
+                if delegation is None or not election(delegation, memberships, env, deps):
+                    return None
+            solution = solve(memberships, env, ())
+            if solution is None:
+                return None
+            env, condition_deps = solution
+            args = build_args(env)
+            if args is None:
+                return None
+            deps += condition_deps
+            if revoker is not None:
+                deps.append(RevokerDep(name, args, revoker))
+            return Membership(service, roles, args, tuple(deps))
+
+        return apply
+
+    def _compile_election(
+        self, stmt: EntryStatement, prebind_fixed: Callable[[tuple, dict], bool]
+    ) -> Callable[[DelegationCertificate, list[Membership], dict, list], bool]:
+        """The delegation check of an election-form statement; binds the
+        delegator's fixed head arguments (``prebind_fixed``) and the
+        elector reference's variables into the statement's environment."""
+        elector = stmt.elector
+        assert elector is not None
+        unify = None
+        if elector.args:
+            elector_sig = self._sig(elector.service, elector.name)
+            unify = _unify_ops(
+                elector.args, _precoerce(elector.args, elector_sig, never_on_error=True)
+            )
+        arity = len(elector.args)
+        role, elector_role = stmt.head.name, elector.name
+        delegation_starred, elector_starred = stmt.delegation_starred, elector.starred
+        service = self.service_name
+
+        def election(
+            delegation: DelegationCertificate,
+            memberships: list[Membership],
+            env: dict,
+            deps: list,
+        ) -> bool:
+            if delegation.role != role:
+                return False
+            if delegation.elector_role != elector_role:
+                return False
+            # the delegator may fix head arguments in the certificate
+            if delegation.role_args and not prebind_fixed(delegation.role_args, env):
+                return False
+            # unify the elector reference's arguments with the delegator's;
+            # an argument-less elector reference matches any instance
+            if arity:
+                if unify is None or len(delegation.elector_args) != arity:
+                    return False
+                if not _unify_into(unify, delegation.elector_args, env):
+                    return False
+            # the delegator's extra "required roles" must be held by the candidate
+            for template in delegation.required_roles:
+                if not any(
+                    template.matches(m.service, m.roles, m.args) for m in memberships
+                ):
+                    return False
+            if delegation_starred:
+                deps.append(DelegationDep(delegation.delegation_crr))
+            if elector_starred:
+                deps.append(CertDep(service, delegation.elector_crr))
+            return True
+
+        return election
+
+    def _compile_conditions(
+        self, stmt: EntryStatement
+    ) -> Callable[[list[Membership], dict, tuple], Optional[tuple[dict, tuple]]]:
+        """Depth-first search over condition matches, compiled as one
+        closure per condition chained to the constraint check: each
+        condition tries memberships in list order ("the first suitable
+        one found will be used") and backtracks when a later condition
+        or the constraint cannot be satisfied — required for quorum
+        policies such as the golf club's two-distinct-recommenders rule
+        (sec 3.4.5, e1 != e2).  Each closure binds into its own copy of
+        the environment, so a failed choice leaves no binding behind.
+        Called as ``search(memberships, env, ())``; returns the final
+        bindings and the dependencies of the starred conditions and the
+        constraint, or None."""
+        search = self._compile_check(stmt)
+        for ref in reversed(stmt.conditions):
+            search = self._compile_condition(ref, search)
+        return search
+
+    def _compile_check(self, stmt: EntryStatement) -> Callable:
+        """The last search step: the constraint, over a copy of the
+        bindings (``=`` may add to them)."""
+        if stmt.constraint is None:
+            return lambda memberships, env, deps: (env, deps)
+        constraint = compile_constraint(stmt.constraint, self._context)
+
+        def check(memberships: list[Membership], env: dict, deps: tuple):
+            env = dict(env)
+            found: list[Dep] = []
             try:
-                if not eval_constraint(stmt.constraint, ctx):
+                if not constraint(env, found):
                     return None
             except UnboundVariable:
                 return None
-            return ctx.env, list(ctx.deps)
+            return env, (*deps, *found)
 
-        def search(index: int, bound_env: dict, deps: list[Dep]) -> Optional[tuple[dict, list[Dep]]]:
-            if index == len(conditions):
-                result = check_constraint(dict(bound_env))
-                if result is None:
-                    return None
-                final_env, constraint_deps = result
-                return final_env, deps + constraint_deps
-            ref = conditions[index]
-            target_service = ref.service or self.service_name
-            precoerced = compiled.cond_literals[index]
+        return check
+
+    def _compile_condition(self, ref: RoleRef, after: Callable) -> Callable:
+        service = ref.service or self.service_name
+        name = ref.name
+        arity = len(ref.args)
+        starred = ref.starred
+        ops = _unify_ops(
+            ref.args,
+            _precoerce(ref.args, self._sig(ref.service, ref.name), never_on_error=True),
+        )
+        if ops is None:
+            # a literal that can never coerce, or a function call: no
+            # membership can match this condition
+            return lambda memberships, env, deps: None
+
+        def condition(memberships: list[Membership], env: dict, deps: tuple):
             for membership in memberships:
-                if membership.service != target_service:
+                if membership.service != service:
                     continue
-                if ref.name not in membership.roles:
+                if name not in membership.roles:
                     continue
-                if len(ref.args) != len(membership.args):
+                if len(membership.args) != arity:
                     continue
-                trial = dict(bound_env)
-                if not _unify_precoerced(ref.args, precoerced, membership.args, trial):
+                trial = dict(env)
+                if not _unify_into(ops, membership.args, trial):
                     continue
-                next_deps = deps + (list(_validity_deps(membership)) if ref.starred else [])
-                result = search(index + 1, trial, next_deps)
+                result = after(
+                    memberships, trial, (*deps, *membership.deps) if starred else deps
+                )
                 if result is not None:
                     return result
             return None
 
-        return search(0, dict(env), [])
+        return condition
 
-    def _term_value(self, term: Term, env: dict) -> Any:
-        ctx = ConstraintContext(
-            env=env,
-            functions=self.functions,
-            watchable=self.watchable,
-            object_parser=self.object_parser,
-        )
-        return eval_term(term, ctx)
+    def _compile_head_args(
+        self, terms: tuple[Term, ...], sig: Optional[list[RdlType]], literals: tuple
+    ) -> Callable[[dict], Optional[tuple]]:
+        """Head arguments from the final bindings, each coerced to the
+        head's signature; None when a variable is still unbound (the
+        statement does not apply)."""
+        builders = []
+        for i, term in enumerate(terms):
+            typed = sig is not None and i < len(sig)
+            builders.append(_head_arg(
+                term, literals[i], sig[i] if typed else None, typed, self._context
+            ))
+
+        def build_args(env: dict) -> Optional[tuple]:
+            try:
+                return tuple([build(env) for build in builders])
+            except UnboundVariable:
+                return None
+
+        return build_args
+
+
+def _head_arg(
+    term: Term, literal: Any, rdl_type: Any, typed: bool, context: ConstraintContext
+) -> Callable[[dict], Any]:
+    """One head argument's builder: ``build(env) -> value``, raising
+    :class:`UnboundVariable` when it needs an unbound variable."""
+    if literal is not _NOT_LITERAL:
+        if isinstance(literal, _DeferredCoercion):
+            exc = literal.exc
+
+            def deferred(env: dict) -> Any:
+                raise exc
+            return deferred
+        return lambda env: literal
+    if isinstance(term, Variable):
+        name = term.name
+
+        def variable(env: dict) -> Any:
+            try:
+                value = env[name]
+            except KeyError:
+                raise UnboundVariable(name) from None
+            return coerce_literal(value, rdl_type) if typed else value
+        return variable
+    # head terms are evaluated outside any starred context, so they
+    # record no dependencies
+    value_of = compile_term(term, context)
+    if not typed:
+        return lambda env: value_of(env, [])
+    return lambda env: coerce_literal(value_of(env, []), rdl_type)
+
+
+def _compile_prebind(
+    terms: tuple[Term, ...],
+    sig: Optional[list[RdlType]],
+    literals: tuple,
+    coerce: bool,
+) -> Callable[[tuple, dict], bool]:
+    """Bind head variables from wanted argument values (None entries are
+    wild cards) and check head literals against them.  Request arguments
+    arrive coerced; a delegation's fixed arguments are coerced here
+    (``coerce``)."""
+    arity = len(terms)
+    positions = []
+    for i, (term, literal) in enumerate(zip(terms, literals)):
+        typed = coerce and sig is not None and i < len(sig)
+        name = term.name if isinstance(term, Variable) else None
+        if typed or name is not None or literal is not _NOT_LITERAL:
+            positions.append((i, typed, sig[i] if typed else None, name, literal))
+
+    def prebind(wanted: tuple, env: dict) -> bool:
+        if len(wanted) != arity:
+            return False
+        for i, typed, rdl_type, name, literal in positions:
+            value = wanted[i]
+            if value is None:
+                continue
+            if typed:
+                value = coerce_literal(value, rdl_type)
+            if name is not None:
+                if name in env and env[name] != value:
+                    return False
+                env[name] = value
+            elif literal is not _NOT_LITERAL:
+                if isinstance(literal, _DeferredCoercion):
+                    raise literal.exc
+                if literal != value:
+                    return False
+        return True
+
+    return prebind
 
 
 def _precoerce(
@@ -574,13 +660,13 @@ def _precoerce(
     never_on_error: bool = False,
 ) -> tuple:
     """Coerce the literal terms of an argument list against a fixed
-    signature once, at plan-compile time.
+    signature once, at compile time.
 
     Returns one entry per position: the coerced value for a literal,
     ``_NOT_LITERAL`` otherwise.  A failing coercion becomes ``_NEVER``
     (the position can never match) when ``never_on_error`` is set, or a
-    :class:`_DeferredCoercion` that re-raises at the same point the
-    uncompiled engine would have."""
+    :class:`_DeferredCoercion` that re-raises at the point evaluation
+    reaches it."""
     out = []
     for i, term in enumerate(terms):
         if not isinstance(term, Literal):
@@ -597,57 +683,37 @@ def _precoerce(
     return tuple(out)
 
 
-def _unify_precoerced(
-    terms: tuple[Term, ...],
-    precoerced: tuple,
-    values: tuple,
-    env: dict,
-) -> bool:
-    """:func:`_unify_args` with the literal coercions already done."""
-    if len(terms) != len(values):
-        return False
-    for term, pre, value in zip(terms, precoerced, values):
+def _unify_ops(terms: tuple[Term, ...], precoerced: tuple) -> Optional[tuple]:
+    """Compile argument patterns to ``(index, is_variable, literal or
+    name)`` steps for :func:`_unify_into`; None when no value list can
+    match (a literal that never coerces, or a function call, which is
+    not a pattern)."""
+    ops = []
+    for i, (term, pre) in enumerate(zip(terms, precoerced)):
         if pre is not _NOT_LITERAL:
-            if pre is _NEVER or isinstance(pre, _DeferredCoercion) or pre != value:
-                return False
+            if pre is _NEVER:
+                return None
+            ops.append((i, False, pre))
         elif isinstance(term, Variable):
-            if term.name in env:
-                if env[term.name] != value:
-                    return False
-            else:
-                env[term.name] = value
+            ops.append((i, True, term.name))
         elif isinstance(term, FuncCall):
-            return False  # function calls are not patterns
-    return True
+            return None
+    return tuple(ops)
 
 
-def _unify_args(
-    terms: tuple[Term, ...],
-    values: tuple,
-    env: dict,
-    sig: Optional[list[RdlType]],
-) -> bool:
-    """Unify reference argument terms against concrete values, updating env."""
-    if len(terms) != len(values):
-        return False
-    for i, (term, value) in enumerate(zip(terms, values)):
-        if isinstance(term, Literal):
-            literal = term.value
-            if sig is not None and i < len(sig):
-                try:
-                    literal = coerce_literal(literal, sig[i])
-                except RDLError:
-                    return False
-            if literal != value:
-                return False
-        elif isinstance(term, Variable):
-            if term.name in env:
-                if env[term.name] != value:
+def _unify_into(ops: tuple, values: tuple, env: dict) -> bool:
+    """Match ``values`` against compiled patterns, binding unbound
+    variables into ``env``."""
+    for i, is_variable, x in ops:
+        value = values[i]
+        if is_variable:
+            if x in env:
+                if env[x] != value:
                     return False
             else:
-                env[term.name] = value
-        elif isinstance(term, FuncCall):
-            return False  # function calls are not patterns
+                env[x] = value
+        elif x != value:
+            return False
     return True
 
 
@@ -656,15 +722,6 @@ def _args_match(requested: tuple, actual: tuple) -> bool:
     if len(requested) != len(actual):
         return False
     return all(want is None or want == got for want, got in zip(requested, actual))
-
-
-def _validity_deps(membership: Membership) -> tuple:
-    """Dependencies asserting a matched membership stays valid.
-
-    For a certificate-backed membership this is its CRR; for an
-    intermediate membership it is the union of its own dependencies (no
-    certificate is ever issued for an intermediate role)."""
-    return membership.deps
 
 
 def _statement_of(

@@ -1,4 +1,4 @@
-"""Constraint expression evaluation (section 3.2.4, fig 3.3).
+"""Constraint expressions compiled to closures (section 3.2.4, fig 3.3).
 
 A constraint is evaluated at role entry in an *environment* binding the
 statement's variables.  Starred subexpressions become membership rules:
@@ -9,10 +9,21 @@ group ``staff``) revokes the membership.
 
 The ``=`` operator is binding-or-equality: with an unbound variable on the
 left it binds (``r = unixacl("...", u)``); otherwise it tests equality.
+
+A rolefile does not change between reloads (section 3.2), so each
+constraint is compiled once into nested closures, each called as
+``fn(env, deps)``: ``env`` is the statement's variable bindings (``=``
+may add to it) and ``deps`` the list that membership rules are appended
+to.  What the AST fixes is decided at compile time: the node kinds, the
+star context of every subexpression and the polarity an enclosing
+``not`` gives a group rule.  Everything else is looked up as the closure
+runs: variable bindings, the functions (an unknown one raises only when
+evaluation reaches it) and group membership.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -28,6 +39,7 @@ from repro.core.rdl.ast import (
     Term,
     Variable,
 )
+from repro.core.types import ObjectRef
 from repro.errors import RDLError
 
 
@@ -60,6 +72,9 @@ class FuncDep:
 # group_lookup(principal, group) -> bool
 GroupLookup = Callable[[Any, str], bool]
 
+# a compiled term or constraint: fn(env, deps)
+Compiled = Callable[[dict, list], Any]
+
 
 @dataclass
 class ConstraintContext:
@@ -69,7 +84,11 @@ class ConstraintContext:
     to callables returning ``(value, token)`` where the token identifies a
     credential the service can watch (attribute-based access control).
     ``object_parser(type_name, text)`` parses a string literal as an
-    object type, so ``u == "jmb"`` works when ``u`` is a userid."""
+    object type, so ``u == "jmb"`` works when ``u`` is a userid.
+
+    Compiled closures read the lookups from the context they were
+    compiled against; ``env`` and ``deps`` are a caller's own
+    environment and dependency list, for callers that keep them here."""
 
     env: dict[str, Any] = field(default_factory=dict)
     group_lookup: Optional[GroupLookup] = None
@@ -86,8 +105,6 @@ class ConstraintContext:
     def values_equal(self, a: Any, b: Any) -> bool:
         """Equality with string->object coercion: comparing an ObjectRef
         against a source string parses the string as that object type."""
-        from repro.core.types import ObjectRef
-
         if isinstance(a, ObjectRef) and isinstance(b, str):
             b = self._parse(a.type_name, b)
         elif isinstance(b, ObjectRef) and isinstance(a, str):
@@ -95,8 +112,6 @@ class ConstraintContext:
         return a == b
 
     def _parse(self, type_name: str, text: str) -> Any:
-        from repro.core.types import ObjectRef
-
         if self.object_parser is not None:
             try:
                 return self.object_parser(type_name, text)
@@ -105,115 +120,166 @@ class ConstraintContext:
         return ObjectRef(type_name, text.encode("utf-8"))
 
 
-def eval_term(term: Term, ctx: ConstraintContext, starred: bool = False) -> Any:
-    """Evaluate a term to a value; may record FuncDeps for watchables."""
+def compile_term(term: Term, ctx: ConstraintContext, starred: bool = False) -> Compiled:
+    """Compile a term to ``fn(env, deps) -> value``.  In a starred
+    context a watchable function records a :class:`FuncDep`."""
     if isinstance(term, Literal):
-        return term.value
+        value = term.value
+        return lambda env, deps: value
     if isinstance(term, Variable):
-        if term.name not in ctx.env:
-            raise UnboundVariable(term.name)
-        return ctx.env[term.name]
+        name = term.name
+
+        def variable(env: dict, deps: list) -> Any:
+            try:
+                return env[name]
+            except KeyError:
+                raise UnboundVariable(name) from None
+        return variable
     if isinstance(term, FuncCall):
-        args = [eval_term(a, ctx, starred) for a in term.args]
-        if starred and term.name in ctx.watchable:
-            value, token = ctx.watchable[term.name](*args)
-            ctx.deps.append(FuncDep(term.name, token))
-            return value
-        fn = ctx.functions.get(term.name) or ctx.watchable.get(term.name)
-        if fn is None:
-            raise RDLError(f"unknown function {term.name!r} in constraint")
-        result = fn(*args)
-        # watchable functions always return (value, token); discard token
-        if term.name in ctx.watchable and isinstance(result, tuple) and len(result) == 2:
-            return result[0]
-        return result
+        return _compile_call(term, ctx, starred)
     raise RDLError(f"cannot evaluate term {term!r}")
 
 
-def eval_constraint(
+def _compile_call(term: FuncCall, ctx: ConstraintContext, starred: bool) -> Compiled:
+    name = term.name
+    arg_fns = tuple(compile_term(a, ctx, starred) for a in term.args)
+    functions, watchable = ctx.functions, ctx.watchable
+
+    def call(env: dict, deps: list) -> Any:
+        args = [fn(env, deps) for fn in arg_fns]
+        if starred and name in watchable:
+            value, token = watchable[name](*args)
+            deps.append(FuncDep(name, token))
+            return value
+        fn = functions.get(name) or watchable.get(name)
+        if fn is None:
+            raise RDLError(f"unknown function {name!r} in constraint")
+        result = fn(*args)
+        # watchable functions always return (value, token); discard token
+        if name in watchable and isinstance(result, tuple) and len(result) == 2:
+            return result[0]
+        return result
+    return call
+
+
+def compile_constraint(
     constraint: Constraint,
     ctx: ConstraintContext,
     star_context: bool = False,
     negated: bool = False,
-) -> bool:
-    """Evaluate a constraint, recording membership-rule dependencies.
+) -> Compiled:
+    """Compile a constraint to ``fn(env, deps) -> bool``, recording
+    membership-rule dependencies into ``deps`` as it runs.
 
     ``star_context`` is True inside a starred subexpression; ``negated``
     tracks enclosing ``not`` so recorded group dependencies carry the
-    right polarity.
+    right polarity.  Both are fixed here, once per subexpression.
     """
     if isinstance(constraint, Comparison):
-        return _eval_comparison(constraint, ctx, star_context)
+        return _compile_comparison(constraint, ctx, star_context)
     if isinstance(constraint, GroupTest):
         live = star_context or constraint.starred
-        principal = eval_term(constraint.term, ctx, starred=live)
-        member = ctx.lookup_group(principal, constraint.group)
-        if live:
-            ctx.deps.append(GroupDep(principal, constraint.group, negate=negated))
-        return member
+        principal_of = compile_term(constraint.term, ctx, starred=live)
+        group = constraint.group
+        lookup = ctx.lookup_group
+        if not live:
+            return lambda env, deps: lookup(principal_of(env, deps), group)
+
+        def group_rule(env: dict, deps: list) -> bool:
+            principal = principal_of(env, deps)
+            member = lookup(principal, group)
+            deps.append(GroupDep(principal, group, negate=negated))
+            return member
+        return group_rule
     if isinstance(constraint, BoolFunc):
-        live = star_context or constraint.starred
-        return bool(eval_term(constraint.call, ctx, starred=live))
+        call = compile_term(
+            constraint.call, ctx, starred=star_context or constraint.starred
+        )
+        return lambda env, deps: bool(call(env, deps))
     if isinstance(constraint, NotOp):
-        inner = eval_constraint(
+        inner = compile_constraint(
             constraint.operand,
             ctx,
             star_context=star_context or constraint.starred,
             negated=not negated,
         )
-        return not inner
+        return lambda env, deps: not inner(env, deps)
     if isinstance(constraint, LogicOp):
         live = star_context or constraint.starred
+        operands = tuple(
+            compile_constraint(operand, ctx, star_context=live, negated=negated)
+            for operand in constraint.operands
+        )
         if constraint.op == "and":
-            result = True
-            for operand in constraint.operands:
-                if not eval_constraint(operand, ctx, star_context=live, negated=negated):
-                    result = False
-                    break
-            return result
+            def conjunction(env: dict, deps: list) -> bool:
+                for operand in operands:
+                    if not operand(env, deps):
+                        return False
+                return True
+            return conjunction
+
         # 'or': short-circuit; only the succeeding branch's dependencies are
         # frozen into the membership rule ("substituting in the value of all
-        # the other subexpressions at the time of role entry")
-        for operand in constraint.operands:
-            mark = len(ctx.deps)
-            try:
-                if eval_constraint(operand, ctx, star_context=live, negated=negated):
-                    return True
-            except UnboundVariable:
-                pass
-            del ctx.deps[mark:]
-        return False
+        # the other subexpressions at the time of role entry").  A failed
+        # branch's bindings stay.
+        def disjunction(env: dict, deps: list) -> bool:
+            for operand in operands:
+                mark = len(deps)
+                try:
+                    if operand(env, deps):
+                        return True
+                except UnboundVariable:
+                    pass
+                del deps[mark:]
+            return False
+        return disjunction
     raise RDLError(f"cannot evaluate constraint {constraint!r}")
 
 
-_COMPARATORS: dict[str, Callable[[Any, Any], bool]] = {
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
+_ORDERINGS: dict[str, Callable[[Any, Any], bool]] = {
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
 }
 
 
-def _eval_comparison(comparison: Comparison, ctx: ConstraintContext, star_context: bool) -> bool:
+def _compile_comparison(
+    comparison: Comparison, ctx: ConstraintContext, star_context: bool
+) -> Compiled:
     live = star_context or comparison.starred
-    if comparison.op == "=":
-        right = eval_term(comparison.right, ctx, starred=live)
-        left = comparison.left
-        if isinstance(left, Variable) and left.name not in ctx.env:
-            ctx.env[left.name] = right
-            return True
-        return ctx.values_equal(eval_term(left, ctx, starred=live), right)
-    left_value = eval_term(comparison.left, ctx, starred=live)
-    right_value = eval_term(comparison.right, ctx, starred=live)
-    if comparison.op == "==":
-        return ctx.values_equal(left_value, right_value)
-    if comparison.op == "!=":
-        return not ctx.values_equal(left_value, right_value)
-    op = _COMPARATORS[comparison.op]
-    if comparison.op in ("<", "<=", ">", ">="):
+    op = comparison.op
+    right = compile_term(comparison.right, ctx, starred=live)
+    equal = ctx.values_equal
+    if op == "=":
+        if isinstance(comparison.left, Variable):
+            name = comparison.left.name
+
+            def bind_or_test(env: dict, deps: list) -> bool:
+                value = right(env, deps)
+                if name not in env:
+                    env[name] = value
+                    return True
+                return equal(env[name], value)
+            return bind_or_test
+        left = compile_term(comparison.left, ctx, starred=live)
+
+        def test(env: dict, deps: list) -> bool:
+            value = right(env, deps)
+            return equal(left(env, deps), value)
+        return test
+    left = compile_term(comparison.left, ctx, starred=live)
+    if op == "==":
+        return lambda env, deps: equal(left(env, deps), right(env, deps))
+    if op == "!=":
+        return lambda env, deps: not equal(left(env, deps), right(env, deps))
+    ordered = _ORDERINGS[op]
+
+    def ordering(env: dict, deps: list) -> bool:
+        a = left(env, deps)
+        b = right(env, deps)
         # sets compare by inclusion; mixed-type ordering is a policy error
-        if isinstance(left_value, frozenset) != isinstance(right_value, frozenset):
-            raise RDLError(
-                f"cannot order {left_value!r} against {right_value!r}"
-            )
-    return op(left_value, right_value)
+        if isinstance(a, frozenset) != isinstance(b, frozenset):
+            raise RDLError(f"cannot order {a!r} against {b!r}")
+        return ordered(a, b)
+    return ordering

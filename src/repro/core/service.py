@@ -33,6 +33,7 @@ from repro.core.certificates import (
     RevocationCertificate,
     RoleMembershipCertificate,
     RoleTemplate,
+    membership_text_prefix,
     role_bitmask,
 )
 from repro.core.credentials import (
@@ -79,6 +80,9 @@ class _RolefileState:
     checker: TypeChecker
     engine: RoleEntryEngine
     role_order: list[str]
+    # role set -> (role bits, signed-text prefix, argument signature):
+    # what every certificate for that role set shares (see _issue_form)
+    issue_forms: dict = field(default_factory=dict)
 
 
 def _bump(stats: "ServiceStats", counter: str) -> None:
@@ -415,9 +419,7 @@ class OasisService:
         results: list[EntryResult] = []
         try:
             for role in roles:
-                results.append(
-                    state.engine.evaluate(role, args, list(memberships), delegation)
-                )
+                results.append(state.engine.evaluate(role, args, memberships, delegation))
         except EntryDenied:
             self.stats.entries_denied += 1
             raise
@@ -434,8 +436,7 @@ class OasisService:
                     deps.append(dep)
         record = self._build_entry_record(deps, rolefile_id)
         cert = self._issue(
-            client, frozenset(roles), final_args, record, state, rolefile_id,
-            results[0].statement.head.name, vci=vci,
+            client, frozenset(roles), final_args, record, state, rolefile_id, vci=vci,
         )
         if delegation is not None:
             self.audit.record(
@@ -549,8 +550,15 @@ class OasisService:
     def _external_parent(
         self, service: str, remote_ref: int, vouched: Optional[RecordState] = None
     ) -> int:
-        record = self.credentials.create_external(service, remote_ref)
-        state = self.linkage.subscribe(self, service, remote_ref)
+        record = self.credentials.external(service, remote_ref)
+        if record is None:
+            record = self.credentials.create_external(service, remote_ref)
+            state = self.linkage.subscribe(self, service, remote_ref)
+        else:
+            # Subscribed when the surrogate was created.  The issuer keeps
+            # its subscribers in its durable table, and the linkage resends
+            # a subscribe until it is answered, so a re-entry sends nothing.
+            state = RecordState.UNKNOWN
         if state is RecordState.UNKNOWN and vouched is not None:
             # Asynchronous linkage: the subscription reply is in flight,
             # but the caller holds fresher authoritative knowledge (the
@@ -609,27 +617,25 @@ class OasisService:
         record: CredentialRecord,
         state: _RolefileState,
         rolefile_id: str,
-        primary_role: str,
         vci=None,
     ) -> RoleMembershipCertificate:
-        sig = state.checker.signature(primary_role)
-        args_wire = marshal_args(sig, args)
+        role_bits, prefix, arg_types = self._issue_form(state, rolefile_id, roles)
         now = self.clock.now()
-        cert = RoleMembershipCertificate(
+        cert = RoleMembershipCertificate.signed(
+            self.signer,
+            prefix,
             issuer=self.name,
             rolefile_id=rolefile_id,
             roles=roles,
-            role_bits=role_bitmask(state.role_order, roles),
+            role_bits=role_bits,
             args=args,
-            args_wire=args_wire,
+            args_wire=marshal_args(arg_types, args),
             client=client,
             crr=record.ref,
             issued_at=now,
             expires_at=None if self.cert_lifetime is None else now + self.cert_lifetime,
             vci=vci,
         )
-        index, signature = self.signer.sign(cert.signed_text())
-        cert = cert.with_signature(index, signature)
         self.stats.certificates_issued += 1
         for role in roles:
             self.audit.record(
@@ -637,6 +643,25 @@ class OasisService:
                 (role,) + args,
             )
         return cert
+
+    def _issue_form(
+        self, state: _RolefileState, rolefile_id: str, roles: frozenset[str]
+    ) -> tuple[int, bytes, list[RdlType]]:
+        """What every certificate for ``roles`` under this rolefile shares,
+        computed once per role set: the role bits, the signed-text prefix
+        and the signature its arguments marshal by.  A compound
+        certificate marshals by its alphabetically first role, the role
+        :meth:`validate` re-marshals by; set alphabets marshal as bit
+        positions, so another role's signature could disagree."""
+        form = state.issue_forms.get(roles)
+        if form is None:
+            role_bits = role_bitmask(state.role_order, roles)
+            form = state.issue_forms[roles] = (
+                role_bits,
+                membership_text_prefix(self.name, rolefile_id, role_bits, roles),
+                state.checker.signature(min(roles)),
+            )
+        return form
 
     # ------------------------------------------------------------- validation
 
@@ -776,7 +801,8 @@ class OasisService:
             delegation_record = self.credentials.create_source(state=RecordState.TRUE)
         if expires_at is not None:
             self._delegation_expiries.append((expires_at, delegation_record.ref))
-        delegation = DelegationCertificate(
+        delegation = DelegationCertificate.signed(
+            self.signer,
             issuer=self.name,
             rolefile_id=rolefile_id,
             role=role,
@@ -790,16 +816,13 @@ class OasisService:
             revoke_on_exit=revoke_on_exit,
             issued_at=now,
         )
-        index, signature = self.signer.sign(delegation.signed_text())
-        delegation = delegation.with_signature(index, signature)
-        revocation = RevocationCertificate(
+        revocation = RevocationCertificate.signed(
+            self.signer,
             issuer=self.name,
             rolefile_id=rolefile_id,
             elector_crr=delegator_cert.crr,
             target_crr=delegation_record.ref,
         )
-        index, signature = self.signer.sign(revocation.signed_text())
-        revocation = revocation.with_signature(index, signature)
         self.audit.record(
             now, AuditKind.DELEGATION_ISSUED, str(delegator_cert.client),
             f"delegation of {role!r} issued",
@@ -846,14 +869,13 @@ class OasisService:
             revocation.signed_text(), revocation.secret_index, revocation.signature
         )
         self.validate(new_holder_cert)
-        fresh = RevocationCertificate(
+        return RevocationCertificate.signed(
+            self.signer,
             issuer=self.name,
             rolefile_id=revocation.rolefile_id,
             elector_crr=new_holder_cert.crr,
             target_crr=revocation.target_crr,
         )
-        index, signature = self.signer.sign(fresh.signed_text())
-        return fresh.with_signature(index, signature)
 
     # ------------------------------------------------- role-based revocation
 

@@ -95,7 +95,7 @@ class OrganisationalRoleAdapter(OasisService):
         assert record is not None
         state = self._rolefile_state("main")
         return self._issue(
-            client, frozenset({role}), (user,), record, state, "main", role
+            client, frozenset({role}), (user,), record, state, "main"
         )
 
     def _on_legacy_change(self, user: str, role: str, assigned: bool) -> None:

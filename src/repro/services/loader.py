@@ -101,7 +101,6 @@ def Running(p, h)  p: program  h: string
             record,
             state,
             "main",
-            "Running",
         )
 
     def process_exited(self, client: ClientId) -> None:

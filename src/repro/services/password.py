@@ -74,7 +74,7 @@ def Passwd(u, p)  u: userid  p: string
             state=RecordState.TRUE, direct_use=True
         )
         return self._issue(
-            client, frozenset({"Passwd"}), (uid, purpose), record, state, "main", "Passwd"
+            client, frozenset({"Passwd"}), (uid, purpose), record, state, "main"
         )
 
     def change_password(self, user: str, old: str, new: str) -> None:

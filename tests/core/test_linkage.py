@@ -364,6 +364,33 @@ def read_as(service, cert):
     return service.enter_role(cert.client, "Reader", credentials=(cert,))
 
 
+def test_a_re_entry_with_the_same_credential_sends_nothing():
+    """Files already tracks the Login certificate's record after the
+    first entry: later entries with it reuse the surrogate and send no
+    subscribe, so Login appends no outbox entry for them.  One logoff
+    still denies every membership entered with the certificate."""
+    sim, net, linkage, login, files, user = make_distributed_world()
+    login_cert = login.enter_role(user.client_id, "LoggedOn", ("dm", "ely"))
+    readers = [read_as(files, login_cert)]
+    sim.run()
+    assert subscribers_of(login, login_cert) == {"Files"}
+    sent = net.stats.messages_sent
+    appended = login.journal.stats.outbox_appended
+    for _ in range(5):
+        readers.append(read_as(files, login_cert))
+        sim.run()
+    assert net.stats.messages_sent == sent
+    assert login.journal.stats.outbox_appended == appended
+    for reader in readers:
+        files.validate(reader)
+    login.exit_role(login_cert)
+    sim.run()
+    for reader in readers:
+        with pytest.raises(RevokedError):
+            files.validate(reader)
+    assert net.unaccounted() == 0
+
+
 def test_the_subscriber_is_whoever_sent_the_subscribe():
     """The issuer takes the subscriber from the channel (the sending
     node's address), never from a claim inside the message: items naming
@@ -534,9 +561,9 @@ def test_a_lost_burst_is_resent_as_one_batch_one_period_later():
 def test_each_ref_is_resent_one_period_after_its_own_last_send():
     """Every subscribe from Files is lost.  Refs sent at different times
     come due at different times: the pair's timer resends only the
-    overdue ones and re-arms for the oldest ref still pending, and a
-    second entry with the same credential (a fresh send) pushes its
-    ref's resend back."""
+    overdue ones and re-arms for the oldest ref still pending.  A second
+    entry with the same credential sends nothing (its surrogate exists),
+    so its ref stays due one period after its first send."""
     sim, net, linkage, login, files, mirror, certs = make_three_service_world(3)
     sim.run()
     period = linkage.subscribe_retry_period
@@ -559,13 +586,13 @@ def test_each_ref_is_resent_one_period_after_its_own_last_send():
     assert sent == [
         (0.0, [a]),
         (period / 2, [b, c]),
-        (3 * period / 4, [a]),
+        (period, [a]),
         (3 * period / 2, [b, c]),
-        (7 * period / 4, [a]),
+        (2 * period, [a]),
         (5 * period / 2, [b, c]),
     ]
-    assert linkage.subscribe_retries == 5
-    # fired at 1, 1.5, 1.75 and 2.5 periods; the first found nothing due
+    assert linkage.subscribe_retries == 6
+    # fired at 1, 1.5, 2 and 2.5 periods
     assert profile.buckets["subscribe-retry"].events == 4
     assert net.unaccounted() == 0
 

@@ -147,7 +147,7 @@ Member(p) <- Recommend(p, e1)* & Recommend(p, e2)* : e1 != e2
             record = svc.credentials.create_source(direct_use=True)
             state = svc._rolefile_state("main")
             founders[name] = svc._issue(
-                client, frozenset({"Member"}), (name,), record, state, "main", "Member"
+                client, frozenset({"Member"}), (name,), record, state, "main"
             )
         return svc, host, founders
 

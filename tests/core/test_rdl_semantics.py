@@ -1,4 +1,5 @@
-"""Tests for RDL type inference and constraint evaluation."""
+"""Tests for RDL type inference and constraint evaluation (constraints
+and terms run compiled, as the engine runs them)."""
 
 import pytest
 
@@ -7,8 +8,8 @@ from repro.core.rdl.constraints import (
     FuncDep,
     GroupDep,
     UnboundVariable,
-    eval_constraint,
-    eval_term,
+    compile_constraint,
+    compile_term,
 )
 from repro.core.rdl.ast import Variable
 from repro.core.rdl.parser import parse_rolefile
@@ -126,7 +127,8 @@ class TestConstraintEvaluation:
             functions=functions or {},
             watchable=watchable or {},
         )
-        result = eval_constraint(self.parse_constraint(text), ctx)
+        compiled = compile_constraint(self.parse_constraint(text), ctx)
+        result = compiled(ctx.env, ctx.deps)
         return result, ctx
 
     def test_comparisons(self):
@@ -213,8 +215,9 @@ class TestConstraintEvaluation:
     def test_eval_term_unknown_function(self):
         from repro.errors import RDLError
         ctx = ConstraintContext()
+        term = compile_term(
+            parse_rolefile("A <- B : f(1) == 2").statements[0].constraint.left,
+            ctx,
+        )
         with pytest.raises(RDLError):
-            eval_term(
-                parse_rolefile("A <- B : f(1) == 2").statements[0].constraint.left,
-                ctx,
-            )
+            term(ctx.env, ctx.deps)

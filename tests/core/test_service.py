@@ -297,6 +297,25 @@ Member(p) <- Person(p)
         svc.validate(cert, required_role="Chair")
         svc.validate(cert, required_role="Member")
 
+    def test_compound_certificate_validates_in_either_request_order(self):
+        """Set alphabets marshal as bit positions: {w} is bit 1 of A's
+        {rw} and bit 0 of B's {wrx}.  Issue marshals a compound
+        certificate by the same role validation does (its alphabetically
+        first), whichever order the roles were requested in."""
+        svc = OasisService("S", clock=ManualClock())
+        svc.add_rolefile("main", """
+def A(r)  r: {rw}
+def B(r)  r: {wrx}
+A(r) <-
+B(r) <-
+""")
+        client = HostOS("h").create_domain().client_id
+        for order in (["B", "A"], ["A", "B"]):
+            cert = svc.enter_roles(client, order, (frozenset("w"),))
+            svc.validate(cert, claimed_client=client)
+            assert cert.roles == frozenset({"A", "B"})
+        assert svc.audit.entries(AuditKind.FAIL_FRAUD) == []
+
     def test_compound_requires_identical_args(self):
         svc = OasisService("S")
         svc.add_rolefile("main", """
