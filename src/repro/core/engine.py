@@ -45,6 +45,7 @@ from repro.core.rdl.ast import (
     Rolefile,
     Term,
     Variable,
+    walk_terms,
 )
 from repro.core.rdl.constraints import (
     ConstraintContext,
@@ -399,7 +400,9 @@ class RoleEntryEngine:
                 stmt, _compile_prebind(head.args, head_sig, head_literals, coerce=True)
             )
         solve = self._compile_conditions(stmt)
-        build_args = self._compile_head_args(head.args, head_sig, head_literals)
+        build_args = self._compile_head_args(
+            head.args, head_sig, head_literals, _lone_head_variables(stmt)
+        )
         service, name = self.service_name, head.name
         roles = frozenset([name])
         revoker = None if stmt.revoker is None else stmt.revoker.name
@@ -561,14 +564,21 @@ class RoleEntryEngine:
         return condition
 
     def _compile_head_args(
-        self, terms: tuple[Term, ...], sig: Optional[list[RdlType]], literals: tuple
+        self,
+        terms: tuple[Term, ...],
+        sig: Optional[list[RdlType]],
+        literals: tuple,
+        lone: set[str],
     ) -> Callable[[dict], Optional[tuple]]:
         """Head arguments from the final bindings, each coerced to the
-        head's signature; None when a variable is still unbound (the
+        head's signature unless it is a ``lone`` variable (already
+        coerced when bound); None when a variable is still unbound (the
         statement does not apply)."""
         builders = []
         for i, term in enumerate(terms):
-            typed = sig is not None and i < len(sig)
+            typed = sig is not None and i < len(sig) and not (
+                isinstance(term, Variable) and term.name in lone
+            )
             builders.append(_head_arg(
                 term, literals[i], sig[i] if typed else None, typed, self._context
             ))
@@ -580,6 +590,33 @@ class RoleEntryEngine:
                 return None
 
         return build_args
+
+
+def _lone_head_variables(stmt: EntryStatement) -> set[str]:
+    """The head variables that occur nowhere else in ``stmt``.  Only the
+    request or a delegation's fixed arguments can bind one, and both
+    arrive coerced to the head's signature, so building the head need
+    not coerce it again."""
+    counts: dict[str, int] = {}
+
+    def visit(term: Term) -> None:
+        if isinstance(term, Variable):
+            counts[term.name] = counts.get(term.name, 0) + 1
+        elif isinstance(term, FuncCall):
+            for arg in term.args:
+                visit(arg)
+
+    for ref in (stmt.head, *stmt.conditions, stmt.elector, stmt.revoker):
+        if ref is not None:
+            for term in ref.args:
+                visit(term)
+    if stmt.constraint is not None:
+        for term in walk_terms(stmt.constraint):
+            visit(term)
+    return {
+        term.name for term in stmt.head.args
+        if isinstance(term, Variable) and counts[term.name] == 1
+    }
 
 
 def _head_arg(

@@ -46,12 +46,21 @@ refused.  A receiver acks nothing from an issuer it suspects (section
 snapshot it still awaits; those deliveries park at the issuer and come
 back after the snapshot, which the stamps order them against.
 
+**Tail-sync** is the one call by which a subscriber learns an issuer's
+state (sections 4.9-4.10).  Its request carries refs; the issuer
+subscribes the calling service to each and replies with one stamped
+``[ref, state, stamp]`` row per ref, which the subscriber applies through
+:meth:`JournalRelay.apply_snapshot`.  A new surrogate's subscribe is such
+a call (the refs of one virtual instant to one issuer share one), and so
+is recovery's re-read.  A failed call is sent again
+:data:`SYNC_RETRY_PERIOD` after it was sent.
+
 Recovery protocol (driven by :meth:`JournalRelay.recover`): replay the
 local journal (fast, idempotent, zero messages), mask every surrogate
 Unknown (fail closed — the crash window is of unverifiable currency),
-then **tail-sync** from each issuer: one RPC pulls a stamped snapshot of
-every record the caller subscribes to, resolving all surrogates in a
-single cascade.  Pending outbox entries and due dead letters then drain.
+then tail-sync each issuer over every surrogate held for it, resolving
+them all in a single cascade and re-registering any subscribe the crash
+swallowed.  Pending outbox entries and due dead letters then drain.
 """
 
 from __future__ import annotations
@@ -75,6 +84,8 @@ Notice = tuple[int, RecordState, list[str]]
 # The relay sends each delivery once; a failed call parks its entries and
 # the DLQ's seeded exponential backoff is the only retry.
 RELAY_RPC_TIMEOUT = 2.0
+# A failed tail-sync call is sent again this long after it was sent.
+SYNC_RETRY_PERIOD = 2.0
 DLQ_BASE_DELAY = 0.25
 DLQ_MULTIPLIER = 2.0
 DLQ_MAX_DELAY = 30.0
@@ -134,8 +145,8 @@ class JournalStats:
                                   # or its snapshot awaited (redelivered later)
     duplicates_dropped: int = 0   # inbound entries deduped by (issuer, seq)
     superseded: int = 0           # inbound entries or tail items stale under the stamp
-    tail_syncs_served: int = 0
-    tail_syncs_pulled: int = 0
+    tail_syncs_served: int = 0    # tail-sync calls answered (subscribes included)
+    tail_syncs_pulled: int = 0    # recovery tail-sync replies received
     drains: int = 0
 
 
@@ -369,17 +380,18 @@ class DurableStore:
 
 
 class JournalRelay:
-    """The drain of one service's transactional outbox, plus the
-    inbound delivery / tail-sync endpoint peers talk to.
+    """The drain of one service's transactional outbox, its tail-sync
+    calls, plus the inbound delivery / tail-sync endpoint peers talk to.
 
     Owns the RPC endpoint at the service's address, ``oasis:<name>``,
-    which the service's subscribe requests and heartbeats share: a cut or
-    a crash takes the whole event stream with it.  Outbound entries
-    batch per destination into a single ``outbox-deliver`` call per
-    drain pass, sent once; the receiver acks every seq it has durably
-    recorded, the sender marks those DELIVERED, and anything the call
-    does not land, or the receiver refuses, is parked in the DLQ with
-    seeded exponential backoff.
+    which the service's heartbeats share: a cut or a crash takes the
+    whole event stream with it.  Outbound entries batch per destination
+    into a single ``outbox-deliver`` call per drain pass, sent once; the
+    receiver acks every seq it has durably recorded, the sender marks
+    those DELIVERED, and anything the call does not land, or the
+    receiver refuses, is parked in the DLQ with seeded exponential
+    backoff.  Subscribes wait for one zero-delay timer, so those of one
+    virtual instant to one issuer leave as one ``tail-sync`` call.
     """
 
     def __init__(
@@ -407,7 +419,12 @@ class JournalRelay:
         self._redeliver_timer = Timer(
             self.sim, self._redeliver_due, name=f"journal-dlq:{service.name}"
         )
-        # issuers whose tail-sync snapshot this service awaits: their
+        # issuer -> refs to subscribe in this instant's tail-sync call
+        self._subscribes: dict[str, dict[int, None]] = {}
+        self._sync_timer = Timer(
+            self.sim, self._send_subscribes, name=f"journal-sync:{service.name}"
+        )
+        # issuers whose recovery tail-sync this service awaits: their
         # deliveries are refused until it lands
         self._awaiting: set[str] = set()
         # one-shot crash triggers per fault point ("mid-append",
@@ -597,13 +614,7 @@ class JournalRelay:
         survives a crash landing between the two."""
         issuer = self._caller(caller)
         journal = self.journal
-        # any delivery for a ref proves the issuer has the subscription:
-        # the subscribe retry can stand down
-        note_subscribed = self.linkage.note_subscribed
-        name = self.service.name
-        if issuer in self._awaiting or self.linkage.suspects(name, issuer):
-            for item in items:
-                note_subscribed(name, issuer, int(item[1]))
+        if issuer in self._awaiting or self.linkage.suspects(self.service.name, issuer):
             journal.stats.refused += len(items)
             return {"acked": []}
         acked: list[int] = []
@@ -613,7 +624,6 @@ class JournalRelay:
             seq, ref = int(seq), int(ref)
             stamp = tuple(stamp) if stamp is not None else None
             acked.append(seq)
-            note_subscribed(name, issuer, ref)
             key = (issuer, seq)
             if journal.applied_counts.get(key):
                 journal.stats.duplicates_dropped += 1
@@ -634,67 +644,127 @@ class JournalRelay:
             self.service.credentials.update_external_many(issuer, updates)
         return {"acked": acked}
 
-    def snapshot_for(self, subscriber: str) -> list[list]:
-        """The authoritative state of every record ``subscriber``
-        subscribes to, as ``[ref, state, stamp]`` rows: the current state
-        and the newest outbox stamp issued for the ref (None if none)."""
+    def subscribe_and_read(self, subscriber: str, refs) -> list[list]:
+        """Subscribe ``subscriber`` to each of ``refs`` and read it: one
+        ``[ref, state, stamp]`` row per ref, the current state (a missing
+        record reads FALSE) and the newest outbox stamp issued for the
+        ref (None if none).  Serves both the ``tail-sync`` call and the
+        monitor's in-process re-read, so no ref is ever read without the
+        subscription in place."""
+        credentials = self.service.credentials
         last_stamp = self.journal.last_stamp
-        items = []
-        for record in self.service.credentials.all_records():
-            if subscriber in record.subscribers:
-                stamp = last_stamp.get(record.ref)
-                items.append(
-                    [record.ref, record.state.value, list(stamp) if stamp else None]
-                )
-        return items
+        rows = []
+        for ref in refs:
+            credentials.subscribe(ref, subscriber)
+            stamp = last_stamp.get(ref)
+            rows.append(
+                [ref, credentials.state_of(ref).value, list(stamp) if stamp else None]
+            )
+        return rows
 
-    def _on_tail_sync(self, caller: str) -> dict:
-        """Serve the restarted subscriber at ``caller`` its snapshot in
-        one reply instead of one message per ref."""
+    def _on_tail_sync(self, caller: str, refs) -> dict:
+        """Subscribe the service at ``caller`` to ``refs`` and answer
+        with their stamped rows in one reply."""
         subscriber = self._caller(caller)
         self.journal.stats.tail_syncs_served += 1
-        return {"epoch": self.service.boot_epoch, "items": self.snapshot_for(subscriber)}
+        return {
+            "epoch": self.service.boot_epoch,
+            "items": self.subscribe_and_read(subscriber, refs),
+        }
+
+    def held_refs(self, issuer_name: str) -> list[int]:
+        """The remote refs of every surrogate this service holds for
+        ``issuer_name``."""
+        return [
+            record.external_ref
+            for record in self.service.credentials.externals_of(issuer_name)
+        ]
+
+    def subscribe(self, issuer_name: str, ref: int) -> None:
+        """Queue a subscribe to ``ref`` at ``issuer_name``: the refs of
+        one virtual instant to one issuer leave as one tail-sync call,
+        sent by a zero-delay timer."""
+        self._subscribes.setdefault(issuer_name, {})[ref] = None
+        if not self._sync_timer.armed:
+            self._sync_timer.arm(0.0)
+
+    def subscribes_queued(self) -> bool:
+        """Whether a subscribe waits for its call to be sent."""
+        return bool(self._subscribes)
+
+    def _send_subscribes(self) -> None:
+        queued, self._subscribes = self._subscribes, {}
+        for issuer_name, refs in sorted(queued.items()):
+            if issuer_name in self._awaiting:
+                # its reply would be refused: wait for the recovery reply
+                self._subscribes[issuer_name] = refs
+            else:
+                self._sync(issuer_name, list(refs), recovery=False)
 
     def awaiting(self, issuer: str) -> bool:
-        """Whether a tail-sync snapshot from ``issuer`` is outstanding."""
+        """Whether a recovery tail-sync from ``issuer`` is outstanding."""
         return issuer in self._awaiting
 
     def tail_sync(self, issuer_name: str) -> None:
-        """Pull the post-crash truth from an issuer.
+        """Pull the post-crash truth from an issuer, over every surrogate
+        held for it (which re-registers any subscribe a crash lost).
 
-        Until the snapshot lands, deliveries from the issuer are refused
-        (they park and come back); the snapshot then applies through
-        :meth:`apply_snapshot`, whose stamps order it against them."""
+        Until the reply lands, deliveries from the issuer are refused
+        (they park and come back), new subscribes to it wait, and a
+        subscribe call's reply is refused too (the call is sent again);
+        the reply then applies through :meth:`apply_snapshot`, whose
+        stamps order it against them."""
         if not self._up():
             return  # crashed again; the next recover() re-pulls
         self._awaiting.add(issuer_name)
-        future = self.rpc.call(self.linkage.address_of(issuer_name), "tail-sync")
-        future.on_done(lambda f, i=issuer_name: self._on_tail_reply(i, f))
+        self._sync(issuer_name, self.held_refs(issuer_name), recovery=True)
 
-    def _on_tail_reply(self, issuer: str, future) -> None:
+    def _sync(self, issuer_name: str, refs: list[int], recovery: bool) -> None:
+        sent_at = self.sim.now
+        future = self.rpc.call(self.linkage.address_of(issuer_name), "tail-sync", refs)
+        future.on_done(lambda f: self._on_synced(issuer_name, refs, recovery, sent_at, f))
+
+    def _on_synced(self, issuer, refs, recovery, sent_at, future) -> None:
         if not self._up():
+            return  # resolved after a crash: recovery re-pulls
+        if not future.failed and (recovery or issuer not in self._awaiting):
+            if recovery:
+                self.journal.stats.tail_syncs_pulled += 1
+                self._awaiting.discard(issuer)
+                if issuer in self._subscribes and not self._sync_timer.armed:
+                    self._sync_timer.arm(0.0)
+            if not self.linkage.suspects(self.service.name, issuer):
+                self.apply_snapshot(issuer, future.result()["items"])
+            # else rows read from a suspect issuer are as unverifiable as
+            # its deliveries: the surrogates stay as the mask left them,
+            # and the restore's re-read resolves them
             return
-        if future.failed:
-            # the issuer is unreachable; surrogates stay Unknown (fail
-            # closed) and we pull again after a beat
-            self.sim.schedule(
-                self.linkage.subscribe_retry_period,
-                self.tail_sync,
-                issuer,
-                name=f"journal-tailsync:{self.service.name}",
-            )
-            return
-        self.journal.stats.tail_syncs_pulled += 1
-        self._awaiting.discard(issuer)
-        if self.linkage.suspects(self.service.name, issuer):
-            # a snapshot read from a suspect issuer is as unverifiable as
-            # its deliveries: the surrogates stay Unknown, and the
-            # restore's stamped re-read resolves them
-            return
-        self.apply_snapshot(issuer, future.result().get("items", ()))
+        # The call failed, or it is a subscribe whose reply landed while a
+        # recovery pull is awaited (refused, like a delivery then): the
+        # surrogates stay as they are (fail closed), and the call goes
+        # again one period after it went.
+        self.sim.schedule(
+            max(0.0, sent_at + SYNC_RETRY_PERIOD - self.sim.now),
+            self._resync,
+            issuer,
+            refs,
+            recovery,
+            name=f"journal-sync:{self.service.name}",
+        )
+
+    def _resync(self, issuer: str, refs: list[int], recovery: bool) -> None:
+        if not self._up():
+            return  # recovery re-pulls
+        if not recovery:
+            credentials = self.service.credentials
+            for ref in refs:
+                if credentials.external(issuer, ref) is not None:
+                    self.subscribe(issuer, ref)
+        elif issuer in self._awaiting:
+            self.tail_sync(issuer)
 
     def apply_snapshot(self, issuer: str, items) -> None:
-        """Apply an issuer's stamped snapshot (:meth:`snapshot_for`).
+        """Apply an issuer's stamped rows (:meth:`subscribe_and_read`).
 
         The snapshot is authoritative, a live read: each row applies and
         raises the ``(issuer, ref)`` stamp, so an older delivery still
@@ -704,14 +774,11 @@ class JournalRelay:
         the stamp ledger from them, the states are in "state" records."""
         journal = self.journal
         applied_stamps = journal.applied_stamps
-        note_subscribed = self.linkage.note_subscribed
-        name = self.service.name
         raised = []
         updates = []
         for ref, state, stamp in items:
             ref = int(ref)
             stamp = tuple(stamp) if stamp is not None else None
-            note_subscribed(name, issuer, ref)
             skey = (issuer, ref)
             applied = applied_stamps.get(skey)
             if applied is not None and (stamp is None or stamp < applied):
@@ -731,12 +798,14 @@ class JournalRelay:
     # ------------------------------------------------------- crash / recovery
 
     def crash(self) -> None:
-        """Volatile relay state dies: timers, armed fault points, awaited
-        snapshots, and the in-flight marks (the durable truth is that an
-        unacked entry was never delivered — it reverts to pending for
-        the redrain)."""
+        """Volatile relay state dies: timers, armed fault points, queued
+        subscribes, awaited snapshots, and the in-flight marks (the
+        durable truth is that an unacked entry was never delivered — it
+        reverts to pending for the redrain)."""
         self._drain_timer.disarm()
         self._redeliver_timer.disarm()
+        self._sync_timer.disarm()
+        self._subscribes.clear()
         self._crash_points.clear()
         self._awaiting.clear()
         for entry in self.journal.undelivered.values():
@@ -750,7 +819,8 @@ class JournalRelay:
            ledgers with zero network traffic;
         2. mask every surrogate Unknown — the crash window is of
            unverifiable currency (fail closed);
-        3. tail-sync each issuer on this linkage (one RPC each);
+        3. tail-sync each issuer on this linkage over every surrogate
+           held for it (one RPC each);
         4. redrain pending outbox entries and re-schedule dead letters.
 
         Returns the number of journal records replayed."""

@@ -23,10 +23,10 @@ Two implementations:
   horizon: a missed heartbeat marks every surrogate of the silent
   service Unknown (fail closed), exactly as section 4.10 prescribes, the
   receiver refuses deliveries from a suspect issuer, and on reconnection
-  the issuer's stamped snapshot is re-read.  Subscribe requests travel
-  on batched wire channels (:mod:`repro.runtime.wire`), whose batches
-  also carry the heartbeat stamp: a burst of admissions against one
-  issuer is one message, answered by one outbox transaction.  All of it
+  the issuer's stamped state is re-read.  A subscribe is the relay's
+  ``tail-sync`` call, the same one recovery makes: the issuer subscribes
+  the caller to each ref and replies with stamped rows, so a burst of
+  admissions against one issuer is one call and one reply.  All of it
   goes through the service's one network node, so a fault that silences
   its heartbeats also stops its notifications.
 """
@@ -38,11 +38,8 @@ from typing import TYPE_CHECKING, Optional
 from repro.core.credentials import RecordState
 from repro.core.journal import DurableStore, JournalRelay, Notice
 from repro.errors import OasisError
-from repro.runtime import wire
 from repro.runtime.heartbeat import HeartbeatMonitor, HeartbeatSender
 from repro.runtime.network import Network
-from repro.runtime.simulator import Timer
-from repro.runtime.wire import BatchedChannel, ChannelPool
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.service import OasisService
@@ -105,19 +102,16 @@ class SimLinkage(Linkage):
 
     Each attached service gets one network node, ``oasis:<name>``, where
     its journal relay serves the RPCs that carry every Modified event
-    through the transactional outbox, and a :class:`ChannelPool` of
-    per-destination channels sends its subscribe requests and
-    heartbeats.  Optional heartbeat pairs (created with :meth:`monitor`)
-    drive Unknown marking and piggyback on data batches.
+    through the transactional outbox and every subscribe, and where its
+    heartbeats arrive.  Optional heartbeat pairs (created with
+    :meth:`monitor`) drive Unknown marking.
 
-    A subscribe waits out its channel's batch window (zero-delay by
-    default), so the subscribes of one virtual instant to one issuer
-    leave as one batch, and the issuer answers the batch with one outbox
-    transaction: one ``notify`` record and one ``outbox-deliver`` per
-    subscriber.  Until a delivery or snapshot row for a ref arrives, one
-    timer per (subscriber, issuer) pair resends the ref
-    ``subscribe_retry_period`` after its last send, in one batch with
-    the pair's other overdue refs.
+    A subscribe waits for the subscriber relay's zero-delay sync timer,
+    so the subscribes of one virtual instant to one issuer leave as one
+    ``tail-sync`` call; the issuer subscribes the caller to each ref and
+    answers with one stamped row per ref, appending nothing.  A failed
+    call is sent again one period after it was sent, with the refs whose
+    surrogate remains (:data:`~repro.core.journal.SYNC_RETRY_PERIOD`).
 
     ``outbox_bound`` is the one queue bound: while a service has that
     many undelivered outbox entries for one destination, its admissions
@@ -129,23 +123,11 @@ class SimLinkage(Linkage):
         self.outbox_bound = outbox_bound
         self._services: dict[str, "OasisService"] = {}
         # address -> attached service name: the channel, never the
-        # message, names the peer (subscribes, relay RPCs)
+        # message, names the peer of a relay RPC
         self.name_at: dict[str, str] = {}
         self._monitors: dict[tuple[str, str], HeartbeatMonitor] = {}
         self._senders: dict[tuple[str, str], HeartbeatSender] = {}
-        self._pools: dict[str, ChannelPool] = {}
         self.notifications = 0
-        # Subscribe is a request that must eventually reach the issuer:
-        # a copy lost to the network would leave the issuer unaware of
-        # the subscriber, so later revocations would never be notified.
-        # Per (subscriber, issuer) pair, each pending ref maps to its last
-        # send time (oldest first) until any delivery for it arrives (the
-        # subscribe reply, or a notification: either proves
-        # registration); one timer per pair resends the overdue ones.
-        self.subscribe_retry_period = 2.0
-        self.subscribe_retries = 0
-        self._sub_pending: dict[tuple[str, str], dict[int, float]] = {}
-        self._sub_timers: dict[tuple[str, str], Timer] = {}
         # every attached service's journal (the world's disk) and relay
         self.durable = DurableStore()
         self._relays: dict[str, JournalRelay] = {}
@@ -162,19 +144,13 @@ class SimLinkage(Linkage):
         journal.now = lambda: service.clock.now()
         journal.epoch = lambda: service.boot_epoch
         service.attach_journal(journal)
-        # the relay's RPC endpoint makes the node; subscribes and
-        # heartbeats arrive at it too
+        # the relay's RPC endpoint makes the node; heartbeats arrive at
+        # it too
         self._relays[service.name] = JournalRelay(
             self, service, journal, seed=self.network.seed
         )
         node = self.network.node(address)
         node.handler = self._make_handler(service, node.handler)
-        self._pools[service.name] = ChannelPool(self.network, address)
-
-    def channel(self, source_name: str, dest_name: str) -> BatchedChannel:
-        """The channel carrying ``source_name``'s traffic to
-        ``dest_name`` (created on first use)."""
-        return self._pools[source_name].to(self.address_of(dest_name))
 
     # ------------------------------------------------------------- durability
 
@@ -209,17 +185,18 @@ class SimLinkage(Linkage):
 
     def quiesce(self, timeout: float = 60.0) -> float:
         """Step the kernel until :meth:`journal_quiescent` holds, no
-        channel holds a queued payload and no message is in flight;
+        subscribe waits for its call and no message is in flight;
         returns the virtual seconds it took.  A cascade crossing N
         services settles in N link delays.  Raises
         :class:`~repro.errors.OasisError` if that takes more than
         ``timeout`` virtual seconds."""
         sim = self.network.simulator
+        relays = self._relays.values()
         started = sim.now
         while not (
             self.journal_quiescent()
             and self.network.in_flight == 0
-            and not any(pool.pending for pool in self._pools.values())
+            and not any(relay.subscribes_queued() for relay in relays)
         ):
             next_at = sim.peek_time()
             if next_at is None or next_at - started > timeout:
@@ -234,14 +211,6 @@ class SimLinkage(Linkage):
         if relay is None:
             raise OasisError(f"service {service_name!r} has no journal relay")
         relay.arm_crash(point, trigger)
-
-    def note_subscribed(self, subscriber_name: str, issuer_name: str, remote_ref: int) -> None:
-        """A state for ``remote_ref`` reached ``subscriber_name`` — the
-        issuer evidently knows about the subscription, so stop retrying
-        it.  Called by journal deliveries and snapshots."""
-        pending = self._sub_pending.get((subscriber_name, issuer_name))
-        if pending:
-            pending.pop(remote_ref, None)
 
     def suspects(self, subscriber_name: str, issuer_name: str) -> bool:
         """Whether ``subscriber_name``'s heartbeat monitor currently
@@ -263,90 +232,24 @@ class SimLinkage(Linkage):
 
     def _make_handler(self, service: "OasisService", serve_rpc):
         address = self.address_of(service.name)
-        credentials = service.credentials
 
         def handler(message):
             if message.kind[:4] == "rpc-":
                 serve_rpc(message)      # outbox deliveries, tail-syncs
-                return
-            source = message.source
-            hb = wire.heartbeat_of(message)
-            if hb is not None:
-                monitor = self._monitors.get((source, address))
+            elif message.kind == "heartbeat":
+                monitor = self._monitors.get((message.source, address))
                 if monitor is not None:
-                    monitor.handle_message("heartbeat", hb)
-            sender = self.name_at.get(source)
-            replies: list[Notice] = []
-            for item in wire.unpack(message):
-                if item.kind == "subscribe" and sender is not None:
-                    # the channel, not the message, names the subscriber
-                    ref = item.payload["ref"]
-                    credentials.subscribe(ref, sender)
-                    replies.append((ref, credentials.state_of(ref), [sender]))
-                elif item.kind == "heartbeat":
-                    monitor = self._monitors.get((source, address))
-                    if monitor is not None:
-                        monitor.handle_message("heartbeat", item.payload)
-            if replies:
-                # the batch's replies go through the outbox like any
-                # Modified: one transaction, one delivery
-                self._relays[service.name].enqueue(replies)
+                    monitor.handle_message("heartbeat", message.payload)
 
         return handler
 
     def subscribe(self, subscriber: "OasisService", issuer_name: str, remote_ref: int) -> RecordState:
         # Subscription is asynchronous on the real network; the surrogate
-        # starts Unknown and is resolved by the issuer's state reply.  The
-        # request waits out the channel's batch window (zero-delay by
-        # default), so a burst of admissions leaves as one message.
-        self.channel(subscriber.name, issuer_name).send("subscribe", {"ref": remote_ref})
-        self._track_subscribe(subscriber.name, issuer_name, remote_ref)
+        # starts Unknown and is resolved by the tail-sync reply.  The
+        # request waits for the relay's zero-delay sync timer, so a burst
+        # of admissions leaves as one call.
+        self._relays[subscriber.name].subscribe(issuer_name, remote_ref)
         return RecordState.UNKNOWN
-
-    def _track_subscribe(self, subscriber_name: str, issuer_name: str, remote_ref: int) -> None:
-        pair = (subscriber_name, issuer_name)
-        pending = self._sub_pending.get(pair)
-        if pending is None:
-            pending = self._sub_pending[pair] = {}
-        # (re)inserted last, so the refs stay ordered by last send
-        pending.pop(remote_ref, None)
-        pending[remote_ref] = self.network.simulator.now
-        timer = self._sub_timers.get(pair)
-        if timer is None:
-            timer = self._sub_timers[pair] = Timer(
-                self.network.simulator,
-                self._retry_subscribes,
-                pair,
-                name=f"subscribe-retry:{subscriber_name}->{issuer_name}",
-            )
-        if not timer.armed:
-            timer.arm(self.subscribe_retry_period)
-
-    def _retry_subscribes(self, pair: tuple[str, str]) -> None:
-        """Resend, as one batch, every ref of ``pair`` that has gone a
-        full period since its last send unacknowledged, dropping those
-        whose surrogate is gone; then re-arm for the oldest still
-        pending."""
-        subscriber_name, issuer_name = pair
-        pending = self._sub_pending[pair]
-        period = self.subscribe_retry_period
-        now = self.network.simulator.now
-        overdue = []
-        for ref, sent_at in pending.items():
-            if sent_at + period > now:
-                break
-            overdue.append(ref)
-        credentials = self._services[subscriber_name].credentials
-        channel = self.channel(subscriber_name, issuer_name)
-        for ref in overdue:
-            del pending[ref]
-            if credentials.external(issuer_name, ref) is None:
-                continue  # the surrogate is gone; nobody cares about the answer
-            channel.send("subscribe", {"ref": ref})
-            pending[ref] = now
-            self.subscribe_retries += 1
-        if pending:
-            self._sub_timers[pair].arm_at(next(iter(pending.values())) + period)
 
     def publish(self, issuer: "OasisService", notices: list[Notice]) -> None:
         services = self._services
@@ -369,10 +272,7 @@ class SimLinkage(Linkage):
         grace: float = 2.0,
     ) -> tuple[HeartbeatSender, HeartbeatMonitor]:
         """Create a heartbeat pair so ``subscriber`` detects ``issuer``
-        silence and fails closed, then re-reads state on restore.
-
-        The sender piggybacks on the issuer's data channel: while data
-        flows, no standalone heartbeats are sent."""
+        silence and fails closed, then re-reads state on restore."""
         issuer_addr = self.address_of(issuer.name)
         subscriber_addr = self.address_of(subscriber.name)
         issuer_relay = self._relays[issuer.name]
@@ -387,11 +287,13 @@ class SimLinkage(Linkage):
                 # a restart (the issuer's or ours) has a tail-sync
                 # outstanding: its reply resolves the surrogates
                 return
-            # re-read the issuer's stamped snapshot, then have the issuer
-            # redeliver what it parked meanwhile: deliveries refused while
-            # it was suspect are ordered against the snapshot by stamps
+            # subscribe-and-read every surrogate at the issuer, as its
+            # tail-sync handler would, then have the issuer redeliver
+            # what it parked meanwhile: deliveries refused while it was
+            # suspect are ordered against the rows by stamps
+            refs = subscriber_relay.held_refs(issuer.name)
             subscriber_relay.apply_snapshot(
-                issuer.name, issuer_relay.snapshot_for(subscriber.name)
+                issuer.name, issuer_relay.subscribe_and_read(subscriber.name, refs)
             )
             issuer_relay.redeliver_to(subscriber.name)
 
@@ -424,8 +326,6 @@ class SimLinkage(Linkage):
         monitor.on_epoch_change = on_epoch_change
         self._senders[(issuer_addr, subscriber_addr)] = sender
         self._monitors[(issuer_addr, subscriber_addr)] = monitor
-        # data batches from issuer to subscriber now carry the heartbeat
-        self._pools[issuer.name].to(subscriber_addr).attach_heartbeat(sender)
         sender.start()
         return sender, monitor
 
@@ -433,12 +333,11 @@ class SimLinkage(Linkage):
 
     def crash(self, service: "OasisService") -> None:
         """Take ``service`` down hard: it neither sends nor receives, and
-        everything queued in its wire channels is lost (volatile state)."""
+        its queued subscribes are lost (volatile state)."""
         address = self.address_of(service.name)
         self.network.node(address).up = False
-        self._pools[service.name].discard_all()
-        # the relay's journal (disk) keeps the outbox, its timers
-        # (memory) die
+        # the relay's journal (disk) keeps the outbox, its timers and
+        # queued subscribes (memory) die
         self._relays[service.name].crash()
         for (src, _dst), sender in self._senders.items():
             if src == address:

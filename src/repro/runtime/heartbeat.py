@@ -2,10 +2,11 @@
 event horizon.
 
 A sender guarantees that the receiver hears from it at least every ``t``
-seconds: a data batch carrying the heartbeat stamp, or a bare heartbeat
-if nothing substantive was sent.  Silence for longer than ``t`` times a
-grace factor makes the receiver *suspect* the sender, and every record
-the sender feeds is then treated as Unknown (fail closed).
+seconds: a bare heartbeat, or a wire batch carrying the heartbeat stamp
+when the sender rides a :class:`~repro.runtime.wire.BatchedChannel`
+(``SimLinkage``'s heartbeats are bare).  Silence for longer than ``t``
+times a grace factor makes the receiver *suspect* the sender, and every
+record the sender feeds is then treated as Unknown (fail closed).
 
 Heartbeats also carry an *event horizon timestamp* (section 6.8.2): a lower
 bound on the timestamps of anything the sender will transmit in the future.

@@ -10,9 +10,9 @@ ran on; every cross-service interaction in the distributed experiments
 (credential-record change notifications, heartbeats, badge sightings)
 travels through it.
 
-Accounting: every send updates a :class:`NetworkStats` on the fabric and a
-per-directed-link copy, so experiments can assert message-count and
-byte-count reductions (the wire-efficiency layer of
+Accounting: every send updates the :class:`NetworkStats` of its directed
+link, and the fabric's counters are their sum, so experiments can assert
+message-count and byte-count reductions (the wire-efficiency layer of
 :mod:`repro.runtime.wire` batches many payloads into one message; the
 ``payload_count`` argument to :meth:`Network.send` keeps the payload tally
 honest).
@@ -27,7 +27,7 @@ never as a silently-wrong byte count.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Optional
 
 from repro.errors import CodecError, NetworkError
@@ -54,8 +54,8 @@ MESSAGE_HEADER_BYTES = 24
 class NetworkStats:
     """Counter surface for wire-efficiency experiments.
 
-    One instance lives on the :class:`Network`; another per directed link
-    (see :meth:`Network.link_stats`).  ``payloads_carried`` counts the
+    One instance per directed link (see :meth:`Network.link_stats`);
+    :attr:`Network.stats` sums them.  ``payloads_carried`` counts the
     application payloads inside messages (a batch of 50 notifications is
     one message, 50 payloads); ``coalesced`` counts payloads that never
     hit the wire because a later payload superseded them in a batch
@@ -131,25 +131,18 @@ class Link:
 class Node:
     """A network endpoint: an address plus a message handler."""
 
-    def __init__(self, address: str, handler: MessageHandler, network: Optional["Network"] = None):
+    def __init__(self, address: str, handler: MessageHandler, network: "Network"):
         self.address = address
         self.handler = handler
         self.network = network
         self.up = True
-        self.received = 0
-        self.dropped_while_down = 0
 
     def deliver(self, message: Message) -> None:
+        stats = self.network.link_stats(message.source, self.address)
         if not self.up:
-            self.dropped_while_down += 1
-            if self.network is not None:
-                self.network.stats.dropped_while_down += 1
-                self.network.link_stats(message.source, self.address).dropped_while_down += 1
+            stats.dropped_while_down += 1
             return
-        self.received += 1
-        if self.network is not None:
-            self.network.stats.delivered += 1
-            self.network.link_stats(message.source, self.address).delivered += 1
+        stats.delivered += 1
         self.handler(message)
 
 
@@ -191,7 +184,6 @@ class Network:
             loss_probability=default_loss,
         )
         self._seq = 0
-        self.stats = NetworkStats()
         self._link_stats: dict[tuple[str, str], NetworkStats] = {}
         self._link_down_callbacks: list[LinkDownCallback] = []
         self._link_up_callbacks: list[LinkUpCallback] = []
@@ -253,6 +245,15 @@ class Network:
 
     def link(self, source: str, dest: str) -> Link:
         return self._links.get((source, dest), self._default)
+
+    @property
+    def stats(self) -> NetworkStats:
+        """The fabric's counters: a fresh sum over every directed link's
+        (:meth:`link_stats`), so writing to it changes nothing."""
+        links = self._link_stats.values()
+        return NetworkStats(
+            **{f.name: sum(getattr(s, f.name) for s in links) for f in fields(NetworkStats)}
+        )
 
     def link_stats(self, source: str, dest: str) -> NetworkStats:
         """Per-directed-link counters (created on first use)."""
@@ -372,7 +373,6 @@ class Network:
 
     def note_coalesced(self, source: str, dest: str, count: int = 1) -> None:
         """Record payloads elided before send (wire-layer coalescing)."""
-        self.stats.coalesced += count
         self.link_stats(source, dest).coalesced += count
 
     def unaccounted(self) -> int:
@@ -382,7 +382,8 @@ class Network:
         delivered, in a drop counter, or still in flight; a non-zero
         result means a message silently vanished from the accounting.
         """
-        return self.stats.offered() - self.stats.accounted() - self.in_flight
+        stats = self.stats
+        return stats.offered() - stats.accounted() - self.in_flight
 
     def send(
         self,
@@ -419,25 +420,21 @@ class Network:
             sent_at=self.simulator.now,
             seq=self._seq,
         )
-        per_link = self.link_stats(source, dest)
+        stats = self.link_stats(source, dest)
         body_len = len(encoded.data)
-        size = MESSAGE_HEADER_BYTES + body_len
-        for stats in (self.stats, per_link):
-            stats.messages_sent += 1
-            stats.payloads_carried += payload_count
-            stats.bytes_sent += size
-            stats.encoded_bytes += body_len
-            stats.intern_hits += encoded.intern_hits
-            stats.intern_misses += encoded.intern_misses
+        stats.messages_sent += 1
+        stats.payloads_carried += payload_count
+        stats.bytes_sent += MESSAGE_HEADER_BYTES + body_len
+        stats.encoded_bytes += body_len
+        stats.intern_hits += encoded.intern_hits
+        stats.intern_misses += encoded.intern_misses
         src_node = self._nodes.get(source)
         if src_node is not None and not src_node.up:
             # A crashed host neither receives nor transmits.
-            self.stats.dropped_while_down += 1
-            per_link.dropped_while_down += 1
+            stats.dropped_while_down += 1
             return None
         if dest not in self._nodes:
-            self.stats.dropped_no_handler += 1
-            per_link.dropped_no_handler += 1
+            stats.dropped_no_handler += 1
             if self.warn_no_handler:
                 import warnings
 
@@ -448,12 +445,10 @@ class Network:
             return None
         link = self.link(source, dest)
         if not link.up:
-            self.stats.dropped_while_down += 1
-            per_link.dropped_while_down += 1
+            stats.dropped_while_down += 1
             return None
         if link.loss_probability > 0 and self._rng.random() < link.loss_probability:
-            self.stats.dropped_by_loss += 1
-            per_link.dropped_by_loss += 1
+            stats.dropped_by_loss += 1
             return None
         delay = link.sample_delay(self._rng)
         node = self._nodes[dest]
@@ -463,13 +458,9 @@ class Network:
                 # None is an explicit drop; an empty list schedules zero
                 # deliveries, which is the same fate and must not vanish
                 # from the accounting
-                self.stats.dropped_by_fault += 1
-                per_link.dropped_by_fault += 1
+                stats.dropped_by_fault += 1
                 return None
-            if len(delays) > 1:
-                extra = len(delays) - 1
-                self.stats.duplicated += extra
-                per_link.duplicated += extra
+            stats.duplicated += len(delays) - 1
             for d in delays:
                 self._enqueue_delivery(node, message, d, kind)
             return message
@@ -515,7 +506,6 @@ class Network:
             # truncation, leftover bytes) is dropped with accounting; the
             # layers above treat this exactly like message loss (the
             # outbox DLQ sends again).
-            self.stats.dropped_decode += 1
             self.link_stats(message.source, node.address).dropped_decode += 1
             return
         node.deliver(

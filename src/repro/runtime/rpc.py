@@ -1,8 +1,9 @@
 """Request/reply RPC over the simulated network.
 
-The dissertation's services communicate by RPC (section 6.2; event
-notification rides the journal relay and the wire channels, not this
-layer).  An :class:`RpcEndpoint` owns a network node, exposes named
+The dissertation's services communicate by RPC (section 6.2).  The
+journal relay's outbox deliveries and tail-sync calls (every subscribe
+and every recovery re-read) are RPCs.  An :class:`RpcEndpoint` owns a
+network node, exposes named
 methods, and issues calls that complete a :class:`RpcFuture` when the
 reply arrives, the call times out, or the link to the peer goes down.
 
@@ -25,10 +26,12 @@ once; it ends in exactly one of:
 
 There is no retry and no reply cache: a caller that needs a request to
 land owns its retry.  The journal relay, the one such caller, parks an
-undelivered batch in its dead-letter queue and redelivers it on backoff.
-A network duplicate can run a handler twice for one call, so handlers
+undelivered batch in its dead-letter queue and redelivers it on backoff,
+and sends a failed tail-sync call again one period after it went.  A
+network duplicate can run a handler twice for one call, so handlers
 must be idempotent; the relay's are (its receiver dedups by ``(issuer,
-outbox seq)``, and tail-sync is a read).
+outbox seq)``, and tail-sync adds the caller to a subscriber set and
+reads).
 
 The caller's identity is the channel's, never a claim in the message: a
 handler receives the calling node's address as its first argument.

@@ -1,13 +1,12 @@
 """Wire-efficiency layer: batched, coalescing per-destination channels.
 
 OASIS's scalability story rests on cheap cross-service traffic
-(sections 4.9-4.10): subscribe requests, heartbeats, badge sightings and
-proxied events all cross service boundaries.  Sent naively that is one
-message per item.  (Credential-state notifications travel through the
-journal relay's outbox instead, one delivery per destination per
-round: :mod:`repro.core.journal`.)  A :class:`BatchedChannel` sits
-between senders and :meth:`Network.send` and amortises the per-message
-cost:
+(sections 4.9-4.10): badge sightings and proxied events cross service
+boundaries, and sent naively that is one message per item.
+(Credential-state notifications and subscribes travel as the journal
+relay's RPCs instead, one call per destination per instant:
+:mod:`repro.core.journal`.)  A :class:`BatchedChannel` sits between
+senders and :meth:`Network.send` and amortises the per-message cost:
 
 * **batching** — payloads queue and flush as one envelope, either when
   ``max_batch`` payloads are pending or ``max_delay`` virtual seconds
@@ -19,7 +18,7 @@ cost:
 * **coalescing** — a payload sent with a ``coalesce_key`` supersedes any
   pending payload with the same key (last-state-wins).  A badge seen in
   three rooms inside one batch window is reported once, in the last.
-* **heartbeat piggybacking** — a channel with an attached
+* **heartbeat piggybacking** — a channel built with a ``heartbeat``
   :class:`~repro.runtime.heartbeat.HeartbeatSender` stamps each departing
   batch with a heartbeat (boot epoch + event horizon) and resets the
   bare-heartbeat timer, so on a busy link the only liveness traffic is
@@ -43,7 +42,7 @@ silent link starves heartbeats too, so its consumer has failed closed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator, Optional
 
 from repro.runtime.network import Message, Network
@@ -103,14 +102,6 @@ class BatchedChannel:
             self.sim, self._emit, name=f"flush:{source}->{dest}"
         )
 
-    def attach_heartbeat(self, sender: "HeartbeatSender") -> None:
-        """Piggyback ``sender``'s liveness on every departing batch."""
-        self._heartbeat = sender
-
-    @property
-    def pending(self) -> int:
-        return len(self._pending)
-
     def send(self, kind: str, payload: Any, coalesce_key: Any = None) -> None:
         """Queue one payload for the destination.
 
@@ -142,18 +133,6 @@ class BatchedChannel:
         if self._pending:
             self.stats.explicit_flushes += 1
         self._emit()
-
-    def discard_pending(self) -> int:
-        """Drop everything queued without sending it.
-
-        Models a crash: queued-but-unsent payloads are volatile process
-        state and die with it.  Returns the number of payloads dropped.
-        """
-        dropped = len(self._pending)
-        self._pending = []
-        self._keyed = {}
-        self._flush_timer.disarm()
-        return dropped
 
     def _emit(self) -> None:
         if not self._pending:
@@ -197,18 +176,9 @@ class ChannelPool:
             )
         return channel
 
-    @property
-    def pending(self) -> int:
-        """Payloads queued on all of this sender's channels."""
-        return sum(channel.pending for channel in self._channels.values())
-
     def flush_all(self) -> None:
         for channel in self._channels.values():
             channel.flush()
-
-    def discard_all(self) -> int:
-        """Drop all queued payloads on every channel (crash semantics)."""
-        return sum(channel.discard_pending() for channel in self._channels.values())
 
 
 def unpack(message: Message) -> Iterator[Message]:

@@ -349,6 +349,13 @@ def parsed(source):
     True,
     [("A", (2,), [], None), ("E", None, [Membership(SERVICE, frozenset("A"), (2,))], None)],
 ))
+# head variables that occur nowhere else are built from the request as
+# it was coerced, not coerced again; a wild card leaves one unbound
+@example(case=(
+    parsed("B(x, y) <-"),
+    False,
+    [("B", (None, "a"), [], None), ("B", (1, None), [], None), ("B", (2, "b"), [], None)],
+))
 def test_compiled_engine_matches_interpreter(case):
     rolefile, groups, requests_ = case
     compiled = build(RoleEntryEngine, rolefile, groups)

@@ -135,12 +135,13 @@ def test_delayed_pre_crash_retransmission_rejected_after_restart():
 
 
 def test_replayed_stale_frame_never_applies():
-    """Capture the pre-crash delivery that carried the subscribe replies
-    (TRUE), revoke cert_b, crash and restart the issuer, then replay the
-    captured delivery under a fresh call id: the receiver's journal has
-    applied those ``(issuer, seq)`` before, so they never apply again."""
-    sim = Simulator()
-    net = Network(sim, seed=11, default_delay=0.05)
+    """Capture a pre-crash delivery of TRUE for both sessions, revoke
+    cert_b, crash and restart the issuer, then replay the captured
+    delivery under a fresh call id: the receiver's journal has applied
+    those ``(issuer, seq)`` before, so they never apply again."""
+    sim, net, linkage, login, files, cert_a, cert_b = make_world()
+    sender, monitor = linkage.monitor(login, files, period=1.0, grace=2.0)
+    sim.run_until(3.0)
     captured = []
 
     def capture(message, delay):
@@ -149,9 +150,10 @@ def test_replayed_stale_frame_never_applies():
         return [delay]
 
     net.set_fault_injector(capture)
-    sim, net, linkage, login, files, cert_a, cert_b = make_world(net=net)
-    sender, monitor = linkage.monitor(login, files, period=1.0, grace=2.0)
-    sim.run_until(3.0)
+    linkage.publish(
+        login, [(cert.crr, RecordState.TRUE, ["Files"]) for cert in (cert_a, cert_b)]
+    )
+    sim.run_until(3.2)
     net.set_fault_injector(None)
     replay = net.codec.decode(captured[-1])
     (rows,) = replay["args"]
@@ -178,9 +180,9 @@ def test_replayed_stale_frame_never_applies():
 def test_pre_crash_batch_in_the_mask_window_never_unmasks():
     """The mask window runs from the epoch-change mask to the tail-sync
     reply.  A delivery sent before the crash lands inside it: a TRUE for
-    ``cert_a`` (a subscribe reply) whose stamp is above any applied,
-    though the crashed boot had since revoked ``cert_a``.  It is refused,
-    so the surrogate never reads TRUE after the restart, and ends FALSE."""
+    ``cert_a`` whose stamp is above any applied, though the crashed boot
+    had since revoked ``cert_a``.  It is refused, so the surrogate never
+    reads TRUE after the restart, and ends FALSE."""
     sim, net, linkage, login, files, cert_a, cert_b = make_world()
     sender, monitor = linkage.monitor(login, files, period=1.0, grace=2.0)
     sim.run_until(3.0)
@@ -190,8 +192,7 @@ def test_pre_crash_batch_in_the_mask_window_never_unmasks():
         surrogate.ref, lambda record, old, new: changes.append((sim.now, new))
     )
 
-    # Resubscribe and keep the issuer's answer off the wire: an outbox
-    # delivery of a freshly stamped TRUE.
+    # Keep an outbox delivery of a freshly stamped TRUE off the wire.
     captured = []
 
     def capture(message, delay):
@@ -201,7 +202,7 @@ def test_pre_crash_batch_in_the_mask_window_never_unmasks():
         return [delay]
 
     net.set_fault_injector(capture)
-    linkage.subscribe(files, "Login", cert_a.crr)
+    linkage.publish(login, [(cert_a.crr, RecordState.TRUE, ["Files"])])
     sim.run_until(3.2)
     net.set_fault_injector(None)
     assert len(captured) == 1

@@ -359,16 +359,18 @@ def test_subscriber_recovers_by_tail_sync_not_resubscribe_storm():
     for cert, _reader in pairs[:7]:
         login.exit_role(cert)  # revoked while the subscriber is down
     sim.run_until(10.0)
-    subscribes = linkage.channel("Files", "Login").stats
-    subscribes_before = subscribes.sends
+    calls = linkage.relay_of("Files").rpc.stats
+    calls_before = calls.calls
+    served = linkage.durable.journal("Login").stats
+    served_before = served.tail_syncs_served
     linkage.restart(files)
     sim.run_until(40.0)
 
     files_journal = linkage.durable.journal("Files")
-    assert files_journal.stats.tail_syncs_pulled >= 1
-    assert linkage.durable.journal("Login").stats.tail_syncs_served >= 1
-    # recovery does not resubscribe: no subscribe went to Login
-    assert subscribes.sends == subscribes_before
+    assert files_journal.stats.tail_syncs_pulled == 1
+    # recovery does not resubscribe ref by ref: one call re-reads all 20
+    assert calls.calls - calls_before == 1
+    assert served.tail_syncs_served - served_before == 1
     states = surrogate_states(files)
     for index, (cert, _reader) in enumerate(pairs):
         expected = RecordState.FALSE if index < 7 else RecordState.TRUE
@@ -407,7 +409,7 @@ def test_stale_tail_reply_never_reopens_a_newer_revocation():
     sim.run_until(8.0)
 
     assert held == [pytest.approx(3.01)]   # the tail-sync reply was the one held
-    assert linkage.durable.journal("Login").stats.tail_syncs_served == 1
+    assert linkage.durable.journal("Files").stats.tail_syncs_pulled == 1
     assert surrogate_states(files)[revoked.crr] is RecordState.FALSE
     assert checker.divergences() == []
     assert checker.check_fail_closed() == []
@@ -423,12 +425,12 @@ PARKED_HEAL_TIMES = (3.0, 3.5, 4.0, 5.0, 5.5, 6.0, 7.5, 8.0, 8.5, 10.0)
 
 @pytest.mark.parametrize("heal_at", PARKED_HEAL_TIMES)
 def test_parked_older_delivery_never_reopens_a_revocation_on_heal(heal_at):
-    """A subscribe reply (TRUE) parks behind a cut of the Login-Files
+    """An outbox delivery of TRUE parks behind a cut of the Login-Files
     link, and the session logs off, so its FALSE parks behind the TRUE.
     When the link heals, the older TRUE must not re-open the surrogate:
     not while Files still suspects Login (the delivery is refused and
     redelivered), and not after the restore re-read (the re-read is the
-    issuer's stamped snapshot, which the TRUE's older stamp cannot
+    issuer's stamped rows, which the TRUE's older stamp cannot
     supersede)."""
     sim, net, linkage, login, files = make_world(delay=0.01)
     relays = [linkage.enable_journal(service, seed=13) for service in (login, files)]
@@ -437,8 +439,10 @@ def test_parked_older_delivery_never_reopens_a_revocation_on_heal(heal_at):
     client = HostOS("probe-host").create_domain().client_id
     cert = login.enter_role(client, "LoggedOn", ("u", "h"))
     files.enter_role(client, "Reader", credentials=(cert,))
-    sim.run_until(1.005)                # the subscribe is in flight
+    sim.run_until(1.05)                 # the subscribe has landed
+    assert login.credentials.get(cert.crr).subscribers == {"Files"}
     net.partition({"oasis:Login"}, {"oasis:Files"})
+    linkage.publish(login, [(cert.crr, RecordState.TRUE, ["Files"])])
     sim.run_until(2.0)
     login.exit_role(cert)
     checker = InvariantChecker([login, files], stale_bound=1.0, journals=linkage.durable)
@@ -499,6 +503,118 @@ def test_tail_reply_from_a_suspect_issuer_leaves_surrogates_unknown():
     assert linkage.journal_quiescent()
 
 
+def hold_replies(net, sim, holds, source="oasis:Login", dest="oasis:Files"):
+    """Delay the next RPC replies from ``source`` to ``dest`` by the
+    extra seconds in ``holds``, in order; returns their landing times."""
+    landed = []
+
+    def inject(message, delay):
+        if holds and message.kind == "rpc-reply" and (message.source, message.dest) == (
+            source, dest
+        ):
+            delay += holds.pop(0)
+            landed.append(sim.now + delay)
+        return [delay]
+
+    net.set_fault_injector(inject)
+    return landed
+
+
+def test_an_unstamped_reply_after_a_stamped_false_never_reopens():
+    """Login answers Files' subscribe before any notification for the
+    record exists, so the row's stamp is None.  The session logs off at
+    once and the FALSE delivery (stamped) overtakes the held reply: the
+    reply's TRUE must not re-open the surrogate."""
+    sim, net, linkage, login, files = make_world(delay=0.01)
+    landed = hold_replies(net, sim, [0.05])
+    (cert, reader), = populate(login, files, 1)
+    sim.schedule(0.011, login.exit_role, cert, name="test-logoff")
+    sim.run_until(0.03)
+    assert surrogate_states(files)[cert.crr] is RecordState.FALSE
+    sim.run_until(1.0)
+    assert landed == [pytest.approx(0.07)]
+    assert surrogate_states(files)[cert.crr] is RecordState.FALSE
+    assert linkage.durable.journal("Files").stats.superseded == 1
+    with pytest.raises(RevokedError):
+        files.validate(reader)
+    assert linkage.durable.conservation_breaches() == []
+
+
+@pytest.mark.parametrize("window", ["suspect", "awaiting"])
+def test_a_subscribe_reply_in_the_mask_window_leaves_the_surrogate_masked(window):
+    """Files subscribes at 1.0 and Login answers TRUE, but the reply is
+    held.  Before it lands Files masks the surrogate Unknown: it suspects
+    Login (Login's heartbeats stop), or Login crashed and restarted and
+    Files awaits its recovery tail-sync (held too).  Then the session
+    logs off.  The reply lands inside that window and must leave the
+    surrogate as the mask left it; the restore's re-read or the recovery
+    reply then resolves it FALSE."""
+    sim, net, linkage, login, files = make_world(delay=0.01)
+    sender, _monitor = linkage.monitor(login, files, 0.5, grace=2.0)
+    sim.run_until(1.0)
+    landed = hold_replies(net, sim, [2.0] if window == "suspect" else [0.3, 0.5])
+    client = HostOS("probe-host").create_domain().client_id
+    cert = login.enter_role(client, "LoggedOn", ("u", "h"))
+    files.enter_role(client, "Reader", credentials=(cert,))
+    if window == "suspect":
+        sender.stop()
+        sim.run_until(2.6)
+        assert linkage.suspects("Files", "Login")
+    else:
+        sim.run_until(1.02)
+        linkage.crash(login)
+        sim.run_until(1.05)
+        linkage.restart(login)
+        sim.run_until(1.1)
+        assert linkage.relay_of("Files").awaiting("Login")
+    login.exit_role(cert)
+    checker = InvariantChecker([login, files], stale_bound=1.0, journals=linkage.durable)
+    for k in range(1, 120):
+        sim.schedule_at(sim.now + 0.05 * k, checker.check_fail_closed)
+    reply_at = landed[0]
+    sim.run_until(reply_at + 0.001)
+    assert surrogate_states(files)[cert.crr] is RecordState.UNKNOWN
+
+    if window == "suspect":
+        sender.start()
+    sim.run_until(reply_at + 3.0)
+    assert surrogate_states(files)[cert.crr] is RecordState.FALSE
+    assert checker.violations == [], "\n".join(str(v) for v in checker.violations)
+    assert checker.converged()
+    assert checker.check_outbox_conservation() == []
+    assert linkage.journal_quiescent()
+
+
+def test_a_subscribe_made_while_a_recovery_pull_is_awaited_waits_for_it():
+    """Files restarts and awaits its recovery tail-sync from Login (the
+    reply is held).  A session admitted at Files meanwhile, and logged
+    off at Login at once, sends its subscribe only once the recovery
+    reply has landed (a reply before that would be refused), and is
+    denied one round trip later, not a retry period later."""
+    sim, net, linkage, login, files = make_world(delay=0.01)
+    populate(login, files, 2)
+    sim.run_until(1.0)
+    linkage.crash(files)
+    sim.run_until(2.0)
+    landed = hold_replies(net, sim, [0.3])
+    relay = linkage.relay_of("Files")
+    calls = relay.rpc.stats.calls
+    linkage.restart(files)
+    (cert, reader), = populate(login, files, 1)
+    login.exit_role(cert)
+    sim.run_until(2.3)
+    assert relay.rpc.stats.calls - calls == 1      # the recovery pull alone
+    assert relay.subscribes_queued() and relay.awaiting("Login")
+    sim.run_until(landed[0])
+    assert relay.rpc.stats.calls - calls == 2      # the subscribe goes at once
+    assert not relay.awaiting("Login")
+    sim.run_until(landed[0] + 2 * 0.01)
+    with pytest.raises(RevokedError):
+        files.validate(reader)
+    assert surrogate_states(files)[cert.crr] is RecordState.FALSE
+    assert linkage.durable.conservation_breaches() == []
+
+
 # ------------------------------------------- the channel names the issuer
 
 
@@ -536,7 +652,7 @@ def test_a_delivery_naming_another_issuer_cannot_swallow_its_next_revocation():
     is not touched, so the revocation lands."""
     sim, linkage, login, files, cert, reader, mirror = spoof_world()
     login_journal = linkage.durable.journal("Login")
-    next_seq = max(login_journal.outbox) + 1
+    next_seq = max(login_journal.outbox, default=0) + 1
     mirror.call("oasis:Files", "outbox-deliver", "Login",
                 [[next_seq, 123456789, "true", None]])
     sim.run_until(2.0)
@@ -551,16 +667,17 @@ def test_a_delivery_naming_another_issuer_cannot_swallow_its_next_revocation():
 
 
 def test_tail_sync_serves_the_callers_own_snapshot():
-    """A tail-sync names no subscriber: Mirror asking on Files' behalf
-    learns nothing of Files' subscriptions, and its own pull returns
-    its own (empty) snapshot."""
+    """A tail-sync names no subscriber, only refs: Mirror asking on
+    Files' behalf is refused, and its own call over Files' ref
+    subscribes Mirror, not Files, and reads the record's state."""
     sim, linkage, login, files, cert, reader, mirror = spoof_world()
+    assert login.credentials.get(cert.crr).subscribers == {"Files"}
     named = mirror.call("oasis:Login", "tail-sync", "Files")
-    own = mirror.call("oasis:Login", "tail-sync")
+    own = mirror.call("oasis:Login", "tail-sync", [cert.crr])
     sim.run_until(2.0)
-    assert named.failed or named.result()["items"] == []
-    assert own.result()["items"] == []
-    assert linkage.relay_of("Login").snapshot_for("Files")   # Files does subscribe
+    assert named.failed
+    assert own.result()["items"] == [[cert.crr, "true", None]]
+    assert login.credentials.get(cert.crr).subscribers == {"Files", "Mirror"}
 
 
 def test_one_round_is_one_outbox_transaction_across_a_crash():
@@ -787,16 +904,17 @@ def test_quiesce_lands_every_revocation_without_dead_letters():
 
 
 def test_quiesce_waits_for_a_subscribe_still_queued_in_its_channel():
-    """Right after an admission its subscribe sits in the channel until
-    the zero-delay flush: quiesce sends it and returns once the reply is
-    acked, three link delays (0.15 s) later: the subscribe, the reply's
-    delivery and its ack."""
+    """Right after an admission its subscribe waits for the relay's
+    zero-delay tail-sync call: quiesce sends it and returns once the
+    reply has landed, two link delays (0.1 s) later: the call and its
+    reply."""
     sim, net, linkage, login, files = make_world()
     (cert, _reader), = populate(login, files, 1)
     assert net.in_flight == 0 and linkage.journal_quiescent()
-    assert linkage.quiesce() == pytest.approx(3 * 0.05)
+    assert linkage.relay_of("Files").subscribes_queued()
+    assert linkage.quiesce() == pytest.approx(2 * 0.05)
     assert login.credentials.get(cert.crr).subscribers == {"Files"}
-    assert linkage.durable.journal("Files").stats.applied == 1
+    assert linkage.durable.journal("Login").stats.outbox_appended == 0
 
 
 def test_quiesce_raises_past_its_timeout():

@@ -8,13 +8,13 @@ import pytest
 
 from repro.core import GroupService, HostOS, OasisService, ServiceRegistry
 from repro.core.credentials import RecordState
+from repro.core.journal import SYNC_RETRY_PERIOD
 from repro.core.linkage import SimLinkage
 from repro.core.types import ObjectType
 from repro.errors import RevokedError
-from repro.runtime import wire
 from repro.runtime.clock import SimClock
 from repro.runtime.network import Link, Network
-from repro.runtime.profile import SimProfile
+from repro.runtime.rpc import RpcEndpoint, RpcError
 from repro.runtime.simulator import Simulator
 
 LOGIN_RDL = """
@@ -253,9 +253,9 @@ class TestWireEfficiency:
             files.validate(reader)
 
     def test_subscription_reply_is_not_held_for_a_batch(self):
-        """The subscribe leaves in the channel's zero-delay flush and the
-        reply in the relay's zero-delay drain, so the surrogate is
-        resolved two link delays after entry."""
+        """The subscribe leaves in the relay's zero-delay tail-sync call
+        and the issuer answers it at once, so the surrogate is resolved
+        two link delays after entry."""
         from repro.core.credentials import RecordState
 
         sim = Simulator()
@@ -315,9 +315,9 @@ class TestGroupService:
 
 
 def test_lost_subscribe_is_retried_until_acknowledged():
-    """A subscribe request eaten by the network must not orphan the
-    surrogate: the subscriber retries on a timer until any Modified
-    event for the ref proves the issuer knows about it (ISSUE 5)."""
+    """A subscribe call eaten by the network must not orphan the
+    surrogate: the subscriber sends it again one period after it went
+    until its reply lands."""
     sim, net, linkage, login, files, user = make_distributed_world()
     login_cert = login.enter_role(user.client_id, "LoggedOn", ("dm", "ely"))
     # every subscribe from Files dies on the floor for a while
@@ -328,7 +328,8 @@ def test_lost_subscribe_is_retried_until_acknowledged():
     assert "Files" not in record.subscribers  # issuer is still unaware
     net.set_link("oasis:Files", "oasis:Login", Link())
     sim.run_until(10.0)
-    assert linkage.subscribe_retries >= 1
+    rpc = linkage.relay_of("Files").rpc
+    assert (rpc.stats.calls, rpc.stats.timeouts) == (2, 1)
     assert "Files" in login.credentials.get(login_cert.crr).subscribers
     # ...so the revocation propagates instead of leaving a stale grant
     login.exit_role(login_cert)
@@ -337,7 +338,7 @@ def test_lost_subscribe_is_retried_until_acknowledged():
         files.validate(reader)
 
 
-# -- the subscriber is whoever sent the subscribe -----------------------------
+# -- the subscriber is whoever made the call ----------------------------------
 
 
 def make_three_service_world(sessions=2):
@@ -392,17 +393,20 @@ def test_a_re_entry_with_the_same_credential_sends_nothing():
 
 
 def test_the_subscriber_is_whoever_sent_the_subscribe():
-    """The issuer takes the subscriber from the channel (the sending
-    node's address), never from a claim inside the message: items naming
-    Mirror, sent from Files, subscribe Files."""
+    """The issuer takes the subscriber from the channel (the calling
+    node's address), never from the request, which carries refs only:
+    a tail-sync call from Files subscribes Files and nobody else, and a
+    call that also names Mirror is refused."""
     sim, net, linkage, login, files, mirror, certs = make_three_service_world()
     read_as(files, certs[0])
     sim.run()
     assert subscribers_of(login, certs[0]) == {"Files"}
-    channel = linkage.channel("Files", "Login")
-    channel.send("subscribe", {"ref": certs[1].crr, "subscriber": "Mirror"})
-    channel.flush()
+    rpc = linkage.relay_of("Files").rpc
+    named = rpc.call("oasis:Login", "tail-sync", [certs[1].crr], "Mirror")
+    own = rpc.call("oasis:Login", "tail-sync", [certs[1].crr])
     sim.run()
+    assert named.failed
+    assert own.result()["items"] == [[certs[1].crr, "true", None]]
     assert subscribers_of(login, certs[0]) == {"Files"}
     assert subscribers_of(login, certs[1]) == {"Files"}
     assert net.unaccounted() == 0
@@ -413,37 +417,33 @@ def test_retried_subscribes_subscribe_the_sender():
     read_as(files, certs[0])
     sim.run_until(1.0)
     assert subscribers_of(login, certs[0]) == {"Files"}
-    # a lost subscribe from Mirror lands on its timer retry
+    # a lost subscribe from Mirror lands when its call goes again
     net.set_link("oasis:Mirror", "oasis:Login", Link(loss_probability=1.0))
     read_as(mirror, certs[1])
     sim.run_until(1.5)
     net.set_link("oasis:Mirror", "oasis:Login", Link())
     sim.run_until(10.0)
-    assert linkage.subscribe_retries >= 1
+    assert linkage.relay_of("Mirror").rpc.stats.timeouts == 1
     assert subscribers_of(login, certs[1]) == {"Mirror"}
 
 
 def test_a_subscribe_from_an_address_with_no_service_is_ignored():
     """Nobody at a bare address could receive the notifications, so its
-    subscribe items change nothing and draw no reply."""
-    from repro.runtime.wire import BatchedChannel
-
+    tail-sync call is refused and subscribes nobody."""
     sim, net, linkage, login, files, mirror, certs = make_three_service_world()
     sim.run()
-    net.add_node("oasis:Ghost", lambda message: None)
-    ghost = BatchedChannel(net, "oasis:Ghost", "oasis:Login")
-    ghost.send("subscribe", {"ref": certs[0].crr})
-    ghost.send("subscribe", {"ref": certs[1].crr, "subscriber": "Files"})
-    ghost.flush()
-    sent = net.stats.messages_sent
+    ghost = RpcEndpoint(net, "oasis:Ghost")
+    call = ghost.call("oasis:Login", "tail-sync", [certs[0].crr, certs[1].crr])
     sim.run()
+    with pytest.raises(RpcError, match="no attached service"):
+        call.result()
     assert subscribers_of(login, certs[0]) == set()
     assert subscribers_of(login, certs[1]) == set()
-    assert net.stats.messages_sent == sent   # no reply went anywhere
+    assert login.journal.stats.tail_syncs_served == 0
     assert net.unaccounted() == 0
 
 
-# -- a burst of admissions: one batch, one transaction, one timer per pair ----
+# -- a burst of admissions: one call per subscriber, one reply each ------------
 
 
 def capture(net, lossy=()):
@@ -459,117 +459,139 @@ def capture(net, lossy=()):
     return frames
 
 
-def subscribe_batches(net, frames, source):
-    """The refs of each subscribe batch ``source`` sent, in send order."""
-    return [
-        [item["payload"]["ref"] for item in net.codec.decode(m.payload)["items"]]
-        for m in frames
-        if m.source == source and m.kind == wire.BATCH_KIND
-    ]
+def sync_calls(net, frames, source):
+    """(send time, refs) of each tail-sync call ``source`` sent, in send
+    order."""
+    calls = []
+    for m in frames:
+        if m.source == source and m.kind == "rpc-request":
+            body = net.codec.decode(m.payload)
+            if body["method"] == "tail-sync":
+                calls.append((m.sent_at, list(body["args"][0])))
+    return calls
 
 
-def test_a_burst_of_admissions_is_one_subscribe_batch_and_one_delivery():
+def test_a_burst_of_admissions_is_one_tail_sync_call_per_subscriber():
     """Sixteen sessions enter at Files and at Mirror in one instant.
-    Each subscriber sends its subscribes as one batch, and the issuer
-    answers each batch with one notify record and one outbox-deliver.
-    On fixed-delay links the issuer knows every subscriber one link
-    delay later, and every reply has landed one delay after that."""
+    Each subscriber sends its subscribes as one tail-sync call, and the
+    issuer answers each call with one reply of stamped rows, appending
+    no journal record and no outbox entry.  On fixed-delay links the
+    issuer knows every subscriber one link delay later, and every reply
+    has landed one delay after that; nothing is sent again."""
     sim, net, linkage, login, files, mirror, certs = make_three_service_world(16)
     sim.run()
     delay = net.link("oasis:Files", "oasis:Login").base_delay
     login_journal = linkage.durable.journal("Login")
-    applied = {s.name: linkage.durable.journal(s.name).stats.applied for s in (files, mirror)}
     frames = capture(net)
-    profile = SimProfile().attach(sim)
     t0 = sim.now
-    for cert in certs:
-        read_as(files, cert)
-        read_as(mirror, cert)
-    records = len(login_journal)
+    readers = [(read_as(files, cert), read_as(mirror, cert)) for cert in certs]
+    records, appended = len(login_journal), login_journal.stats.outbox_appended
     refs = [cert.crr for cert in certs]
 
     sim.run_until(t0 + delay)
-    assert subscribe_batches(net, frames, "oasis:Files") == [refs]
-    assert subscribe_batches(net, frames, "oasis:Mirror") == [refs]
+    assert sync_calls(net, frames, "oasis:Files") == [(t0, refs)]
+    assert sync_calls(net, frames, "oasis:Mirror") == [(t0, refs)]
     assert all(subscribers_of(login, cert) == {"Files", "Mirror"} for cert in certs)
 
-    sim.run_until(t0 + delay + delay)
-    assert [r.kind for r in login_journal.records[records:]] == ["notify", "notify"]
-    deliveries = [m for m in frames if m.source == "oasis:Login"]
-    assert sorted(m.dest for m in deliveries) == ["oasis:Files", "oasis:Mirror"]
-    for service in (files, mirror):
-        journal = linkage.durable.journal(service.name)
-        assert journal.stats.applied - applied[service.name] == len(certs)
-        assert {r.state for r in service.credentials.externals_of("Login")} == {
-            RecordState.TRUE
-        }
-    assert linkage.durable.conservation_breaches() == []
+    sim.run_until(t0 + 2 * delay)
+    replies = [(m.kind, m.dest) for m in frames if m.source == "oasis:Login"]
+    assert sorted(replies) == [("rpc-reply", "oasis:Files"), ("rpc-reply", "oasis:Mirror")]
+    assert net.in_flight == 0
+    assert (len(login_journal), login_journal.stats.outbox_appended) == (records, appended)
+    assert login_journal.stats.tail_syncs_served == 2
 
-    sim.run_until(t0 + 3 * linkage.subscribe_retry_period)
-    assert linkage.subscribe_retries == 0
-    assert len(frames) == 2 + 2 * 2      # two batches; a delivery and an ack each
-    # one retry timer per pair, which found nothing left to resend
-    assert profile.buckets["subscribe-retry"].events == 2
+    sim.run_until(t0 + 3 * SYNC_RETRY_PERIOD)
+    assert len(frames) == 2 * 2          # a call and its reply per subscriber
+    # the subscriptions are in place: one logoff reaches both subscribers
+    login.exit_role(certs[0])
+    linkage.quiesce()
+    for service, reader in zip((files, mirror), readers[0]):
+        with pytest.raises(RevokedError):
+            service.validate(reader)
     assert net.unaccounted() == 0
 
 
 def test_a_lost_burst_is_resent_as_one_batch_one_period_later():
-    """Files' burst of six subscribes is lost.  One period after it was
-    sent, the pair's one timer resends it as one batch, less the ref a
-    delivery acknowledged meanwhile and the ref whose surrogate is gone."""
+    """Files' burst of six subscribes is one tail-sync call, and it is
+    lost.  One period after it was sent the call goes again, as one
+    call, with only the refs whose surrogate remains; then a logoff
+    denies."""
     sim, net, linkage, login, files, mirror, certs = make_three_service_world(6)
     sim.run()
-    period = linkage.subscribe_retry_period
     lossy = {"oasis:Files"}
     frames = capture(net, lossy)
-    profile = SimProfile().attach(sim)
     t0 = sim.now
-    for cert in certs:
-        read_as(files, cert)
-    sim.run_until(t0 + period / 4)
-    assert subscribe_batches(net, frames, "oasis:Files") == [[c.crr for c in certs]]
+    readers = [read_as(files, cert) for cert in certs]
+    sim.run_until(t0 + SYNC_RETRY_PERIOD / 4)
+    assert sync_calls(net, frames, "oasis:Files") == [(t0, [c.crr for c in certs])]
     assert all(subscribers_of(login, cert) == set() for cert in certs)
 
     lossy.clear()
-    # a delivery for certs[0] proves registration, as far as Files can tell
-    linkage.publish(login, [(certs[0].crr, RecordState.TRUE, ["Files"])])
-    # and Files drops its surrogate for certs[1]
-    gone = files.credentials.external("Login", certs[1].crr)
+    # Files drops its surrogate for certs[0]
+    gone = files.credentials.external("Login", certs[0].crr)
     files.credentials.revoke(gone.ref)
     files.credentials.sweep()
-    assert files.credentials.external("Login", certs[1].crr) is None
-    sim.run_until(t0 + period / 2)
-    assert linkage.subscribe_retries == 0
+    assert files.credentials.external("Login", certs[0].crr) is None
+    sim.run_until(t0 + SYNC_RETRY_PERIOD)
+    assert sync_calls(net, frames, "oasis:Files")[1:] == [
+        (t0 + SYNC_RETRY_PERIOD, [c.crr for c in certs[1:]])
+    ]
 
-    sim.run_until(t0 + period)
-    batches = subscribe_batches(net, frames, "oasis:Files")
-    assert batches[1:] == [[c.crr for c in certs[2:]]]
-    assert frames[-1].sent_at == t0 + period
-    assert linkage.subscribe_retries == 4
-
-    sim.run_until(t0 + 4 * period)     # the replies land: nothing more is resent
-    assert len(subscribe_batches(net, frames, "oasis:Files")) == 2
-    assert linkage.subscribe_retries == 4
-    # the pair's one timer fired twice: the resend, then nothing pending
-    assert profile.buckets["subscribe-retry"].events == 2
-    assert all(subscribers_of(login, cert) == {"Files"} for cert in certs[2:])
-    assert subscribers_of(login, certs[1]) == set()
+    sim.run_until(t0 + 4 * SYNC_RETRY_PERIOD)   # the reply lands: nothing more is sent
+    assert len(sync_calls(net, frames, "oasis:Files")) == 2
+    assert all(subscribers_of(login, cert) == {"Files"} for cert in certs[1:])
+    assert subscribers_of(login, certs[0]) == set()
+    login.exit_role(certs[1])
+    linkage.quiesce()
+    with pytest.raises(RevokedError):
+        files.validate(readers[1])
+    files.validate(readers[2])
     assert linkage.durable.conservation_breaches() == []
+    assert net.unaccounted() == 0
+
+
+def test_a_lost_reply_is_resent_one_period_after_the_send():
+    """Login registers Files for the burst, but its reply is lost.  One
+    period after the call was sent it goes again with the refs whose
+    surrogate remains, and this reply lands; then a logoff denies."""
+    sim, net, linkage, login, files, mirror, certs = make_three_service_world(3)
+    sim.run()
+    lossy = {"oasis:Login"}
+    frames = capture(net, lossy)
+    t0 = sim.now
+    readers = [read_as(files, cert) for cert in certs]
+    sim.run_until(t0 + SYNC_RETRY_PERIOD / 4)
+    assert all(subscribers_of(login, cert) == {"Files"} for cert in certs)
+
+    lossy.clear()
+    gone = files.credentials.external("Login", certs[0].crr)
+    files.credentials.revoke(gone.ref)
+    files.credentials.sweep()
+    sim.run_until(t0 + 4 * SYNC_RETRY_PERIOD)
+    assert sync_calls(net, frames, "oasis:Files") == [
+        (t0, [c.crr for c in certs]),
+        (t0 + SYNC_RETRY_PERIOD, [c.crr for c in certs[1:]]),
+    ]
+    assert [m.kind for m in frames if m.source == "oasis:Login"] == ["rpc-reply"] * 2
+    login.exit_role(certs[2])
+    linkage.quiesce()
+    with pytest.raises(RevokedError):
+        files.validate(readers[2])
+    files.validate(readers[1])
     assert net.unaccounted() == 0
 
 
 def test_each_ref_is_resent_one_period_after_its_own_last_send():
     """Every subscribe from Files is lost.  Refs sent at different times
-    come due at different times: the pair's timer resends only the
-    overdue ones and re-arms for the oldest ref still pending.  A second
-    entry with the same credential sends nothing (its surrogate exists),
-    so its ref stays due one period after its first send."""
+    come due at different times: each failed call goes again one period
+    after it was sent, with its own refs.  A second entry with the same
+    credential sends nothing (its surrogate exists), so its ref stays
+    due one period after its first send."""
     sim, net, linkage, login, files, mirror, certs = make_three_service_world(3)
     sim.run()
-    period = linkage.subscribe_retry_period
+    period = SYNC_RETRY_PERIOD
     a, b, c = (cert.crr for cert in certs)
     frames = capture(net, lossy={"oasis:Files"})
-    profile = SimProfile().attach(sim)
     t0 = sim.now
     read_as(files, certs[0])
     sim.run_until(t0 + period / 2)
@@ -578,11 +600,7 @@ def test_each_ref_is_resent_one_period_after_its_own_last_send():
     sim.run_until(t0 + 3 * period / 4)
     read_as(files, certs[0])
     sim.run_until(t0 + 5 * period / 2)
-    sent = [
-        (m.sent_at - t0, [item["payload"]["ref"] for item in net.codec.decode(m.payload)["items"]])
-        for m in frames
-        if m.kind == wire.BATCH_KIND
-    ]
+    sent = [(at - t0, refs) for at, refs in sync_calls(net, frames, "oasis:Files")]
     assert sent == [
         (0.0, [a]),
         (period / 2, [b, c]),
@@ -591,39 +609,35 @@ def test_each_ref_is_resent_one_period_after_its_own_last_send():
         (2 * period, [a]),
         (5 * period / 2, [b, c]),
     ]
-    assert linkage.subscribe_retries == 6
-    # fired at 1, 1.5, 2 and 2.5 periods
-    assert profile.buckets["subscribe-retry"].events == 4
+    # the calls sent at 0, 1/2, 1 and 3/2 periods have timed out
+    assert linkage.relay_of("Files").rpc.stats.timeouts == 4
     assert net.unaccounted() == 0
 
 
 def test_a_subscribe_queued_at_a_crash_is_lost_and_resent_after_restart():
-    """The channel is volatile: a subscribe still queued for the flush
-    when its service crashes dies with it.  After the restart the
-    tail-sync cannot resolve the surrogate (the issuer never heard of
-    it); the pair's retry resends the subscribe and its reply does."""
+    """The relay's subscribe queue is volatile: a subscribe still queued
+    for its call when its service crashes dies with it.  The restart's
+    tail-sync carries every surrogate held for the issuer, so it
+    registers the lost subscribe itself and resolves the surrogate,
+    with nothing sent again."""
     sim, net, linkage, login, files, user = make_distributed_world()
     login_cert = login.enter_role(user.client_id, "LoggedOn", ("dm", "ely"))
     reader = files.enter_role(user.client_id, "Reader", credentials=(login_cert,))
-    channel = linkage.channel("Files", "Login")
-    assert channel.pending == 1          # waiting for the zero-delay flush
+    relay = linkage.relay_of("Files")
+    assert relay.subscribes_queued()     # waiting for the zero-delay call
     sent = net.stats.messages_sent
     linkage.crash(files)
-    assert channel.pending == 0
+    assert not relay.subscribes_queued()
     sim.run_until(0.5)
     assert net.stats.messages_sent == sent
     assert subscribers_of(login, login_cert) == set()
 
     linkage.restart(files)
     sim.run_until(1.0)                   # the tail-sync has landed
-    with pytest.raises(RevokedError) as err:
-        files.validate(reader)
-    assert err.value.uncertain
-    assert linkage.subscribe_retries == 0
-
-    sim.run_until(linkage.subscribe_retry_period + 0.1)
-    assert linkage.subscribe_retries == 1
     assert subscribers_of(login, login_cert) == {"Files"}
     files.validate(reader)
+    sim.run_until(3 * SYNC_RETRY_PERIOD)
+    assert relay.rpc.stats.calls == 1    # the restart's tail-sync, once
+    assert relay.journal.stats.tail_syncs_pulled == 1
     assert linkage.durable.conservation_breaches() == []
     assert net.unaccounted() == 0

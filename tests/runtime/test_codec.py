@@ -698,8 +698,8 @@ def defined_symbols(data):
 def deployment_frames():
     """Every frame a small deployment puts on the wire, as (kind, source,
     dest, bytes): Login with two subscribers, Files and Mirror
-    (subscribes, outbox deliveries, heartbeats, a subscriber restart's
-    tail-sync, one more revocation quiesced)."""
+    (subscribe calls, outbox deliveries, heartbeats, a subscriber
+    restart's tail-sync, one more revocation quiesced)."""
     sim = Simulator()
     net = Network(sim, seed=5, default_delay=0.01)
     frames = []
@@ -759,18 +759,15 @@ class TestFrameSymbols:
         for kind, source, dest, data in deployment_frames():
             payload, defined = defined_symbols(data)
             assert defined <= SERVICES, (kind, payload, defined)
-            if kind == "wire-batch":
-                for item in payload["items"]:
-                    seen.add(item["kind"])
-            elif kind == "heartbeat":
-                seen.add(kind)
-            elif kind == "rpc-request":
+            if kind == "rpc-request":
                 methods[(source, payload["id"])] = payload["method"]
                 seen.add(payload["method"])
             elif kind == "rpc-reply":
                 seen.add(methods[(dest, payload["id"])] + " reply")
-        assert seen >= {
-            "subscribe", "heartbeat",
+            else:
+                seen.add(kind)
+        assert seen == {
+            "heartbeat",
             "outbox-deliver", "outbox-deliver reply",
             "tail-sync", "tail-sync reply",
         }

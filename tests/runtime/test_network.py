@@ -112,7 +112,7 @@ def test_down_node_drops_silently():
     net.send("a", "b", "ping", None)
     sim.run()
     assert got == []
-    assert node_b.dropped_while_down == 1
+    assert net.link_stats("a", "b").dropped_while_down == 1
 
 
 def test_messages_carry_monotone_seq():
